@@ -47,6 +47,7 @@ from .domain import (
 )
 from .milp import (
     LinearRow,
+    MatrixForm,
     MilpModel,
     ModelOptions,
     assignment_to_solution,
@@ -54,11 +55,13 @@ from .milp import (
     build_milp,
     evaluate_assignment,
     export_lp,
+    matrix_form,
     models_equivalent,
     parse_lp,
     read_solution_values,
     route_operational_cost,
     solution_to_assignment,
+    time_windows,
     values_to_assignment,
 )
 from .scheduling import ScheduleResult, schedule_route

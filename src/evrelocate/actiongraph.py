@@ -90,18 +90,8 @@ def _node_location(instance: Instance, node: str) -> str:
     return instance.request(node).location.id
 
 
-def build_graph(
-    instance: Instance,
-    distances: DistanceMatrix,
-    ignore_time_windows: bool = False,
-) -> ActionGraph:
-    """Construct the action graph for an instance.
-
-    With ``ignore_time_windows`` the time-based existence conditions are
-    dropped (the range condition ``d <= L`` and finite-distance filtering
-    remain); the relaxed graph backs the upper-bound computation, where
-    request time bounds no longer restrict which actions can follow which.
-    """
+def build_graph(instance: Instance, distances: DistanceMatrix) -> ActionGraph:
+    """Construct the action graph for an instance."""
     params = instance.parameters
     pickups = [r for r in instance.requests if r.kind is RequestKind.PICKUP]
     deliveries = [r for r in instance.requests if r.kind is RequestKind.DELIVERY]
@@ -125,7 +115,7 @@ def build_graph(
                 continue
             travel = minutes_of(params.ev_speed_kmh, d_km)
             op_time = travel + params.handling_min
-            if not ignore_time_windows and d.time_min < p.time_min + op_time - TIME_TOL:
+            if d.time_min < p.time_min + op_time - TIME_TOL:
                 continue
             arcs.append(Arc(p.id, d.id, ArcKind.EV, d_km, op_time))
 
@@ -135,9 +125,7 @@ def build_graph(
             if math.isinf(d_km):
                 continue
             ride = minutes_of(params.bike_speed_kmh, d_km)
-            if not ignore_time_windows and p.time_min < (
-                d.time_min + ride + params.load_and_exit_min - TIME_TOL
-            ):
+            if p.time_min < d.time_min + ride + params.load_and_exit_min - TIME_TOL:
                 continue
             arcs.append(Arc(d.id, p.id, ArcKind.BIKE, d_km, ride))
 

@@ -6,13 +6,12 @@ Exit status 0 on success, 2 on parse errors or failed feasibility checks.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
 from . import bench as bench_mod
 from .actiongraph import build_graph
-from .distances import matrix_for_instance
+from .distances import load_nodes, matrix_for_instance
 from .domain import (
     Instance,
     Location,
@@ -40,18 +39,10 @@ def _load_instance(path: str) -> Instance:
 
 
 def _load_stations(path: str) -> tuple[tuple[Location, ...], Location | None]:
-    stations = []
-    depot = None
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].strip().startswith("#") or row[0].strip() == "id":
-                continue
-            loc = Location(row[0].strip(), coordinates=(float(row[1]), float(row[2])))
-            if loc.id == "depot":
-                depot = loc
-            else:
-                stations.append(loc)
-    return tuple(stations), depot
+        locations = [Location(i, coordinates=xy) for i, xy in load_nodes(handle).items()]
+    depot = next((loc for loc in locations if loc.id == "depot"), None)
+    return tuple(loc for loc in locations if loc.id != "depot"), depot
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -117,10 +108,7 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
     matrix = matrix_for_instance(instance)
     graph = build_graph(instance, matrix)
     options = ModelOptions(
-        symmetry_breaking=args.symmetry_breaking,
-        upper_bound_cut=args.upper_bound,
-        relax_time_windows=args.relax_time_windows,
-        horizon_override=args.horizon,
+        symmetry_breaking=args.symmetry_breaking, upper_bound_cut=args.upper_bound
     )
     model = build_milp(instance, graph, options, workers=args.workers)
     _write(args.out, export_lp(model))
@@ -192,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--symmetry-breaking", action="store_true")
     p.add_argument("--upper-bound", type=int, default=None, help="add a served-count cap row")
-    p.add_argument("--relax-time-windows", action="store_true")
-    p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_export_lp)
 

@@ -55,6 +55,8 @@ class DistanceMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (len(self.ids), len(self.ids)):
             raise ValueError("matrix shape does not match id list")
+        if np.any(np.isnan(values)):
+            raise ValueError("distances must not be NaN (use inf for unreachable)")
         if np.any(np.diag(values) != 0.0):
             raise ValueError("self-distances must be zero")
         if np.any(values < 0.0):
@@ -69,18 +71,13 @@ class DistanceMatrix:
             raise KeyError(f"location {exc.args[0]!r} not covered by matrix") from None
 
 
-def load_road_network(source: io.TextIOBase | str, links_source: io.TextIOBase | str) -> RoadNetwork:
-    """Load a road network from two CSV streams.
+def load_nodes(source: io.TextIOBase | str) -> dict[str, tuple[float, float]]:
+    """Parse ``id,x,y`` node records from a CSV stream.
 
-    Node records are ``id,x,y``; link records are ``from,to,length_km``
-    (directed).  A link referencing a missing node is a parse error naming
-    the offending record.
+    Blank lines, ``#`` comments and an ``id`` header row are skipped.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    if isinstance(links_source, str):
-        links_source = io.StringIO(links_source)
-
     nodes: dict[str, tuple[float, float]] = {}
     for lineno, row in enumerate(csv.reader(source), start=1):
         if not row or row[0].strip().startswith("#"):
@@ -90,6 +87,19 @@ def load_road_network(source: io.TextIOBase | str, links_source: io.TextIOBase |
         if len(row) != 3:
             raise ValueError(f"node record {lineno}: expected id,x,y got {row!r}")
         nodes[row[0].strip()] = (float(row[1]), float(row[2]))
+    return nodes
+
+
+def load_road_network(source: io.TextIOBase | str, links_source: io.TextIOBase | str) -> RoadNetwork:
+    """Load a road network from two CSV streams.
+
+    Node records are ``id,x,y`` (see :func:`load_nodes`); link records are
+    ``from,to,length_km`` (directed).  A link referencing a missing node is
+    a parse error naming the offending record.
+    """
+    nodes = load_nodes(source)
+    if isinstance(links_source, str):
+        links_source = io.StringIO(links_source)
 
     links: list[tuple[str, str, float]] = []
     for lineno, row in enumerate(csv.reader(links_source), start=1):
@@ -162,12 +172,17 @@ def matrix_to_json(matrix: DistanceMatrix) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _matrix_from_doc(doc: dict) -> DistanceMatrix:
+    """Matrix from a document's ``ids`` and row-major ``rows``; null is ``inf``."""
+    rows = [[math.inf if v is None else float(v) for v in row] for row in doc["rows"]]
+    return DistanceMatrix(ids=tuple(doc["ids"]), values=np.array(rows, dtype=float))
+
+
 def matrix_from_json(text: str) -> DistanceMatrix:
     doc = json.loads(text)
     if doc.get("format_version") != MATRIX_FORMAT_VERSION:
         raise ValueError(f"unsupported matrix format_version {doc.get('format_version')!r}")
-    rows = [[math.inf if v is None else float(v) for v in row] for row in doc["rows"]]
-    return DistanceMatrix(ids=tuple(doc["ids"]), values=np.array(rows, dtype=float))
+    return _matrix_from_doc(doc)
 
 
 def instance_locations(instance: Instance) -> list[Location]:
@@ -192,8 +207,7 @@ def matrix_for_instance(instance: Instance, base_dir: str | None = None) -> Dist
     if kind == "euclidean":
         return euclidean_matrix(locations, float(source.get("detour_factor", 1.0)))
     if kind == "matrix":
-        rows = [[math.inf if v is None else float(v) for v in row] for row in source["rows"]]
-        full = DistanceMatrix(ids=tuple(source["ids"]), values=np.array(rows, dtype=float))
+        full = _matrix_from_doc(source)
         # restrict to the instance's locations, in canonical order
         idx = [full.index[loc.id] for loc in locations]
         sub = full.values[np.ix_(idx, idx)]

@@ -16,7 +16,8 @@ distances, km/h for speeds, and battery charge as a fraction in [0, 1].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Iterable
 
@@ -137,8 +138,8 @@ class Request:
             raise ValueError(f"request id must be nonempty and not {DEPOT_NODE!r}")
         if not 0.0 <= self.charge <= 1.0:
             raise ValueError(f"charge must lie in [0, 1], got {self.charge}")
-        if self.time_min < 0:
-            raise ValueError("time_min must be nonnegative")
+        if not (math.isfinite(self.time_min) and self.time_min >= 0):
+            raise ValueError(f"time_min must be finite and nonnegative, got {self.time_min}")
 
     @property
     def is_pickup(self) -> bool:
@@ -309,22 +310,39 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _number(value: Any, field: str) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
-    """Parse the canonical instance JSON format."""
+    """Parse the canonical instance JSON format.
+
+    Raises ``ValueError`` naming the field for unknown or missing parameter
+    keys and for non-numeric parameters, charges and times.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("instance JSON must be an object")
     version = doc.get("format_version")
     if version != INSTANCE_FORMAT_VERSION:
         raise ValueError(f"unsupported instance format_version {version!r}")
-    params = Parameters(**doc["parameters"])
+    raw = doc["parameters"]
+    names = [f.name for f in fields(Parameters)]
+    if set(raw) != set(names):
+        unknown, missing = sorted(set(raw) - set(names)), sorted(set(names) - set(raw))
+        raise ValueError(f"parameters: unknown keys {unknown}, missing keys {missing}")
+    params = Parameters(**{name: _number(raw[name], f"parameters.{name}") for name in names})
     requests = tuple(
         Request(
             id=r["id"],
             kind=RequestKind(r["kind"]),
             location=_location_from_dict(r["location"]),
-            charge=r["charge"],
-            time_min=r["time_min"],
+            charge=_number(r["charge"], f"requests[{i}].charge"),
+            time_min=_number(r["time_min"], f"requests[{i}].time_min"),
         )
-        for r in doc["requests"]
+        for i, r in enumerate(doc["requests"])
     )
     return Instance(
         parameters=params,

@@ -8,15 +8,32 @@ tagged by family id:
 * 2   at most one depot departure per worker
 * 3   each request served at most once
 * 4   flow conservation per node and worker
-* 5   time propagation along arcs not entering the depot (big-M = horizon)
-* 6   route duration within the horizon
-* 7   pickup earliest times (dropped under ``relax_time_windows``)
-* 8   delivery deadlines (dropped under ``relax_time_windows``)
+* 5   time propagation along arcs not entering the depot, per-arc big-M
+* 6   route duration within the shift limit, per-delivery big-M
+* 7   pickup earliest times
+* 8   delivery deadlines
 * 9   drive distance within linearly charged range
 * 10  handover charge recharges to the requirement by the deadline
 * 11  the same bound from a full battery (big-M = required charge + 1)
 * 14  optional symmetry breaking: workers ordered by route cost
 * 15  optional global cap on served requests
+
+The big-M values of families 5 and 6 come from per-node time windows
+[e_i, l_i] (see :func:`time_windows`) that contain every visit time any
+schedulable route can give node i, with T the shift limit and c_ij the
+operational time of arc i->j:
+
+* family 5 on arc (i, j): ``t_i - t_j + (c_ij + M_ij) x_ijk <= M_ij`` with
+  ``M_ij = max(0, l_i + c_ij - e_j)``;
+* family 6 on arc (d, 0): ``t_d - t_0 + (c_d0 + M_d) x_d0k <= T + M_d`` with
+  ``M_d = max(0, tau_d - T)``.
+
+With x = 1 these are the plain timing rows; with x = 0 they hold for any
+times inside the windows.  So every route set that the scheduler accepts
+satisfies every row once the nodes a worker does not visit take their
+earliest time e_i and an idle worker's depot time is 0
+(:func:`solution_to_assignment`): the model is a relaxation of the
+problem, and its LP relaxation bounds the served count from above.
 
 Binary domains and nonnegativity are the variable sections of the export.
 Variable and row ordering is fixed (family id, node id order, worker), so
@@ -26,9 +43,11 @@ parses the emitted format back for round-trip checks.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from .actiongraph import ActionGraph, Arc, ArcKind
 from .domain import DEPOT_NODE, Instance, RequestKind, Route, Solution
@@ -51,18 +70,14 @@ _TOL_BY_FAMILY = {
 
 @dataclass(frozen=True)
 class ModelOptions:
-    """Optional strengthening and relaxation switches."""
+    """Optional strengthening rows."""
 
     symmetry_breaking: bool = False
     upper_bound_cut: int | None = None
-    relax_time_windows: bool = False
-    horizon_override: float | None = None
 
     def __post_init__(self) -> None:
         if self.upper_bound_cut is not None and self.upper_bound_cut < 0:
             raise ValueError("upper_bound_cut must be nonnegative")
-        if self.horizon_override is not None and self.horizon_override <= 0:
-            raise ValueError("horizon_override must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,73 @@ class MilpModel:
 
     def variable_count(self) -> int:
         return len(self.binaries) + len(self.continuous)
+
+
+@dataclass(frozen=True)
+class MatrixForm:
+    """A model as arrays; columns are ``binaries + continuous`` in model order.
+
+    Maximize ``objective @ v`` subject to ``a_ub @ v <= b_ub``,
+    ``a_eq @ v == b_eq`` and ``0 <= v <= upper`` (1 for binaries, ``inf``
+    for visit times); ``>=`` rows are negated into ``a_ub``.
+    """
+
+    objective: np.ndarray
+    a_ub: csr_matrix
+    b_ub: np.ndarray
+    a_eq: csr_matrix
+    b_eq: np.ndarray
+    upper: np.ndarray
+
+
+def matrix_form(model: MilpModel) -> MatrixForm:
+    """Sparse-matrix form of ``model`` for array-based solvers."""
+    variables = model.binaries + model.continuous
+    column = {name: i for i, name in enumerate(variables)}
+    objective = np.zeros(len(variables))
+    for name, coef in model.objective.items():
+        objective[column[name]] = coef
+    # (data, row index, column index, rhs) of the inequality and equality blocks
+    blocks = {"ub": ([], [], [], []), "eq": ([], [], [], [])}
+    for row in model.rows:
+        data, rows, cols, rhs = blocks["eq" if row.sense == "=" else "ub"]
+        sign = -1.0 if row.sense == ">=" else 1.0
+        for name, coef in row.coeffs.items():
+            data.append(sign * coef)
+            rows.append(len(rhs))
+            cols.append(column[name])
+        rhs.append(sign * row.rhs)
+
+    def stack(data: list, rows: list, cols: list, rhs: list) -> tuple[csr_matrix, np.ndarray]:
+        matrix = csr_matrix((data, (rows, cols)), shape=(len(rhs), len(variables)))
+        return matrix, np.array(rhs, dtype=float)
+
+    a_ub, b_ub = stack(*blocks["ub"])
+    a_eq, b_eq = stack(*blocks["eq"])
+    upper = np.array([1.0] * len(model.binaries) + [np.inf] * len(model.continuous))
+    return MatrixForm(objective, a_ub, b_ub, a_eq, b_eq, upper)
+
+
+def time_windows(instance: Instance, graph: ActionGraph) -> dict[str, tuple[float, float]]:
+    """Earliest and latest visit time ``(e_i, l_i)`` of every graph node.
+
+    A pickup is served no earlier than tau_p and, being followed by an EV
+    arc (p, d), no later than tau_d - c_pd; a delivery no later than tau_d
+    and no earlier than tau_p + c_pd.  The depot time is a departure, at or
+    after 0 and no later than l_p - c_0p for the first pickup.
+    """
+    tau = {r.id: r.time_min for r in instance.requests}
+    windows = {r.id: (r.time_min, r.time_min) for r in instance.requests}
+    for arc in graph.arcs:
+        if arc.kind is ArcKind.EV:
+            p, d, c = arc.from_node, arc.to_node, arc.op_time_min
+            windows[p] = (windows[p][0], max(windows[p][1], tau[d] - c))
+            windows[d] = (min(windows[d][0], tau[p] + c), windows[d][1])
+    latest_departure = max(
+        [0.0] + [windows[a.to_node][1] - a.op_time_min for a in graph.out_arcs[DEPOT_NODE]]
+    )
+    windows[DEPOT_NODE] = (0.0, latest_departure)
+    return windows
 
 
 def _safe_names(ids: list[str]) -> dict[str, str]:
@@ -122,7 +204,7 @@ def build_milp(
     if k_total < 1:
         raise ValueError("worker count must be at least 1")
 
-    horizon = options.horizon_override if options.horizon_override is not None else params.shift_limit_min
+    horizon = params.shift_limit_min
     gamma = params.recharge_time_min
     cap_km = params.max_range_km
 
@@ -186,14 +268,16 @@ def build_milp(
                 )
             rows.append(LinearRow(f"f4_{names[node]}_k{k}", 4, coeffs, "=", 0.0))
 
+    windows = time_windows(instance, graph)
     for arc in arcs:
         if arc.to_node == DEPOT_NODE:
             continue
+        big_m = max(0.0, windows[arc.from_node][1] + arc.op_time_min - windows[arc.to_node][0])
         for k in range(1, k_total + 1):
             coeffs = {
                 t_names[(arc.from_node, k)]: 1.0,
                 t_names[(arc.to_node, k)]: -1.0,
-                x_names[(arc.from_node, arc.to_node, k)]: arc.op_time_min + horizon,
+                x_names[(arc.from_node, arc.to_node, k)]: arc.op_time_min + big_m,
             }
             rows.append(
                 LinearRow(
@@ -201,46 +285,48 @@ def build_milp(
                     5,
                     coeffs,
                     "<=",
-                    horizon,
+                    big_m,
                 )
             )
 
     for arc in in_arcs[DEPOT_NODE]:
+        big_m = max(0.0, requests[arc.from_node].time_min - horizon)
         for k in range(1, k_total + 1):
             coeffs = {
                 t_names[(arc.from_node, k)]: 1.0,
-                x_names[(arc.from_node, DEPOT_NODE, k)]: arc.op_time_min,
+                x_names[(arc.from_node, DEPOT_NODE, k)]: arc.op_time_min + big_m,
                 t_names[(DEPOT_NODE, k)]: -1.0,
             }
-            rows.append(LinearRow(f"f6_{names[arc.from_node]}_k{k}", 6, coeffs, "<=", horizon))
+            rows.append(
+                LinearRow(f"f6_{names[arc.from_node]}_k{k}", 6, coeffs, "<=", horizon + big_m)
+            )
 
-    if not options.relax_time_windows:
-        for node in node_order[1:]:
-            if kinds[node] is not RequestKind.PICKUP:
-                continue
-            for k in range(1, k_total + 1):
-                rows.append(
-                    LinearRow(
-                        f"f7_{names[node]}_k{k}",
-                        7,
-                        {t_names[(node, k)]: 1.0},
-                        ">=",
-                        requests[node].time_min,
-                    )
+    for node in node_order[1:]:
+        if kinds[node] is not RequestKind.PICKUP:
+            continue
+        for k in range(1, k_total + 1):
+            rows.append(
+                LinearRow(
+                    f"f7_{names[node]}_k{k}",
+                    7,
+                    {t_names[(node, k)]: 1.0},
+                    ">=",
+                    requests[node].time_min,
                 )
-        for node in node_order[1:]:
-            if kinds[node] is not RequestKind.DELIVERY:
-                continue
-            for k in range(1, k_total + 1):
-                rows.append(
-                    LinearRow(
-                        f"f8_{names[node]}_k{k}",
-                        8,
-                        {t_names[(node, k)]: 1.0},
-                        "<=",
-                        requests[node].time_min,
-                    )
+            )
+    for node in node_order[1:]:
+        if kinds[node] is not RequestKind.DELIVERY:
+            continue
+        for k in range(1, k_total + 1):
+            rows.append(
+                LinearRow(
+                    f"f8_{names[node]}_k{k}",
+                    8,
+                    {t_names[(node, k)]: 1.0},
+                    "<=",
+                    requests[node].time_min,
                 )
+            )
 
     ev_arcs = [a for a in arcs if a.kind is ArcKind.EV]
     for arc in ev_arcs:
@@ -528,90 +614,27 @@ def solution_to_assignment(
     graph: ActionGraph,
     solution: Solution,
     workers: int | None = None,
-    horizon_min: float | None = None,
-) -> tuple[dict[tuple[str, str, int], float], dict[tuple[str, int], float], bool]:
-    """Expand a Solution into model variable values.
+) -> tuple[dict[tuple[str, str, int], float], dict[tuple[str, int], float]]:
+    """Expand a Solution into model variable values ``(x, t)``.
 
-    Visit times of nodes a worker never touches are free in the model but
-    still boxed by their time bounds and chained to visited nodes through
-    the big-M rows; they are completed here by solving the difference
-    system per worker.  Returns ``(x, t, completed)`` where ``completed``
-    is False when no consistent completion exists (the big-M of the printed
-    model can genuinely over-constrain; callers surface this discrepancy
-    rather than failing).
+    A node a worker does not visit takes the earliest time of its window,
+    so an idle worker's depot time is 0.  For routes the scheduler accepts
+    this satisfies every row of :func:`build_milp` (see the module notes).
     """
-    params = instance.parameters
-    horizon = horizon_min if horizon_min is not None else params.shift_limit_min
-    k_total = workers if workers is not None else params.workers
-    node_order = [DEPOT_NODE] + sorted(r.id for r in instance.requests)
-    kinds = {DEPOT_NODE: None} | {r.id: r.kind for r in instance.requests}
-    times = {r.id: r.time_min for r in instance.requests}
-
+    k_total = workers if workers is not None else instance.parameters.workers
+    windows = time_windows(instance, graph)
     x_vals: dict[tuple[str, str, int], float] = {}
-    t_vals: dict[tuple[str, int], float] = {}
-    by_worker: dict[int, Route] = {}
+    t_vals = {
+        (node, k): early for k in range(1, k_total + 1) for node, (early, _) in windows.items()
+    }
     for route in solution.routes:
-        by_worker[route.worker_index + 1] = route
+        k = route.worker_index + 1
         seq = [DEPOT_NODE] + [rid for rid, _ in route.visits] + [DEPOT_NODE]
         for a, b in zip(seq, seq[1:]):
-            x_vals[(a, b, route.worker_index + 1)] = 1.0
-
-    # Generous finite ceiling so every variable gets a concrete value; it
-    # cannot cut a feasible completion because no constraint forces values
-    # above the request times, fixed times and one horizon of slack.
-    ceiling = max(
-        [0.0]
-        + [r.time_min for r in instance.requests]
-        + [t for route in solution.routes for _, t in route.visits]
-        + [route.depot_departure_min for route in solution.routes]
-    ) + horizon + 1.0
-
-    ok = True
-    for k in range(1, k_total + 1):
-        fixed: dict[str, float] = {}
-        route = by_worker.get(k)
-        if route is not None:
-            fixed[DEPOT_NODE] = route.depot_departure_min
-            fixed.update({rid: t for rid, t in route.visits})
-
-        # difference constraints t_a - t_b <= w as edges (b -> a, w)
-        edges: list[tuple[str, str, float]] = []
-        source = "__s__"
-        for node in node_order:
-            lower = 0.0
-            upper = ceiling
-            if kinds[node] is RequestKind.PICKUP:
-                lower = max(lower, times[node])
-            elif kinds[node] is RequestKind.DELIVERY:
-                upper = min(upper, times[node])
-            if node in fixed:
-                lower = upper = fixed[node]
-            edges.append((source, node, upper))
-            edges.append((node, source, -lower))
-        for arc in graph.arcs:
-            if arc.to_node != DEPOT_NODE:
-                edges.append((arc.to_node, arc.from_node, horizon))
-            else:
-                used = x_vals.get((arc.from_node, DEPOT_NODE, k), 0.0) >= 0.5
-                slack = horizon - (arc.op_time_min if used else 0.0)
-                edges.append((DEPOT_NODE, arc.from_node, slack))
-
-        dist = {n: math.inf for n in node_order}
-        dist[source] = 0.0
-        for _ in range(len(node_order) + 1):
-            changed = False
-            for b, a, w in edges:
-                if dist[b] + w < dist.get(a, math.inf) - 1e-12:
-                    dist[a] = dist[b] + w
-                    changed = True
-            if not changed:
-                break
-        else:
-            ok = False  # negative cycle: no consistent completion
-        for node in node_order:
-            t_vals[(node, k)] = dist[node]
-
-    return x_vals, t_vals, ok
+            x_vals[(a, b, k)] = 1.0
+        t_vals[(DEPOT_NODE, k)] = route.depot_departure_min
+        t_vals.update(((rid, k), t) for rid, t in route.visits)
+    return x_vals, t_vals
 
 
 def assignment_to_values(

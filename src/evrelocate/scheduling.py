@@ -29,11 +29,6 @@ reaching the first pickup on time), so when the earliest schedule is too
 long the whole start is delayed as far as the per-leg upper bounds allow,
 which can only shrink the span.  A 1-minute grid search over service times
 is the reference oracle for this logic in the test suite.
-
-The three ``honor_*`` flags drop the pickup release times, the delivery
-deadlines, and the saturation bound respectively; the upper-bound
-computation uses them to schedule against a longer horizon where request
-times no longer gate the order of actions.
 """
 
 from __future__ import annotations
@@ -69,10 +64,6 @@ def schedule_route(
     instance: Instance,
     graph: ActionGraph,
     pairs: list[tuple[str, str]],
-    honor_release: bool = True,
-    honor_deadline: bool = True,
-    honor_saturation: bool = True,
-    horizon_min: float | None = None,
 ) -> ScheduleResult:
     """Schedule an alternating pickup/delivery sequence on existing arcs.
 
@@ -86,7 +77,7 @@ def schedule_route(
         raise ValueError("route must contain at least one pickup/delivery pair")
 
     params = instance.parameters
-    big_t = params.shift_limit_min if horizon_min is None else horizon_min
+    big_t = params.shift_limit_min
     gamma = params.recharge_time_min
     cap_km = params.max_range_km
 
@@ -122,16 +113,11 @@ def schedule_route(
     ups = []
     for k, (p, d, ev) in enumerate(legs):
         need = ev.distance_km / cap_km
-        low = p.time_min + gamma * (need - p.charge)  # battery coverage
-        if honor_release:
-            low = max(low, p.time_min)
+        low = max(p.time_min, p.time_min + gamma * (need - p.charge))  # release, battery coverage
         if k == 0:
             low = max(low, first_bike.op_time_min)  # depot departure at or after 0
-        up = math.inf
-        if honor_deadline:
-            up = min(up, d.time_min - ev.op_time_min)
-        if honor_saturation:
-            up = min(up, d.time_min - ev.op_time_min + gamma * (1.0 - need - d.charge))
+        deadline = d.time_min - ev.op_time_min
+        up = min(deadline, deadline + gamma * (1.0 - need - d.charge))  # deadline, saturation
         margin = p.charge - need + (d.time_min - p.time_min - ev.op_time_min) / gamma
         if margin < d.charge - CHARGE_TOL:
             return _infeasible(

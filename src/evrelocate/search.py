@@ -6,26 +6,31 @@ the partial route after every extension and pruning on an admissible count
 bound.  ``brute_force`` is the desk-scale oracle: plain enumeration of all
 pairings, partitions and orderings, with no bounding logic shared with the
 search.  ``heuristic_sequential`` fixes one exact single-worker route at a
-time.  ``compute_upper_bound`` solves a single-worker relaxation with the
-working time extended to K times the shift limit.
+time.  ``compute_upper_bound`` is the LP relaxation of the K-worker model
+of :func:`evrelocate.milp.build_milp`.
 
-The relaxation behind the upper bound drops the request time bounds from
-scheduling and from arc existence, and drops the battery-saturation bound
-on deliveries.  Any K-route solution can then be concatenated into one long
-route (with direct delivery-to-pickup rides replacing the depot legs, no
-shorter by the triangle inequality), so the relaxed single-worker optimum
-is a true upper bound whenever the distance matrix respects the triangle
-inequality -- shortest-path and Euclidean matrices always do.
+That bound is valid by construction, for any distance matrix: every route
+set the scheduler accepts satisfies every row of the model (its big-M
+values come from time windows that contain every schedulable visit time),
+so the model's optimum, and its LP relaxation above that, is at least the
+largest servable count.  Served counts are even, so the LP value is rounded
+down to an even number.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 
-from .actiongraph import ActionGraph, ArcKind, build_graph
+import numpy as np
+from scipy.optimize import linprog
+
+# build_graph is unused here, but perfbench's traced run wraps evrelocate.search.build_graph.
+from .actiongraph import ActionGraph, ArcKind, build_graph  # noqa: F401
 from .domain import DEPOT_NODE, Instance, RequestKind, Route, Solution
+from .milp import build_milp, matrix_form
 from .scheduling import ScheduleResult, schedule_route
 
 
@@ -33,7 +38,7 @@ from .scheduling import ScheduleResult, schedule_route
 class SolveOptions:
     """Knobs for the branch-and-bound search.
 
-    ``use_upper_bound`` computes the relaxed-problem bound up front and
+    ``use_upper_bound`` computes the LP-relaxation bound up front and
     prunes with it; ``upper_bound`` supplies the value directly instead.
     ``use_warm_start`` seeds the incumbent with the sequential heuristic.
     ``break_worker_symmetry`` explores each route *set* once (routes in
@@ -45,7 +50,6 @@ class SolveOptions:
     use_upper_bound: bool = False
     use_warm_start: bool = False
     break_worker_symmetry: bool = False
-    deterministic: bool = True
     node_limit: int | None = None
     time_limit_s: float | None = None
     upper_bound: int | None = None
@@ -104,10 +108,6 @@ def solve_branch_and_bound(
     *,
     available: set[str] | None = None,
     workers: int | None = None,
-    honor_release: bool = True,
-    honor_deadline: bool = True,
-    honor_saturation: bool = True,
-    horizon_min: float | None = None,
     incumbent: Solution | None = None,
 ) -> SolveResult:
     """Depth-first exact search; returns the incumbent and an optimality flag.
@@ -217,15 +217,7 @@ def solve_branch_and_bound(
                 if d in served:
                     continue
                 trial = current + [(p, d)]
-                result = schedule_route(
-                    instance,
-                    graph,
-                    trial,
-                    honor_release=honor_release,
-                    honor_deadline=honor_deadline,
-                    honor_saturation=honor_saturation,
-                    horizon_min=horizon_min,
-                )
+                result = schedule_route(instance, graph, trial)
                 if not result.feasible:
                     continue
                 served.add(p)
@@ -344,29 +336,23 @@ def compute_upper_bound(
     instance: Instance,
     graph: ActionGraph,
     workers: int | None = None,
-    *,
-    node_limit: int = 200_000,
-    time_limit_s: float | None = 5.0,
 ) -> int:
-    """Optimum of the relaxed single-worker problem with horizon K*T.
+    """LP relaxation of the K-worker model, rounded down to an even count.
 
-    Request time bounds are dropped (from arc existence and scheduling) and
-    the battery-saturation bound with them; charge feasibility keeps using
-    each request's nominal time as the recharge reference.  If the capped
-    search stops early the returned value is the best proven bound, still
-    valid.
+    Raises ``RuntimeError`` when the LP solver does not report an optimum.
     """
-    k_total = workers if workers is not None else instance.parameters.workers
-    relaxed = build_graph(instance, graph.distances, ignore_time_windows=True)
-    options = SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
-    result = solve_branch_and_bound(
-        instance,
-        relaxed,
-        options,
-        workers=1,
-        honor_release=False,
-        honor_deadline=False,
-        honor_saturation=False,
-        horizon_min=k_total * instance.parameters.shift_limit_min,
+    form = matrix_form(build_milp(instance, graph, workers=workers))
+    result = linprog(
+        -form.objective,
+        A_ub=form.a_ub,
+        b_ub=form.b_ub,
+        A_eq=form.a_eq,
+        b_eq=form.b_eq,
+        bounds=np.column_stack([np.zeros_like(form.upper), form.upper]),
+        method="highs",
     )
-    return int(result.best_bound)
+    if result.status != 0:
+        raise RuntimeError(f"LP relaxation not solved: {result.message}")
+    # the slack keeps solver round-off (e.g. 3.9999999) from losing a count
+    served = math.floor(-result.fun + 1e-6)
+    return served - served % 2

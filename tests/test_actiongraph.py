@@ -93,15 +93,12 @@ class TestDepotArcs:
 class TestGraphShape:
     def test_counts_on_three_node_graph(self):
         # the EV and bike time conditions are mutually exclusive on a single
-        # pair, so all four candidate arcs coexist only without time windows
+        # pair, so only three of the four candidate arcs exist
         inst, matrix = tiny()
-        graph = build_graph(inst, matrix, ignore_time_windows=True)
+        graph = build_graph(inst, matrix)
         assert graph.node_count == 3
-        assert len(graph.arcs) == 4
+        assert len(graph.arcs) == 3  # EV, depot out, depot return
         assert arc_count_bound_check(graph)
-        timed = build_graph(inst, matrix)
-        assert len(timed.arcs) == 3  # EV, depot out, depot return
-        assert arc_count_bound_check(timed)
 
     def test_empty_request_set(self):
         inst = make_instance([])
@@ -166,18 +163,6 @@ class TestGraphShape:
             (a.from_node, a.to_node) for a in full.arcs if "p2" not in (a.from_node, a.to_node)
         }
         assert {(a.from_node, a.to_node) for a in partial.arcs} == full_minus
-
-
-class TestRelaxedGraph:
-    def test_time_conditions_dropped_range_kept(self):
-        inst, matrix = tiny(tau_d=480.0)  # too tight for any timed arc
-        strict = build_graph(inst, matrix)
-        relaxed = build_graph(inst, matrix, ignore_time_windows=True)
-        assert strict.arc("p1", "d1") is None
-        assert relaxed.arc("p1", "d1") is not None
-        inst2, matrix2 = tiny(tau_d=480.0, d_pd=200.0)
-        relaxed2 = build_graph(inst2, matrix2, ignore_time_windows=True)
-        assert relaxed2.arc("p1", "d1") is None  # range still enforced
 
 
 class TestDot:

@@ -34,6 +34,15 @@ class TestGenerate:
         assert {r.location.id for r in inst.requests} <= {"sA", "sB"}
         assert inst.depot.id == "depot"
 
+    def test_malformed_stations_file_exits_2(self, tmp_path, capsys):
+        stations = tmp_path / "stations.csv"
+        stations.write_text("id,x,y\ndepot,0,0\nsA,1\n")
+        code, _, err = run(
+            capsys, "generate", "--stations-file", str(stations), "--out", str(tmp_path / "x.json")
+        )
+        assert code == 2
+        assert "expected id,x,y" in err
+
     def test_odd_size_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "--size", "7", "--out", str(tmp_path / "x.json"))
         assert code == 2
@@ -111,6 +120,19 @@ class TestSolveAndCheck:
         code, _, err = run(capsys, "solve", "--instance", str(bad))
         assert code == 2
         assert "error" in err
+
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, instance_file):
+        good = json.loads(instance_file.read_text())
+        unknown = json.loads(json.dumps(good))
+        unknown["parameters"]["max_speed"] = 3.0
+        text_time = json.loads(json.dumps(good))
+        text_time["requests"][0]["time_min"] = "480"
+        for doc, field in ((unknown, "max_speed"), (text_time, "time_min")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "solve", "--instance", str(bad))
+            assert code == 2
+            assert field in err
 
 
 class TestExportLp:

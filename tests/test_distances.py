@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from evrelocate import (
+    DistanceMatrix,
     Location,
     euclidean_matrix,
     load_road_network,
@@ -135,6 +136,22 @@ class TestEuclidean:
     def test_detour_below_one_rejected(self):
         with pytest.raises(ValueError):
             euclidean_matrix([Location("a", coordinates=(0, 0))], detour_factor=0.9)
+
+
+class TestMatrixValidation:
+    def test_nan_distance_rejected(self):
+        values = np.array([[0.0, math.nan], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            DistanceMatrix(ids=("a", "b"), values=values)
+
+    def test_infinite_distance_means_unreachable(self):
+        matrix = DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, math.inf], [1.0, 0.0]]))
+        assert math.isinf(matrix.distance("a", "b"))
+
+    def test_nan_in_json_rejected(self):
+        text = '{"format_version": 1, "ids": ["a", "b"], "rows": [[0, NaN], [1, 0]]}'
+        with pytest.raises(ValueError, match="NaN"):
+            matrix_from_json(text)
 
 
 class TestMatrixJson:

@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 
 from evrelocate import (
@@ -95,6 +98,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             delivery("d1", "a", 0.5, -1.0)
 
+    def test_non_finite_time_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pickup("p1", "a", 0.5, bad)
+            with pytest.raises(ValueError, match="finite"):
+                delivery("d1", "a", 0.5, bad)
+
     def test_depot_sentinel_id_rejected(self):
         with pytest.raises(ValueError):
             pickup("0", "a", 0.5, 480.0)
@@ -117,6 +127,35 @@ class TestJsonRoundTrip:
     def test_instance_format_version_checked(self):
         with pytest.raises(ValueError, match="format_version"):
             instance_from_json('{"format_version": 99}')
+
+    def test_malformed_fields_named(self):
+        inst = make_instance([pickup("p1", "a", 0.25, 480.0)])
+        good = json.loads(instance_to_json(inst))
+        cases = [
+            (("parameters", "max_speed"), 3.0, r"unknown keys \['max_speed'\]"),
+            (("requests", 0, "time_min"), "480", r"requests\[0\]\.time_min"),
+            (("requests", 0, "charge"), None, r"requests\[0\]\.charge"),
+            (("parameters", "workers"), "2", "parameters.workers"),
+        ]
+        for path, value, message in cases:
+            doc = json.loads(json.dumps(good))
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            with pytest.raises(ValueError, match=message):
+                instance_from_json(json.dumps(doc))
+        doc = json.loads(json.dumps(good))
+        del doc["parameters"]["workers"]
+        with pytest.raises(ValueError, match=r"missing keys \['workers'\]"):
+            instance_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="object"):
+            instance_from_json("[]")
+
+    def test_nan_time_in_json_rejected(self):
+        text = instance_to_json(make_instance([pickup("p1", "a", 0.25, 480.0)]))
+        with pytest.raises(ValueError, match="finite"):
+            instance_from_json(text.replace("480.0", "NaN"))
 
     def test_solution_round_trip(self):
         sol = Solution.from_routes([route(0, [("p1", 480.0), ("d1", 520.5)])])

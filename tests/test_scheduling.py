@@ -195,44 +195,6 @@ class TestScheduleBasics:
             schedule_route(inst, graph, [("p1", "d1")])
 
 
-class TestRelaxedMode:
-    def test_early_pickup_allowed_without_release(self):
-        inst, graph, pairs, _ = build_route_instance(
-            taus=(480.0, 600.0), rhos=(1.0, 0.0), dists=(2.5, 10.0, 2.5)
-        )
-        relaxed = schedule_route(
-            inst,
-            graph,
-            pairs,
-            honor_release=False,
-            honor_deadline=False,
-            honor_saturation=False,
-            horizon_min=600.0,
-        )
-        assert relaxed.feasible
-        # served before the release time 480; the linear charge law counts
-        # backwards from (rho, tau), so the drive is covered from t = 256 on
-        assert relaxed.visit_times["p1"] == pytest.approx(256.0)
-        assert relaxed.charge_trace[0][0] == pytest.approx(10.0 / 150.0)
-
-    def test_charge_need_still_gates_early_service(self):
-        # needs 0.4 charge, holds 0.2 at minute 480: cannot serve before 528
-        inst, graph, pairs, _ = build_route_instance(
-            taus=(480.0, 700.0), rhos=(0.2, 0.0), dists=(2.5, 60.0, 2.5)
-        )
-        relaxed = schedule_route(
-            inst,
-            graph,
-            pairs,
-            honor_release=False,
-            honor_deadline=False,
-            honor_saturation=False,
-            horizon_min=600.0,
-        )
-        assert relaxed.feasible
-        assert relaxed.visit_times["p1"] == pytest.approx(528.0)
-
-
 def sample_route(rng):
     """Integer-friendly random 1- or 2-leg route; returns args + pairs."""
     legs = 1 if rng.random() < 0.5 else 2

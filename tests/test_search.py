@@ -1,17 +1,30 @@
 import dataclasses
+from itertools import product
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import evrelocate.search
 from evrelocate import (
+    DEFAULT_PARAMETERS,
     GeneratorConfig,
+    Instance,
+    Location,
+    Request,
+    RequestKind,
     SolveOptions,
+    assignment_to_values,
     brute_force,
     build_graph,
+    build_milp,
     check_solution,
     compute_upper_bound,
+    evaluate_assignment,
     generate_instance,
     heuristic_sequential,
     matrix_for_instance,
+    solution_to_assignment,
     solve_branch_and_bound,
 )
 from conftest import delivery, make_instance, make_matrix, pickup
@@ -27,6 +40,56 @@ def random_case(seed, size=8):
     inst = generate_instance(GeneratorConfig(request_total=size, seed=seed))
     matrix = matrix_for_instance(inst)
     return inst, build_graph(inst, matrix)
+
+
+def spread_case(seed, size, footprint_km, stations, workers, explicit=False):
+    """Stations and depot at random on a square footprint.
+
+    With ``explicit`` the distances are a random asymmetric matrix instead:
+    no triangle inequality, and one pair in ten unreachable.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, footprint_km, size=(stations + 1, 2))
+    locations = [Location(f"s{i}", coordinates=tuple(map(float, xy))) for i, xy in enumerate(points)]
+    config = GeneratorConfig(
+        request_total=size,
+        seed=seed,
+        stations=tuple(locations[1:]),
+        depot=locations[0],
+        parameters=dataclasses.replace(DEFAULT_PARAMETERS, workers=workers),
+    )
+    inst = generate_instance(config)
+    if explicit:
+        values = rng.uniform(0.0, footprint_km, size=(stations + 1, stations + 1))
+        values[rng.random(values.shape) < 0.1] = np.inf
+        np.fill_diagonal(values, 0.0)
+        rows = [[None if np.isinf(v) else float(v) for v in row] for row in values]
+        source = {"type": "matrix", "ids": [loc.id for loc in locations], "rows": rows}
+        inst = dataclasses.replace(inst, distance_source=source)
+    return inst, build_graph(inst, matrix_for_instance(inst))
+
+
+def far_delivery_case():
+    """B&B prunes the optimum here (its prefix check includes the return leg)."""
+    depot = Location("depot", coordinates=(0.0, 0.0))
+    far = Location("far", coordinates=(60.0, 0.0))
+    requests = (
+        Request("p1", RequestKind.PICKUP, depot, 1.0, 480.0),
+        Request("d1", RequestKind.DELIVERY, far, 0.0, 626.0),
+        Request("p2", RequestKind.PICKUP, far, 1.0, 627.0),
+        Request("d2", RequestKind.DELIVERY, depot, 0.0, 900.0),
+    )
+    params = dataclasses.replace(DEFAULT_PARAMETERS, workers=1)
+    inst = Instance(params, depot, requests, {"type": "euclidean", "detour_factor": 1.0})
+    return inst, build_graph(inst, matrix_for_instance(inst))
+
+
+def violated_rows(inst, graph, solution):
+    """Rows of the model that the solution's completed assignment violates."""
+    model = build_milp(inst, graph)
+    x, t = solution_to_assignment(inst, graph, solution)
+    values = assignment_to_values(model, x, t)
+    return [(row.name, slack) for row, ok, slack in evaluate_assignment(model, values) if not ok]
 
 
 def unique_route_case():
@@ -226,3 +289,31 @@ class TestUpperBound:
             capped = solve_branch_and_bound(inst, graph, SolveOptions(upper_bound=bound))
             plain = solve_branch_and_bound(inst, graph)
             assert capped.solution.served_count == plain.solution.served_count
+
+    def test_bound_valid_and_optimum_completes_on_spread_instances(self):
+        # wide footprints, co-located stations and non-metric matrices: the
+        # bound never falls below the optimum, and the optimum violates no
+        # row of the model once completed
+        cells = product((False, True), (10, 30, 60), (1, 3, 9), (6, 8, 10), (1, 2, 3))
+        for cell in cells:
+            explicit, footprint, stations, size, k = cell
+            seed = footprint * 1000 + stations * 100 + size * 10 + k
+            inst, graph = spread_case(seed, size, float(footprint), stations, k, explicit)
+            optimum = brute_force(inst, graph)
+            assert compute_upper_bound(inst, graph, k) >= optimum.served_count, cell
+            assert not violated_rows(inst, graph, optimum), cell
+
+    def test_far_delivery_instance(self):
+        inst, graph = far_delivery_case()
+        optimum = brute_force(inst, graph)
+        assert optimum.served_count == 4
+        assert compute_upper_bound(inst, graph, 1) == 4
+        assert not violated_rows(inst, graph, optimum)
+
+    def test_solver_failure_raises(self, monkeypatch, one_pair):
+        inst, matrix = one_pair
+        graph = build_graph(inst, matrix)
+        failed = OptimizeResult(status=4, message="numerical difficulties", fun=None)
+        monkeypatch.setattr(evrelocate.search, "linprog", lambda *a, **kw: failed)
+        with pytest.raises(RuntimeError, match="numerical difficulties"):
+            compute_upper_bound(inst, graph, 1)

@@ -89,10 +89,11 @@ class TestViolationDetection:
         matrix = make_matrix(
             ["depot", "a", "b"], {("a", "b"): 160.0, ("b", "a"): 160.0}, default=2.5
         )
-        relaxed = build_graph(inst, matrix, ignore_time_windows=True)
+        # the graph has no EV arc this long; costs come from its matrix
+        graph = build_graph(inst, matrix)
         visits = (("p1", 1000.0), ("d1", 1000.0 + 160.0 / 25.0 * 60.0 + 2.0))
         route = Route(0, visits, 990.0, 1400.0)
-        report = check_solution(inst, relaxed, Solution.from_routes([route]))
+        report = check_solution(inst, graph, Solution.from_routes([route]))
         fails = {r.family for r in report.failures()}
         assert 9 in fails
 
