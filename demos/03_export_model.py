@@ -2,8 +2,12 @@
 
 The export is deterministic (same model, same bytes) and the bundled reader
 parses the emitted dialect back for verification.  A solver's `name value`
-output can be decoded into routes with assignment_to_solution.
+output can be decoded into routes with assignment_to_solution.  The model
+has one set of variables per worker; the worker count K is a parameter of
+the instance.
 """
+
+import dataclasses
 
 from evrelocate import (
     GeneratorConfig,
@@ -18,15 +22,13 @@ from evrelocate import (
 )
 
 instance = generate_instance(GeneratorConfig(request_total=6, seed=3))
+instance = dataclasses.replace(
+    instance, parameters=dataclasses.replace(instance.parameters, workers=2)
+)
 matrix = matrix_for_instance(instance)
 graph = build_graph(instance, matrix)
 
-model = build_milp(
-    instance,
-    graph,
-    ModelOptions(symmetry_breaking=True, upper_bound_cut=6),
-    workers=2,
-)
+model = build_milp(instance, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=6))
 text = export_lp(model)
 
 print(f"{len(model.binaries)} binary + {len(model.continuous)} continuous variables, "

@@ -9,7 +9,6 @@ the underlying mixed-integer model in LP format.
 
 from .actiongraph import ActionGraph, Arc, ArcKind, arc_count_bound_check, build_graph, to_dot
 from .bench import (
-    BenchOptions,
     DEFAULT_PARAMETERS,
     DEFAULT_STATIONS,
     ExperimentRecord,

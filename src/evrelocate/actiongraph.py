@@ -26,7 +26,7 @@ from enum import Enum
 import math
 
 from .distances import DistanceMatrix
-from .domain import DEPOT_NODE, Instance, RequestKind, TIME_TOL, minutes_of
+from .domain import DEPOT_NODE, Instance, TIME_TOL, minutes_of
 
 
 class ArcKind(str, Enum):
@@ -84,23 +84,15 @@ class ActionGraph:
         return tuple(a for a in self.arcs if a.kind is ArcKind.EV)
 
 
-def _node_location(instance: Instance, node: str) -> str:
-    if node == DEPOT_NODE:
-        return instance.depot.id
-    return instance.request(node).location.id
-
-
 def build_graph(instance: Instance, distances: DistanceMatrix) -> ActionGraph:
     """Construct the action graph for an instance."""
     params = instance.parameters
-    pickups = [r for r in instance.requests if r.kind is RequestKind.PICKUP]
-    deliveries = [r for r in instance.requests if r.kind is RequestKind.DELIVERY]
+    pickups = instance.pickups
+    deliveries = instance.deliveries
 
     def dist(a: str, b: str) -> float:
         try:
-            return distances.distance(
-                _node_location(instance, a), _node_location(instance, b)
-            )
+            return distances.distance(instance.location_id(a), instance.location_id(b))
         except KeyError as exc:
             raise ValueError(f"distance matrix does not cover {a!r}/{b!r}: {exc}") from None
 

@@ -8,7 +8,8 @@ twice: a baseline search and a speedup configuration (symmetry breaking,
 the LP-relaxation upper bound and heuristic warm start, their computation
 time included in the reported wall time; the bound's LP takes tens of
 milliseconds at 20 requests), then report per-instance rows and per-size
-averages with the relative CPU improvement.
+averages with the relative CPU improvement.  Each K is solved on a copy of
+the instance that carries it, under one per-solve ``time_limit_s``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .actiongraph import build_graph
 from .distances import matrix_for_instance
 from .domain import Instance, Location, Parameters, Request, RequestKind, Solution
-from .search import SolveOptions, compute_upper_bound, solve_branch_and_bound
+from .search import SolveOptions, solve_branch_and_bound
 
 #: Operating constants used throughout the experiments.
 DEFAULT_PARAMETERS = Parameters(
@@ -126,18 +127,10 @@ class ExperimentRecord:
     objective_baseline: int
 
 
-@dataclass(frozen=True)
-class BenchOptions:
-    """Per-solve resource limits for experiment runs."""
-
-    time_limit_s: float | None = 8.0
-    node_limit: int | None = None
-
-
 def run_experiment(
     named_instances: list[tuple[str, Instance]],
     k_values: list[int],
-    options: BenchOptions | None = None,
+    time_limit_s: float | None = 8.0,
 ) -> list[ExperimentRecord]:
     """Solve every (instance, K) cell in baseline and speedup configuration.
 
@@ -146,7 +139,6 @@ def run_experiment(
     even when a time limit stops a search early.  When both configurations
     prove optimality their objectives must agree.
     """
-    options = options or BenchOptions()
     records: list[ExperimentRecord] = []
     for name, instance in named_instances:
         matrix = matrix_for_instance(instance)
@@ -158,25 +150,19 @@ def run_experiment(
 
             begin = time.perf_counter()
             baseline = solve_branch_and_bound(
-                instance_k,
-                graph,
-                SolveOptions(
-                    node_limit=options.node_limit, time_limit_s=options.time_limit_s
-                ),
+                instance_k, graph, SolveOptions(time_limit_s=time_limit_s)
             )
             cpu1 = time.perf_counter() - begin
 
             begin = time.perf_counter()
-            bound = compute_upper_bound(instance_k, graph, k)
             speedup = solve_branch_and_bound(
                 instance_k,
                 graph,
                 SolveOptions(
                     use_warm_start=True,
                     break_worker_symmetry=True,
-                    upper_bound=bound,
-                    node_limit=options.node_limit,
-                    time_limit_s=options.time_limit_s,
+                    use_upper_bound=True,
+                    time_limit_s=time_limit_s,
                 ),
                 incumbent=previous,
             )

@@ -1,16 +1,20 @@
 """Command-line interface: generate, solve, export-lp, check, bench.
 
 Exit status 0 on success, 2 on parse errors or failed feasibility checks.
+``--workers`` on ``solve`` and ``export-lp`` sets K on the loaded instance,
+and files an instance names (road-network CSVs) resolve against the
+instance file's directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
 from . import bench as bench_mod
-from .actiongraph import build_graph
+from .actiongraph import ActionGraph, build_graph
 from .distances import load_nodes, matrix_for_instance
 from .domain import (
     Instance,
@@ -33,9 +37,15 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _load_instance(path: str) -> Instance:
-    with open(path) as handle:
-        return instance_from_json(handle.read())
+def _load(args: argparse.Namespace) -> tuple[Instance, ActionGraph]:
+    """The ``--instance`` file, with ``--workers`` as its K where given, and its graph."""
+    with open(args.instance) as handle:
+        instance = instance_from_json(handle.read())
+    workers = getattr(args, "workers", None)  # check has no --workers
+    if workers is not None:
+        instance = replace(instance, parameters=replace(instance.parameters, workers=workers))
+    matrix = matrix_for_instance(instance, base_dir=os.path.dirname(args.instance))
+    return instance, build_graph(instance, matrix)
 
 
 def _load_stations(path: str) -> tuple[tuple[Location, ...], Location | None]:
@@ -63,12 +73,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    if args.workers is not None:
-        instance = replace(instance, parameters=replace(instance.parameters, workers=args.workers))
-    matrix = matrix_for_instance(instance)
-    graph = build_graph(instance, matrix)
-
+    instance, graph = _load(args)
     if args.heuristic:
         solution = heuristic_sequential(
             instance, graph, time_limit_s=args.time_limit, node_limit=args.node_limit
@@ -104,23 +109,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    matrix = matrix_for_instance(instance)
-    graph = build_graph(instance, matrix)
+    instance, graph = _load(args)
     options = ModelOptions(
         symmetry_breaking=args.symmetry_breaking, upper_bound_cut=args.upper_bound
     )
-    model = build_milp(instance, graph, options, workers=args.workers)
+    model = build_milp(instance, graph, options)
     _write(args.out, export_lp(model))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance, graph = _load(args)
     with open(args.solution) as handle:
         solution = solution_from_json(handle.read())
-    matrix = matrix_for_instance(instance)
-    graph = build_graph(instance, matrix)
     report = check_solution(instance, graph, solution)
     failures = report.failures()
     print(f"{len(report.rows)} constraint rows checked, {len(failures)} violated")
@@ -140,8 +141,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for seed in seeds:
             config = bench_mod.GeneratorConfig(request_total=size, seed=seed)
             named.append((f"ev{size}_{seed}", bench_mod.generate_instance(config)))
-    options = bench_mod.BenchOptions(time_limit_s=args.time_limit)
-    records = bench_mod.run_experiment(named, k_values, options)
+    records = bench_mod.run_experiment(named, k_values, time_limit_s=args.time_limit)
     _write(args.out, bench_mod.emit_report(records, args.report_format))
     return 0
 
@@ -164,9 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--workers", type=int, default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--heuristic", action="store_true", default=False)
+    p.add_argument("--heuristic", action="store_true", help="sequential heuristic, not exact")
     p.add_argument("--symmetry-breaking", action="store_true")
     p.add_argument("--upper-bound", action="store_true", help="compute and apply the served-count bound")
     p.add_argument("--warm-start", action="store_true")

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -213,8 +214,6 @@ def matrix_for_instance(instance: Instance, base_dir: str | None = None) -> Dist
         sub = full.values[np.ix_(idx, idx)]
         return DistanceMatrix(ids=tuple(loc.id for loc in locations), values=np.array(sub))
     if kind == "road_network":
-        import os
-
         nodes_path = source["nodes_csv"]
         links_path = source["links_csv"]
         if base_dir is not None:

@@ -11,13 +11,19 @@ Everything in this module is an immutable value object shared by the graph
 builder, the solvers and the benchmark harness.  Units are canonical across
 the whole package: minutes since midnight for times, kilometres for
 distances, km/h for speeds, and battery charge as a fraction in [0, 1].
+
+An :class:`Instance` is the one source of the facts of a solve: the worker
+count K is ``instance.parameters.workers`` (no solver or model builder takes
+it separately; solve a different K on a ``dataclasses.replace`` copy), and
+``Instance.request`` / ``Instance.location_id`` are O(1) lookups through an
+id index built once at construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Iterable
 
@@ -141,10 +147,6 @@ class Request:
         if not (math.isfinite(self.time_min) and self.time_min >= 0):
             raise ValueError(f"time_min must be finite and nonnegative, got {self.time_min}")
 
-    @property
-    def is_pickup(self) -> bool:
-        return self.kind is RequestKind.PICKUP
-
 
 @dataclass(frozen=True, slots=True)
 class Instance:
@@ -159,14 +161,16 @@ class Instance:
     depot: Location
     requests: tuple[Request, ...]
     distance_source: dict[str, Any]
+    _by_id: dict[str, Request] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", tuple(self.requests))
-        seen: set[str] = set()
+        by_id: dict[str, Request] = {}
         for req in self.requests:
-            if req.id in seen:
+            if req.id in by_id:
                 raise ValueError(f"duplicate request id {req.id!r}")
-            seen.add(req.id)
+            by_id[req.id] = req
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def pickups(self) -> tuple[Request, ...]:
@@ -177,10 +181,14 @@ class Instance:
         return tuple(r for r in self.requests if r.kind is RequestKind.DELIVERY)
 
     def request(self, request_id: str) -> Request:
-        for r in self.requests:
-            if r.id == request_id:
-                return r
-        raise KeyError(f"unknown request id {request_id!r}")
+        try:
+            return self._by_id[request_id]
+        except KeyError:
+            raise KeyError(f"unknown request id {request_id!r}") from None
+
+    def location_id(self, node: str) -> str:
+        """Location id of an action-graph node: the depot's for ``DEPOT_NODE``."""
+        return self.depot.id if node == DEPOT_NODE else self.request(node).location.id
 
 
 @dataclass(frozen=True, slots=True)

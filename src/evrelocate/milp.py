@@ -161,13 +161,13 @@ def time_windows(instance: Instance, graph: ActionGraph) -> dict[str, tuple[floa
     and no earlier than tau_p + c_pd.  The depot time is a departure, at or
     after 0 and no later than l_p - c_0p for the first pickup.
     """
-    tau = {r.id: r.time_min for r in instance.requests}
     windows = {r.id: (r.time_min, r.time_min) for r in instance.requests}
     for arc in graph.arcs:
         if arc.kind is ArcKind.EV:
             p, d, c = arc.from_node, arc.to_node, arc.op_time_min
-            windows[p] = (windows[p][0], max(windows[p][1], tau[d] - c))
-            windows[d] = (min(windows[d][0], tau[p] + c), windows[d][1])
+            tau_p, tau_d = instance.request(p).time_min, instance.request(d).time_min
+            windows[p] = (windows[p][0], max(windows[p][1], tau_d - c))
+            windows[d] = (min(windows[d][0], tau_p + c), windows[d][1])
     latest_departure = max(
         [0.0] + [windows[a.to_node][1] - a.op_time_min for a in graph.out_arcs[DEPOT_NODE]]
     )
@@ -195,14 +195,11 @@ def build_milp(
     instance: Instance,
     graph: ActionGraph,
     options: ModelOptions | None = None,
-    workers: int | None = None,
 ) -> MilpModel:
-    """Instantiate every constraint family for the given instance and graph."""
+    """Instantiate every constraint family for the instance's K workers."""
     options = options or ModelOptions()
     params = instance.parameters
-    k_total = workers if workers is not None else params.workers
-    if k_total < 1:
-        raise ValueError("worker count must be at least 1")
+    k_total = params.workers
 
     horizon = params.shift_limit_min
     gamma = params.recharge_time_min
@@ -212,8 +209,6 @@ def build_milp(
     node_pos = {n: i for i, n in enumerate(node_order)}
     names = _safe_names(node_order)
     arcs = sorted(graph.arcs, key=lambda a: (node_pos[a.from_node], node_pos[a.to_node]))
-    requests = {r.id: r for r in instance.requests}
-    kinds = {DEPOT_NODE: None} | {r.id: r.kind for r in instance.requests}
 
     x_names: dict[tuple[str, str, int], str] = {}
     t_names: dict[tuple[str, int], str] = {}
@@ -290,7 +285,7 @@ def build_milp(
             )
 
     for arc in in_arcs[DEPOT_NODE]:
-        big_m = max(0.0, requests[arc.from_node].time_min - horizon)
+        big_m = max(0.0, instance.request(arc.from_node).time_min - horizon)
         for k in range(1, k_total + 1):
             coeffs = {
                 t_names[(arc.from_node, k)]: 1.0,
@@ -301,37 +296,30 @@ def build_milp(
                 LinearRow(f"f6_{names[arc.from_node]}_k{k}", 6, coeffs, "<=", horizon + big_m)
             )
 
-    for node in node_order[1:]:
-        if kinds[node] is not RequestKind.PICKUP:
+    requests = [instance.request(node) for node in node_order[1:]]
+    for req in requests:
+        if req.kind is not RequestKind.PICKUP:
             continue
         for k in range(1, k_total + 1):
             rows.append(
                 LinearRow(
-                    f"f7_{names[node]}_k{k}",
-                    7,
-                    {t_names[(node, k)]: 1.0},
-                    ">=",
-                    requests[node].time_min,
+                    f"f7_{names[req.id]}_k{k}", 7, {t_names[(req.id, k)]: 1.0}, ">=", req.time_min
                 )
             )
-    for node in node_order[1:]:
-        if kinds[node] is not RequestKind.DELIVERY:
+    for req in requests:
+        if req.kind is not RequestKind.DELIVERY:
             continue
         for k in range(1, k_total + 1):
             rows.append(
                 LinearRow(
-                    f"f8_{names[node]}_k{k}",
-                    8,
-                    {t_names[(node, k)]: 1.0},
-                    "<=",
-                    requests[node].time_min,
+                    f"f8_{names[req.id]}_k{k}", 8, {t_names[(req.id, k)]: 1.0}, "<=", req.time_min
                 )
             )
 
     ev_arcs = [a for a in arcs if a.kind is ArcKind.EV]
     for arc in ev_arcs:
-        p = requests[arc.from_node]
-        d = requests[arc.to_node]
+        p = instance.request(arc.from_node)
+        d = instance.request(arc.to_node)
         tag = f"{names[arc.from_node]}_{names[arc.to_node]}"
         for k in range(1, k_total + 1):
             x_var = x_names[(arc.from_node, arc.to_node, k)]
@@ -551,15 +539,20 @@ def assignment_to_solution(
     graph: ActionGraph,
     x_values: dict[tuple[str, str, int], float],
     t_values: dict[tuple[str, int], float],
-    workers: int | None = None,
-    tol: float = 1e-6,
 ) -> Solution:
     """Trace per-worker depot cycles out of a binary arc assignment.
 
-    Raises ``ValueError`` for non-binary values, broken flow, or cycles that
-    do not pass through the depot.
+    Raises ``ValueError`` for non-binary values, broken flow, cycles that
+    do not pass through the depot, or a used arc of a worker outside the
+    instance's 1..K.
     """
-    k_total = workers if workers is not None else instance.parameters.workers
+    k_total = instance.parameters.workers
+    tol = 1e-6  # distance of a binary value from 0 or 1
+    outside = sorted(
+        key for key, value in x_values.items() if value >= tol and not 1 <= key[2] <= k_total
+    )
+    if outside:
+        raise ValueError(f"arcs {outside} belong to workers outside 1..{k_total}")
     routes: list[Route] = []
     for k in range(1, k_total + 1):
         succ: dict[str, str] = {}
@@ -613,7 +606,6 @@ def solution_to_assignment(
     instance: Instance,
     graph: ActionGraph,
     solution: Solution,
-    workers: int | None = None,
 ) -> tuple[dict[tuple[str, str, int], float], dict[tuple[str, int], float]]:
     """Expand a Solution into model variable values ``(x, t)``.
 
@@ -621,7 +613,7 @@ def solution_to_assignment(
     so an idle worker's depot time is 0.  For routes the scheduler accepts
     this satisfies every row of :func:`build_milp` (see the module notes).
     """
-    k_total = workers if workers is not None else instance.parameters.workers
+    k_total = instance.parameters.workers
     windows = time_windows(instance, graph)
     x_vals: dict[tuple[str, str, int], float] = {}
     t_vals = {

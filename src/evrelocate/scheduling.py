@@ -29,6 +29,14 @@ reaching the first pickup on time), so when the earliest schedule is too
 long the whole start is delayed as far as the per-leg upper bounds allow,
 which can only shrink the span.  A 1-minute grid search over service times
 is the reference oracle for this logic in the test suite.
+
+Two verdicts come out of one pass.  The *open route* ends at its last
+delivery: per-leg windows and charge, the pickup chain, and the shift limit
+measured to the last delivery.  Once violated these stay violated as pairs
+are appended, so a search may prune a prefix on them (``extendable``).  The
+*closed route* rides back to the depot: it needs that arc and must fit the
+shift with that leg charged (``feasible``).  One more pair can end a route
+nearer the depot, so the return leg never decides a prefix.
 """
 
 from __future__ import annotations
@@ -42,9 +50,16 @@ from .domain import CHARGE_TOL, DEPOT_NODE, Instance, RequestKind, TIME_TOL
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Outcome of scheduling one route."""
+    """Outcome of scheduling one route.
+
+    ``feasible``: the closed route, depot to depot, has valid times; the
+    times are set only then.  ``extendable``: the route up to its last
+    delivery has valid times; if not, no route starting with these pairs is
+    feasible.
+    """
 
     feasible: bool
+    extendable: bool
     visit_times: dict[str, float]
     depot_departure_min: float
     depot_return_min: float
@@ -56,8 +71,8 @@ class ScheduleResult:
         return self.depot_return_min - self.depot_departure_min
 
 
-def _infeasible(reason: str) -> ScheduleResult:
-    return ScheduleResult(False, {}, 0.0, 0.0, (), reason)
+def _infeasible(reason: str, extendable: bool) -> ScheduleResult:
+    return ScheduleResult(False, extendable, {}, 0.0, 0.0, (), reason)
 
 
 def schedule_route(
@@ -69,9 +84,10 @@ def schedule_route(
 
     ``pairs`` lists (pickup_id, delivery_id) in service order.  Raises
     ``ValueError`` when the sequence is malformed (wrong kinds, repeated
-    requests, or a required arc missing from the graph); returns an
-    infeasible result when the sequence is well-formed but no valid times
-    exist.
+    requests, or an arc of the open route missing from the graph); returns
+    an infeasible result when the sequence is well-formed but no valid
+    times exist, including when the last delivery has no arc back to the
+    depot.
     """
     if not pairs:
         raise ValueError("route must contain at least one pickup/delivery pair")
@@ -98,9 +114,8 @@ def schedule_route(
         legs.append((p, d, ev))
 
     first_bike = graph.arc(DEPOT_NODE, pairs[0][0])
-    last_bike = graph.arc(pairs[-1][1], DEPOT_NODE)
-    if first_bike is None or last_bike is None:
-        raise ValueError("missing depot arc for route endpoints")
+    if first_bike is None:
+        raise ValueError(f"no depot arc to {pairs[0][0]} in graph")
     connectors = []
     for (_, d_prev, _), (p_next, _, _) in zip(legs, legs[1:]):
         bike = graph.arc(d_prev.id, p_next.id)
@@ -121,7 +136,8 @@ def schedule_route(
         margin = p.charge - need + (d.time_min - p.time_min - ev.op_time_min) / gamma
         if margin < d.charge - CHARGE_TOL:
             return _infeasible(
-                f"leg {p.id}->{d.id}: delivered charge cannot reach {d.charge:g} by {d.time_min:g}"
+                f"leg {p.id}->{d.id}: delivered charge cannot reach {d.charge:g} by {d.time_min:g}",
+                extendable=False,
             )
         lows.append(low)
         ups.append(up)
@@ -137,17 +153,19 @@ def schedule_route(
         if earliest[k] > ups[k] + TIME_TOL:
             p, d, _ = legs[k]
             return _infeasible(
-                f"leg {p.id}->{d.id}: earliest service {earliest[k]:g} exceeds bound {ups[k]:g}"
+                f"leg {p.id}->{d.id}: earliest service {earliest[k]:g} exceeds bound {ups[k]:g}",
+                extendable=False,
             )
 
-    span_max = big_t - first_bike.op_time_min - legs[-1][2].op_time_min - last_bike.op_time_min
     chain_total = sum(deltas)
-    if chain_total > span_max + TIME_TOL:
-        return _infeasible("route travel time alone exceeds the shift limit")
 
-    excess = (earliest[-1] - earliest[0]) - span_max
-    delay = 0.0
-    if excess > TIME_TOL:
+    def start_delay(span_max: float) -> float | None:
+        """Least start delay fitting the span in ``span_max``; None if none does."""
+        if chain_total > span_max + TIME_TOL:
+            return None
+        excess = (earliest[-1] - earliest[0]) - span_max
+        if excess <= TIME_TOL:
+            return 0.0
         # Delay the whole start; forced chain positions must respect the
         # per-leg upper bounds (the earliest positions already do).
         delay_cap = math.inf
@@ -156,8 +174,18 @@ def schedule_route(
             cum += deltas[k]
             delay_cap = min(delay_cap, ups[k] - earliest[0] - cum)
         if excess > delay_cap + TIME_TOL:
-            return _infeasible("route duration exceeds the shift limit")
-        delay = min(excess, delay_cap)
+            return None
+        return min(excess, delay_cap)
+
+    span_open = big_t - first_bike.op_time_min - legs[-1][2].op_time_min
+    if start_delay(span_open) is None:
+        return _infeasible("shift limit exceeded by the last delivery", extendable=False)
+    last_bike = graph.arc(pairs[-1][1], DEPOT_NODE)
+    if last_bike is None:
+        return _infeasible(f"no arc from {pairs[-1][1]} back to the depot", extendable=True)
+    delay = start_delay(span_open - last_bike.op_time_min)
+    if delay is None:
+        return _infeasible("route duration exceeds the shift limit", extendable=True)
 
     times = [earliest[0] + delay]
     for k in range(1, m):
@@ -177,6 +205,7 @@ def schedule_route(
     arrival = visit_times[legs[-1][1].id] + last_bike.op_time_min
     return ScheduleResult(
         feasible=True,
+        extendable=True,
         visit_times=visit_times,
         depot_departure_min=departure,
         depot_return_min=arrival,

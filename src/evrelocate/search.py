@@ -3,11 +3,20 @@
 ``solve_branch_and_bound`` runs a depth-first search that grows worker
 routes one (pickup, delivery) pair at a time along graph arcs, rescheduling
 the partial route after every extension and pruning on an admissible count
-bound.  ``brute_force`` is the desk-scale oracle: plain enumeration of all
+bound.  A prefix is pruned only on conditions that no extension repairs,
+the open-route verdict of :func:`evrelocate.scheduling.schedule_route`
+(``ScheduleResult.extendable``: per-leg windows and charge, the pickup
+chain, the shift limit up to the last delivery).  The bike leg back to the
+depot is charged only when a route is recorded as an incumbent or closed to
+start the next worker (``ScheduleResult.feasible``): one more pair can end a
+route nearer the depot, so that leg must not prune a prefix.
+
+``brute_force`` is the desk-scale oracle: plain enumeration of all
 pairings, partitions and orderings, with no bounding logic shared with the
 search.  ``heuristic_sequential`` fixes one exact single-worker route at a
-time.  ``compute_upper_bound`` is the LP relaxation of the K-worker model
-of :func:`evrelocate.milp.build_milp`.
+time, on a one-worker copy of the instance.  ``compute_upper_bound`` is the
+LP relaxation of the K-worker model of :func:`evrelocate.milp.build_milp`.
+Every function here reads K from ``instance.parameters.workers``.
 
 That bound is valid by construction, for any distance matrix: every route
 set the scheduler accepts satisfies every row of the model (its big-M
@@ -29,7 +38,7 @@ from scipy.optimize import linprog
 
 # build_graph is unused here, but perfbench's traced run wraps evrelocate.search.build_graph.
 from .actiongraph import ActionGraph, ArcKind, build_graph  # noqa: F401
-from .domain import DEPOT_NODE, Instance, RequestKind, Route, Solution
+from .domain import DEPOT_NODE, Instance, Route, Solution
 from .milp import build_milp, matrix_form
 from .scheduling import ScheduleResult, schedule_route
 
@@ -39,8 +48,7 @@ class SolveOptions:
     """Knobs for the branch-and-bound search.
 
     ``use_upper_bound`` computes the LP-relaxation bound up front and
-    prunes with it; ``upper_bound`` supplies the value directly instead.
-    ``use_warm_start`` seeds the incumbent with the sequential heuristic.
+    prunes with it.  ``use_warm_start`` seeds the incumbent with the sequential heuristic.
     ``break_worker_symmetry`` explores each route *set* once (routes in
     increasing order of their first pickup) instead of every assignment of
     routes to interchangeable workers; it changes search effort, never the
@@ -52,15 +60,12 @@ class SolveOptions:
     break_worker_symmetry: bool = False
     node_limit: int | None = None
     time_limit_s: float | None = None
-    upper_bound: int | None = None
 
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node_limit must be positive")
         if self.time_limit_s is not None and self.time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
-        if self.upper_bound is not None and self.upper_bound < 0:
-            raise ValueError("upper_bound must be nonnegative")
 
 
 @dataclass
@@ -107,7 +112,6 @@ def solve_branch_and_bound(
     options: SolveOptions | None = None,
     *,
     available: set[str] | None = None,
-    workers: int | None = None,
     incumbent: Solution | None = None,
 ) -> SolveResult:
     """Depth-first exact search; returns the incumbent and an optimality flag.
@@ -117,9 +121,7 @@ def solve_branch_and_bound(
     maximum optimistic value over the unexplored frontier).
     """
     options = options or SolveOptions()
-    k_total = workers if workers is not None else instance.parameters.workers
-    if k_total < 1:
-        raise ValueError("worker count must be at least 1")
+    k_total = instance.parameters.workers
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
 
@@ -141,15 +143,12 @@ def solve_branch_and_bound(
 
     state = _SearchState()
 
-    bound_value = options.upper_bound
+    bound_value = compute_upper_bound(instance, graph) if options.use_upper_bound else None
     warm: Solution | None = None
-    if options.use_upper_bound and bound_value is None:
-        bound_value = compute_upper_bound(instance, graph, k_total)
     if options.use_warm_start:
         warm = heuristic_sequential(
             instance,
             graph,
-            k_total,
             available=allowed,
             node_limit=options.node_limit,
             time_limit_s=options.time_limit_s,
@@ -184,13 +183,16 @@ def solve_branch_and_bound(
         if count > state.best_count:
             state.best_count = count
             snapshot = list(fixed)
-            if current and sched is not None:
+            if sched is not None:
                 snapshot.append((tuple(current), sched))
             state.best_routes = tuple(snapshot)
 
     def visit(current: list[tuple[str, str]], sched: ScheduleResult | None) -> None:
+        # sched is None at a route's start; otherwise current may be an open
+        # route that cannot yet return to the depot (not sched.feasible)
         state.nodes += 1
-        record(current, sched)
+        if sched is None or sched.feasible:
+            record(current, sched)
         count = 2 * (sum(len(p) for p, _ in fixed) + len(current))
         optimistic = count + remaining_estimate(served)
         if bound_value is not None:
@@ -218,14 +220,14 @@ def solve_branch_and_bound(
                     continue
                 trial = current + [(p, d)]
                 result = schedule_route(instance, graph, trial)
-                if not result.feasible:
+                if not result.extendable:
                     continue
                 served.add(p)
                 served.add(d)
                 visit(trial, result)
                 served.discard(p)
                 served.discard(d)
-        if current and sched is not None and len(fixed) + 1 < k_total:
+        if sched is not None and sched.feasible and len(fixed) + 1 < k_total:
             fixed.append((tuple(current), sched))
             visit([], None)
             fixed.pop()
@@ -249,17 +251,17 @@ def solve_branch_and_bound(
     )
 
 
-def brute_force(instance: Instance, graph: ActionGraph, workers: int | None = None) -> Solution:
+def brute_force(instance: Instance, graph: ActionGraph) -> Solution:
     """Exhaustive oracle: every pairing, partition and order, largest first.
 
     Guarded to instances with at most 10 requests.
     """
     if len(instance.requests) > 10:
         raise ValueError("brute force is guarded to instances with at most 10 requests")
-    k_total = workers if workers is not None else instance.parameters.workers
+    k_total = instance.parameters.workers
 
-    pickups = sorted(r.id for r in instance.requests if r.kind is RequestKind.PICKUP)
-    deliveries = sorted(r.id for r in instance.requests if r.kind is RequestKind.DELIVERY)
+    pickups = sorted(r.id for r in instance.pickups)
+    deliveries = sorted(r.id for r in instance.deliveries)
 
     def has_ev_arc(p: str, d: str) -> bool:
         arc = graph.arc(p, d)
@@ -305,24 +307,21 @@ def brute_force(instance: Instance, graph: ActionGraph, workers: int | None = No
 def heuristic_sequential(
     instance: Instance,
     graph: ActionGraph,
-    workers: int | None = None,
     *,
     available: set[str] | None = None,
     node_limit: int | None = None,
     time_limit_s: float | None = None,
 ) -> Solution:
     """Fix one exact single-worker route at a time over unserved requests."""
-    k_total = workers if workers is not None else instance.parameters.workers
     remaining = set(available) if available is not None else {r.id for r in instance.requests}
     options = SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
+    single = replace(instance, parameters=replace(instance.parameters, workers=1))
 
     routes: list[Route] = []
-    for k in range(k_total):
+    for k in range(instance.parameters.workers):
         if not remaining:
             break
-        result = solve_branch_and_bound(
-            instance, graph, options, available=remaining, workers=1
-        )
+        result = solve_branch_and_bound(single, graph, options, available=remaining)
         picked = result.solution.routes
         if not picked or not picked[0].visits:
             break
@@ -332,16 +331,12 @@ def heuristic_sequential(
     return Solution.from_routes(routes)
 
 
-def compute_upper_bound(
-    instance: Instance,
-    graph: ActionGraph,
-    workers: int | None = None,
-) -> int:
+def compute_upper_bound(instance: Instance, graph: ActionGraph) -> int:
     """LP relaxation of the K-worker model, rounded down to an even count.
 
     Raises ``RuntimeError`` when the LP solver does not report an optimum.
     """
-    form = matrix_form(build_milp(instance, graph, workers=workers))
+    form = matrix_form(build_milp(instance, graph))
     result = linprog(
         -form.objective,
         A_ub=form.a_ub,

@@ -80,16 +80,10 @@ class ValidationReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _node_location_id(instance: Instance, node: str) -> str:
-    return instance.depot.id if node == DEPOT_NODE else instance.request(node).location.id
-
-
 def _leg_cost_km(instance: Instance, graph: ActionGraph, a: str, b: str) -> tuple[float, float]:
     """(op_time_min, distance_km) for the action a -> b, by node kinds."""
     params = instance.parameters
-    d_km = graph.distances.distance(
-        _node_location_id(instance, a), _node_location_id(instance, b)
-    )
+    d_km = graph.distances.distance(instance.location_id(a), instance.location_id(b))
     a_kind = None if a == DEPOT_NODE else instance.request(a).kind
     b_kind = None if b == DEPOT_NODE else instance.request(b).kind
     if a_kind is RequestKind.PICKUP and b_kind is RequestKind.DELIVERY:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from evrelocate import (
-    BenchOptions,
     GeneratorConfig,
     ModelOptions,
     SolveOptions,
@@ -96,9 +95,8 @@ def test_criterion_2_bound_sandwich(oracle_results):
     rows, _ = oracle_results
     violations = 0
     for inst, graph, bb, oracle in rows:
-        k = inst.parameters.workers
         heur = heuristic_sequential(inst, graph).served_count
-        bound = compute_upper_bound(inst, graph, k)
+        bound = compute_upper_bound(inst, graph)
         if not (heur <= oracle.served_count <= bound):
             violations += 1
     _verdict(
@@ -232,13 +230,11 @@ def test_criterion_7_model_fidelity():
     stable = True
     counted = True
     for seed in range(20):
-        inst = generate_instance(GeneratorConfig(request_total=8, seed=seed))
+        k = 2
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=8, seed=seed)), k)
         matrix = matrix_for_instance(inst)
         graph = build_graph(inst, matrix)
-        k = 2
-        model = build_milp(
-            inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=6), workers=k
-        )
+        model = build_milp(inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=6))
         n_req = len(inst.requests)
         n_arcs = len(graph.arcs)
         n_in0 = len(graph.in_arcs["0"])
@@ -263,9 +259,7 @@ def test_criterion_7_model_fidelity():
         if actual != expected:
             counted = False
         text = export_lp(model)
-        again = build_milp(
-            inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=6), workers=k
-        )
+        again = build_milp(inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=6))
         if export_lp(again) != text or not models_equivalent(model, parse_lp(text)):
             stable = False
     _verdict(
@@ -283,7 +277,7 @@ def test_criterion_8_pipeline_scale():
         for seed in (1, 2, 3, 4, 5):
             config = GeneratorConfig(request_total=size, seed=seed)
             named.append((f"ev{size}_{seed}", generate_instance(config)))
-    records = run_experiment(named, [1, 2, 3], BenchOptions(time_limit_s=6.0))
+    records = run_experiment(named, [1, 2, 3], time_limit_s=6.0)
     elapsed = time.perf_counter() - start
 
     report = emit_report(records, "text")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from evrelocate import (
-    BenchOptions,
     GeneratorConfig,
     RequestKind,
     emit_report,
@@ -72,7 +71,7 @@ def small_records():
         (f"t6_{seed}", generate_instance(GeneratorConfig(request_total=6, seed=seed)))
         for seed in (1, 2)
     ]
-    return run_experiment(instances, [1, 2], BenchOptions(time_limit_s=10.0))
+    return run_experiment(instances, [1, 2], time_limit_s=10.0)
 
 
 class TestExperiment:

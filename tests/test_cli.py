@@ -1,8 +1,18 @@
+import dataclasses
 import json
 
 import pytest
 
-from evrelocate import instance_from_json, solution_from_json
+from evrelocate import (
+    DEFAULT_PARAMETERS,
+    Instance,
+    Location,
+    Request,
+    RequestKind,
+    instance_from_json,
+    instance_to_json,
+    solution_from_json,
+)
 from evrelocate.cli import main
 
 
@@ -133,6 +143,66 @@ class TestSolveAndCheck:
             code, _, err = run(capsys, "solve", "--instance", str(bad))
             assert code == 2
             assert field in err
+
+
+def two_station_instance(distance_source, network_nodes=False):
+    """p1@a -> d1@b, then p2@b -> d2@a: one worker serves all four requests."""
+    def loc(name):
+        return Location(name, network_node=name if network_nodes else None)
+
+    a, b = loc("a"), loc("b")
+    requests = (
+        Request("p1", RequestKind.PICKUP, a, 1.0, 480.0),
+        Request("d1", RequestKind.DELIVERY, b, 0.0, 600.0),
+        Request("p2", RequestKind.PICKUP, b, 1.0, 610.0),
+        Request("d2", RequestKind.DELIVERY, a, 0.0, 720.0),
+    )
+    params = dataclasses.replace(DEFAULT_PARAMETERS, workers=1)
+    return Instance(params, loc("depot"), requests, distance_source)
+
+
+class TestInstanceFiles:
+    def test_one_way_station_solves(self, tmp_path, capsys):
+        # no road from b back to the depot: a route may pass through b but
+        # not end there
+        source = {
+            "type": "matrix",
+            "ids": ["depot", "a", "b"],
+            "rows": [[0.0, 5.0, 5.0], [5.0, 0.0, 5.0], [None, 5.0, 0.0]],
+        }
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(instance_to_json(two_station_instance(source)))
+        for mode in ((), ("--heuristic",)):
+            sol_path = tmp_path / "sol.json"
+            code, out, err = run(
+                capsys, "solve", "--instance", str(inst_path), *mode, "--out", str(sol_path)
+            )
+            assert code == 0, err
+            assert solution_from_json(sol_path.read_text()).served_count == 4, out
+
+    def test_road_network_files_resolve_next_to_instance(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "nodes.csv").write_text("id,x,y\ndepot,0,0\na,3,0\nb,0,4\n")
+        (tmp_path / "links.csv").write_text(
+            "from,to,length_km\ndepot,a,5\na,depot,5\ndepot,b,5\nb,depot,5\na,b,5\nb,a,5\n"
+        )
+        source = {"type": "road_network", "nodes_csv": "nodes.csv", "links_csv": "links.csv"}
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(instance_to_json(two_station_instance(source, network_nodes=True)))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        sol_path = tmp_path / "sol.json"
+        code, _, err = run(capsys, "solve", "--instance", str(inst_path), "--out", str(sol_path))
+        assert code == 0, err
+        assert solution_from_json(sol_path.read_text()).served_count == 4
+        code, out, err = run(
+            capsys, "check", "--instance", str(inst_path), "--solution", str(sol_path)
+        )
+        assert code == 0, err
+        assert "0 violated" in out
+        code, _, err = run(capsys, "export-lp", "--instance", str(inst_path), "--out", "model.lp")
+        assert code == 0, err
+        assert "Maximize" in (elsewhere / "model.lp").read_text()
 
 
 class TestExportLp:

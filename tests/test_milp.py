@@ -24,16 +24,21 @@ from evrelocate import (
     solution_to_assignment,
     values_to_assignment,
 )
-from conftest import delivery, make_instance, make_matrix, pickup
+from conftest import BASE_PARAMS, delivery, make_instance, make_matrix, pickup
+
+
+def with_workers(inst, k):
+    return dataclasses.replace(inst, parameters=dataclasses.replace(inst.parameters, workers=k))
 
 
 def three_node_model(workers=1, options=None):
     inst = make_instance(
-        [pickup("p1", "a", 0.5, 480.0), delivery("d1", "b", 0.4, 700.0)]
+        [pickup("p1", "a", 0.5, 480.0), delivery("d1", "b", 0.4, 700.0)],
+        params=dataclasses.replace(BASE_PARAMS, workers=workers),
     )
     matrix = make_matrix(["depot", "a", "b"], {}, default=5.0)
     graph = build_graph(inst, matrix)
-    model = build_milp(inst, graph, options, workers=workers)
+    model = build_milp(inst, graph, options)
     return inst, graph, model
 
 
@@ -86,16 +91,16 @@ class TestModelShape:
         assert f6.coeffs["x_d1_0_1"] == pytest.approx(20.0 + 400.0)
 
     def test_worker_count_validation(self):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
             three_node_model(workers=0)
 
     def test_closed_form_counts_on_random_instances(self):
         for seed in range(20):
-            inst = generate_instance(GeneratorConfig(request_total=8, seed=seed))
+            k = 2
+            inst = with_workers(generate_instance(GeneratorConfig(request_total=8, seed=seed)), k)
             matrix = matrix_for_instance(inst)
             graph = build_graph(inst, matrix)
-            k = 2
-            model = build_milp(inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=4), workers=k)
+            model = build_milp(inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=4))
             n_requests = len(inst.requests)
             n_pick = len(inst.pickups)
             n_arcs = len(graph.arcs)
@@ -145,12 +150,12 @@ class TestLpExport:
             assert models_equivalent(model, parsed)
 
     def test_round_trip_on_generated_instance(self):
-        inst = generate_instance(GeneratorConfig(request_total=10, seed=4))
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=10, seed=4)), 2)
         matrix = matrix_for_instance(inst)
         graph = build_graph(inst, matrix)
-        model = build_milp(inst, graph, workers=2)
+        model = build_milp(inst, graph)
         text = export_lp(model)
-        assert export_lp(build_milp(inst, graph, workers=2)) == text
+        assert export_lp(build_milp(inst, graph)) == text
         assert models_equivalent(model, parse_lp(text))
 
 
@@ -204,6 +209,16 @@ class TestAssignments:
         solution = assignment_to_solution(inst, graph, x, t)
         assert solution.served_count == 4
         assert len(solution.routes) == 2
+
+    def test_worker_outside_instance_rejected(self, one_pair):
+        inst, matrix = one_pair  # K = 1
+        graph = build_graph(inst, matrix)
+        x = {("0", "p1", 2): 1.0, ("p1", "d1", 2): 1.0, ("d1", "0", 2): 1.0}
+        t = {("0", 2): 460.0, ("p1", 2): 480.0, ("d1", 2): 494.0}
+        with pytest.raises(ValueError, match="outside"):
+            assignment_to_solution(inst, graph, x, t)
+        decoded = assignment_to_solution(with_workers(inst, 2), graph, x, t)
+        assert decoded.served_count == 2
 
     def test_isolated_cycle_rejected(self, one_pair):
         inst, matrix = one_pair
@@ -260,7 +275,7 @@ class TestCrossValidation:
             graph = build_graph(inst, matrix)
             result = solve_branch_and_bound(inst, graph)
             assert result.optimal
-            bound = compute_upper_bound(inst, graph, 2)
+            bound = compute_upper_bound(inst, graph)
             routes = sorted(
                 result.solution.routes,
                 key=lambda r: -route_operational_cost(graph, r),

@@ -187,6 +187,15 @@ class TestScheduleBasics:
         with pytest.raises(ValueError, match="repeated"):
             schedule_route(inst, graph, [("p1", "d1"), ("p1", "d1")])
 
+    def test_missing_return_arc_leaves_route_extendable(self):
+        inst, graph, pairs, _ = build_route_instance(
+            taus=(480.0, 600.0), rhos=(1.0, 0.0), dists=(2.5, 10.0, math.inf)
+        )  # no road from d1 back to the depot
+        result = schedule_route(inst, graph, pairs)
+        assert not result.feasible
+        assert result.extendable
+        assert "back to the depot" in result.reason
+
     def test_missing_arc_raises(self):
         inst, graph, pairs, _ = build_route_instance(
             taus=(480.0, 481.0), rhos=(1.0, 0.0), dists=(2.5, 10.0, 2.5)
@@ -244,3 +253,22 @@ class TestGridOracle:
         checked, feasible = run_grid_comparison(count=220, seed=123)
         assert checked == 220
         assert feasible > 20  # the sampler produces real positives too
+
+    def test_open_route_verdicts_match_grid_search(self):
+        # the open route ends at its last delivery: the oracle with a
+        # zero-length ride back to the depot
+        rng = np.random.default_rng(321)
+        checked = extendable_only = 0
+        while checked < 220:
+            taus, rhos, dists, t_limit = sample_route(rng)
+            inst, graph, pairs, params = build_route_instance(taus, rhos, dists, t_limit)
+            try:
+                result = schedule_route(inst, graph, pairs)
+            except ValueError:
+                continue  # an arc is missing: not a schedulable route
+            oracle = grid_feasible_route(params, taus, rhos, dists[:-1] + (0.0,), t_limit)
+            assert result.extendable == oracle, (taus, rhos, dists, t_limit)
+            assert result.extendable or not result.feasible
+            extendable_only += result.extendable and not result.feasible
+            checked += 1
+        assert extendable_only > 0  # the return leg alone decides some routes

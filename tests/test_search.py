@@ -70,7 +70,11 @@ def spread_case(seed, size, footprint_km, stations, workers, explicit=False):
 
 
 def far_delivery_case():
-    """B&B prunes the optimum here (its prefix check includes the return leg)."""
+    """The prefix (p1, d1) cannot return within the shift; (p1, d1, p2, d2) can.
+
+    A prefix prune that charged the bike leg back to the depot lost the
+    optimum here.
+    """
     depot = Location("depot", coordinates=(0.0, 0.0))
     far = Location("far", coordinates=(60.0, 0.0))
     requests = (
@@ -269,7 +273,7 @@ class TestUpperBound:
         inst, matrix = one_pair
         graph = build_graph(inst, matrix)
         for k in (1, 2, 5):
-            assert compute_upper_bound(inst, graph, k) == 2
+            assert compute_upper_bound(with_workers(inst, k), graph) == 2
 
     def test_sandwich_on_random_instances(self):
         for seed in range(20):
@@ -278,37 +282,44 @@ class TestUpperBound:
                 inst_k = with_workers(inst, k)
                 exact = brute_force(inst_k, graph).served_count
                 heur = heuristic_sequential(inst_k, graph).served_count
-                bound = compute_upper_bound(inst_k, graph, k)
+                bound = compute_upper_bound(inst_k, graph)
                 assert heur <= exact <= bound, (seed, k, heur, exact, bound)
 
     def test_upper_bound_never_blocks_optimum(self):
         for seed in range(8):
             inst, graph = random_case(seed)
             inst = with_workers(inst, 2)
-            bound = compute_upper_bound(inst, graph, 2)
-            capped = solve_branch_and_bound(inst, graph, SolveOptions(upper_bound=bound))
+            capped = solve_branch_and_bound(inst, graph, SolveOptions(use_upper_bound=True))
             plain = solve_branch_and_bound(inst, graph)
             assert capped.solution.served_count == plain.solution.served_count
 
     def test_bound_valid_and_optimum_completes_on_spread_instances(self):
         # wide footprints, co-located stations and non-metric matrices: the
-        # bound never falls below the optimum, and the optimum violates no
-        # row of the model once completed
+        # bound never falls below the optimum, the optimum violates no row
+        # of the model once completed, and branch and bound proves the same
+        # optimum
         cells = product((False, True), (10, 30, 60), (1, 3, 9), (6, 8, 10), (1, 2, 3))
         for cell in cells:
             explicit, footprint, stations, size, k = cell
             seed = footprint * 1000 + stations * 100 + size * 10 + k
             inst, graph = spread_case(seed, size, float(footprint), stations, k, explicit)
             optimum = brute_force(inst, graph)
-            assert compute_upper_bound(inst, graph, k) >= optimum.served_count, cell
+            assert compute_upper_bound(inst, graph) >= optimum.served_count, cell
             assert not violated_rows(inst, graph, optimum), cell
+            result = solve_branch_and_bound(inst, graph)
+            assert result.optimal, cell
+            assert result.solution.served_count == optimum.served_count, cell
 
     def test_far_delivery_instance(self):
         inst, graph = far_delivery_case()
         optimum = brute_force(inst, graph)
         assert optimum.served_count == 4
-        assert compute_upper_bound(inst, graph, 1) == 4
+        assert compute_upper_bound(inst, graph) == 4
         assert not violated_rows(inst, graph, optimum)
+        result = solve_branch_and_bound(inst, graph)
+        assert result.optimal
+        assert result.solution.served_count == 4
+        assert check_solution(inst, graph, result.solution).passed
 
     def test_solver_failure_raises(self, monkeypatch, one_pair):
         inst, matrix = one_pair
@@ -316,4 +327,4 @@ class TestUpperBound:
         failed = OptimizeResult(status=4, message="numerical difficulties", fun=None)
         monkeypatch.setattr(evrelocate.search, "linprog", lambda *a, **kw: failed)
         with pytest.raises(RuntimeError, match="numerical difficulties"):
-            compute_upper_bound(inst, graph, 1)
+            compute_upper_bound(inst, graph)
