@@ -11,6 +11,22 @@ depot is charged only when a route is recorded as an incumbent or closed to
 start the next worker (``ScheduleResult.feasible``): one more pair can end a
 route nearer the depot, so that leg must not prune a prefix.
 
+The count bound at a node is ``served + 2 * min(open pickups, open
+deliveries)`` over the EV arcs between unserved requests (:class:`CountBound`).
+It is kept up to date as pairs are marked served and unmarked on backtrack,
+touching only the pair's EV neighbours, so a node costs O(degree) besides
+its ``schedule_route`` call rather than a rescan of every EV arc.
+
+The search stops at its limits at once.  The node limit and the deadline
+are tested on entering a node and before each candidate's
+``schedule_route``; once either trips, no further node is visited and no
+further route scheduled, and every open level adds its own optimistic
+value to the frontier bound and returns without opening its next-worker
+branch.  ``best_bound`` stays a valid upper bound because the optimistic
+value never rises below a node: an extension serves two more requests but
+closes at least one open pickup and one open delivery, and a worker switch
+changes neither term.  ``nodes_explored`` is at most ``node_limit + 1``.
+
 ``brute_force`` is the desk-scale oracle: plain enumeration of all
 pairings, partitions and orderings, with no bounding logic shared with the
 search.  ``heuristic_sequential`` fixes one exact single-worker route at a
@@ -84,6 +100,66 @@ class _SearchState:
     nodes: int = 0
     aborted: bool = False
     frontier_bound: int = 0
+
+
+class CountBound:
+    """How many more requests the open EV arcs can serve, kept as pairs are marked.
+
+    A pickup is *open* while it is unserved and has an EV arc to an unserved
+    delivery; a delivery is open while it is unserved and has an EV arc from
+    an unserved pickup.  Every further pair joins an open pickup to an open
+    delivery, so at most ``2 * min(open pickups, open deliveries)`` more
+    requests can be served.  Marking or unmarking a pair touches only the
+    two nodes' EV neighbours.
+    """
+
+    def __init__(self, ev_next: dict[str, list[str]]) -> None:
+        self.served: set[str] = set()
+        # both directions of every EV arc; pickup and delivery ids are disjoint
+        self._neighbours: dict[str, list[str]] = {}
+        for p, ds in ev_next.items():
+            self._neighbours.setdefault(p, []).extend(ds)
+            for d in ds:
+                self._neighbours.setdefault(d, []).append(p)
+        # per node, its EV neighbours that are still unserved
+        self._degree = {n: len(ns) for n, ns in self._neighbours.items()}
+        # open pickups, open deliveries
+        self._open = [
+            sum(1 for p in ev_next if self._degree[p]),
+            sum(1 for n in self._neighbours if n not in ev_next),
+        ]
+
+    def _close(self, node: str, side: int) -> None:
+        if self._degree[node]:
+            self._open[side] -= 1
+        self.served.add(node)
+        for other in self._neighbours[node]:
+            self._degree[other] -= 1
+            if not self._degree[other] and other not in self.served:
+                self._open[1 - side] -= 1
+
+    def _reopen(self, node: str, side: int) -> None:
+        for other in self._neighbours[node]:
+            if not self._degree[other] and other not in self.served:
+                self._open[1 - side] += 1
+            self._degree[other] += 1
+        self.served.discard(node)
+        if self._degree[node]:
+            self._open[side] += 1
+
+    def mark(self, pickup: str, delivery: str) -> None:
+        """Mark served an unserved pair joined by an EV arc."""
+        self._close(pickup, 0)
+        self._close(delivery, 1)
+
+    def unmark(self, pickup: str, delivery: str) -> None:
+        """Undo the latest ``mark`` not yet undone, which must be of this pair."""
+        self._reopen(delivery, 1)
+        self._reopen(pickup, 0)
+
+    def value(self) -> int:
+        """At most this many more requests can be served."""
+        return 2 * min(self._open)
 
 
 def _routes_to_solution(
@@ -163,50 +239,26 @@ def solve_branch_and_bound(
         state.best_count = 0
     state.frontier_bound = state.best_count
 
-    def remaining_estimate(served: set[str]) -> int:
-        p_avail = 0
-        d_avail = set()
-        for p, ds in ev_next.items():
-            if p in served:
-                continue
-            open_ds = [d for d in ds if d not in served]
-            if open_ds:
-                p_avail += 1
-                d_avail.update(open_ds)
-        return 2 * min(p_avail, len(d_avail))
-
     fixed: list[tuple[tuple[tuple[str, str], ...], ScheduleResult]] = []
-    served: set[str] = set()
+    count_bound = CountBound(ev_next)
+    served = count_bound.served
+
+    def out_of_budget() -> bool:
+        if not state.aborted:
+            over_nodes = options.node_limit is not None and state.nodes > options.node_limit
+            over_time = deadline is not None and time.perf_counter() > deadline
+            state.aborted = over_nodes or over_time
+        return state.aborted
 
     def record(current: list[tuple[str, str]], sched: ScheduleResult | None) -> None:
-        count = 2 * (sum(len(p) for p, _ in fixed) + len(current))
-        if count > state.best_count:
-            state.best_count = count
+        if len(served) > state.best_count:
+            state.best_count = len(served)
             snapshot = list(fixed)
             if sched is not None:
                 snapshot.append((tuple(current), sched))
             state.best_routes = tuple(snapshot)
 
-    def visit(current: list[tuple[str, str]], sched: ScheduleResult | None) -> None:
-        # sched is None at a route's start; otherwise current may be an open
-        # route that cannot yet return to the depot (not sched.feasible)
-        state.nodes += 1
-        if sched is None or sched.feasible:
-            record(current, sched)
-        count = 2 * (sum(len(p) for p, _ in fixed) + len(current))
-        optimistic = count + remaining_estimate(served)
-        if bound_value is not None:
-            optimistic = min(optimistic, bound_value)
-        if state.aborted or (
-            (options.node_limit is not None and state.nodes > options.node_limit)
-            or (deadline is not None and time.perf_counter() > deadline)
-        ):
-            state.aborted = True
-            state.frontier_bound = max(state.frontier_bound, optimistic)
-            return
-        if optimistic <= state.best_count:
-            return
-
+    def expand(current: list[tuple[str, str]], sched: ScheduleResult | None) -> None:
         last = current[-1][1] if current else DEPOT_NODE
         if not current and options.break_worker_symmetry and fixed:
             floor = fixed[-1][0][0][0]  # first pickup of the previous route
@@ -218,19 +270,34 @@ def solve_branch_and_bound(
             for d in ev_next.get(p, ()):
                 if d in served:
                     continue
+                if out_of_budget():
+                    return
                 trial = current + [(p, d)]
                 result = schedule_route(instance, graph, trial)
                 if not result.extendable:
                     continue
-                served.add(p)
-                served.add(d)
+                count_bound.mark(p, d)
                 visit(trial, result)
-                served.discard(p)
-                served.discard(d)
-        if sched is not None and sched.feasible and len(fixed) + 1 < k_total:
+                count_bound.unmark(p, d)
+        if sched is not None and sched.feasible and len(fixed) + 1 < k_total and not out_of_budget():
             fixed.append((tuple(current), sched))
             visit([], None)
             fixed.pop()
+
+    def visit(current: list[tuple[str, str]], sched: ScheduleResult | None) -> None:
+        # sched is None at a route's start; otherwise current may be an open
+        # route that cannot yet return to the depot (not sched.feasible)
+        state.nodes += 1
+        if sched is None or sched.feasible:
+            record(current, sched)
+        optimistic = len(served) + count_bound.value()
+        if bound_value is not None:
+            optimistic = min(optimistic, bound_value)
+        if not out_of_budget() and optimistic > state.best_count:
+            expand(current, sched)
+        if state.aborted:
+            # this level's unexplored branches can serve no more than optimistic
+            state.frontier_bound = max(state.frontier_bound, optimistic)
 
     visit([], None)
 
@@ -312,15 +379,27 @@ def heuristic_sequential(
     node_limit: int | None = None,
     time_limit_s: float | None = None,
 ) -> Solution:
-    """Fix one exact single-worker route at a time over unserved requests."""
+    """Fix one exact single-worker route at a time over unserved requests.
+
+    The single-worker searches share ``time_limit_s``: each gets an even
+    share of the time the earlier ones left to it and the workers after it,
+    and none starts once the time is spent.
+    """
     remaining = set(available) if available is not None else {r.id for r in instance.requests}
-    options = SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
+    deadline = time.perf_counter() + time_limit_s if time_limit_s else None
     single = replace(instance, parameters=replace(instance.parameters, workers=1))
 
     routes: list[Route] = []
-    for k in range(instance.parameters.workers):
+    workers = instance.parameters.workers
+    for k in range(workers):
         if not remaining:
             break
+        share = None
+        if deadline is not None:
+            share = (deadline - time.perf_counter()) / (workers - k)
+            if share <= 0:
+                break
+        options = SolveOptions(node_limit=node_limit, time_limit_s=share)
         result = solve_branch_and_bound(single, graph, options, available=remaining)
         picked = result.solution.routes
         if not picked or not picked[0].visits:

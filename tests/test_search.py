@@ -1,9 +1,12 @@
 import dataclasses
+import random
 from itertools import product
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 
 import evrelocate.search
 from evrelocate import (
@@ -24,6 +27,7 @@ from evrelocate import (
     generate_instance,
     heuristic_sequential,
     matrix_for_instance,
+    matrix_form,
     solution_to_assignment,
     solve_branch_and_bound,
 )
@@ -328,3 +332,127 @@ class TestUpperBound:
         monkeypatch.setattr(evrelocate.search, "linprog", lambda *a, **kw: failed)
         with pytest.raises(RuntimeError, match="numerical difficulties"):
             compute_upper_bound(inst, graph)
+
+
+def recount(ev_next, served):
+    """The count bound from scratch: a rescan of every EV arc."""
+    open_pickups = 0
+    open_deliveries = set()
+    for p, ds in ev_next.items():
+        if p in served:
+            continue
+        open_ds = [d for d in ds if d not in served]
+        if open_ds:
+            open_pickups += 1
+            open_deliveries.update(open_ds)
+    return 2 * min(open_pickups, len(open_deliveries))
+
+
+class TestCountBound:
+    def test_matches_recount_under_random_marks(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            pickups = [f"p{i}" for i in range(rng.randint(0, 8))]
+            deliveries = [f"d{i}" for i in range(rng.randint(0, 8))]
+            density = rng.random()
+            ev_next = {}
+            for p in pickups:
+                ds = [d for d in deliveries if rng.random() < density]
+                if ds:
+                    ev_next[p] = ds
+            bound = evrelocate.search.CountBound(ev_next)
+            marked = []
+            assert bound.value() == recount(ev_next, set())
+            for _ in range(30):
+                arcs = [
+                    (p, d)
+                    for p, ds in ev_next.items()
+                    for d in ds
+                    if p not in bound.served and d not in bound.served
+                ]
+                if arcs and (not marked or rng.random() < 0.6):
+                    pair = rng.choice(arcs)
+                    bound.mark(*pair)
+                    marked.append(pair)
+                elif marked:
+                    bound.unmark(*marked.pop())
+                assert bound.served == {n for pair in marked for n in pair}
+                assert bound.value() == recount(ev_next, bound.served)
+
+
+@pytest.fixture(scope="module")
+def case_200():
+    inst = generate_instance(GeneratorConfig(request_total=200, seed=1))
+    return inst, build_graph(inst, matrix_for_instance(inst))
+
+
+class TestStoppingRule:
+    def test_node_limit_overshoots_by_at_most_one(self):
+        inst, graph = random_case(1, size=24)
+        for k in (2, 3):
+            for limit in (500, 2000):
+                result = solve_branch_and_bound(
+                    with_workers(inst, k), graph, SolveOptions(node_limit=limit)
+                )
+                assert not result.optimal
+                assert result.nodes_explored <= limit + 1, (k, limit)
+
+    @pytest.mark.parametrize("k, warm", [(1, False), (3, True)])
+    def test_time_limit_stops_search(self, case_200, k, warm):
+        inst, graph = case_200
+        options = SolveOptions(time_limit_s=0.3, use_warm_start=warm)
+        result = solve_branch_and_bound(with_workers(inst, k), graph, options)
+        assert not result.optimal
+        assert result.elapsed_s < 0.8
+        # the warm start's single-worker searches split the budget, so each finds a route
+        assert len(result.solution.routes) == k
+        assert check_solution(with_workers(inst, k), graph, result.solution).passed
+
+    def test_frontier_bound_valid_when_stopped_early(self):
+        # the spread cells of test_bound_valid_and_optimum_completes_on_spread_instances
+        cells = product((False, True), (10, 30, 60), (1, 3, 9), (6, 8, 10), (1, 2, 3))
+        for cell in cells:
+            explicit, footprint, stations, size, k = cell
+            seed = footprint * 1000 + stations * 100 + size * 10 + k
+            inst, graph = spread_case(seed, size, float(footprint), stations, k, explicit)
+            optimum = brute_force(inst, graph).served_count
+            for limit in (1, 3, 10, 30, 100):
+                result = solve_branch_and_bound(inst, graph, SolveOptions(node_limit=limit))
+                assert result.best_bound >= optimum, (cell, limit)
+                assert result.solution.served_count <= optimum, (cell, limit)
+
+
+def highs_optimum(inst, graph):
+    """Integer optimum of the model through HiGHS, independent of the search."""
+    model = build_milp(inst, graph)
+    form = matrix_form(model)
+    integrality = np.r_[np.ones(len(model.binaries)), np.zeros(len(model.continuous))]
+    result = milp(
+        -form.objective,
+        constraints=[
+            LinearConstraint(form.a_ub, -np.inf, form.b_ub),
+            LinearConstraint(form.a_eq, form.b_eq, form.b_eq),
+        ],
+        integrality=integrality,
+        bounds=Bounds(np.zeros_like(form.upper), form.upper),
+    )
+    assert result.status == 0, result.message
+    return round(-result.fun)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 10**6),
+    footprint=st.sampled_from((10.0, 30.0, 60.0)),
+    stations=st.integers(1, 9),
+    size=st.sampled_from((2, 4, 6, 8)),
+    k=st.integers(1, 3),
+    explicit=st.booleans(),
+)
+def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size, k, explicit):
+    inst, graph = spread_case(seed, size, footprint, stations, k, explicit)
+    optimum = brute_force(inst, graph).served_count
+    result = solve_branch_and_bound(inst, graph)
+    assert result.optimal
+    assert result.solution.served_count == optimum
+    assert highs_optimum(inst, graph) == optimum
