@@ -4,10 +4,13 @@ The export is deterministic (same model, same bytes) and the bundled reader
 parses the emitted dialect back for verification.  A solver's `name value`
 output can be decoded into routes with assignment_to_solution.  The model
 has one set of variables per worker; the worker count K is a parameter of
-the instance.
+the instance.  In memory the model is arrays: one sparse constraint matrix
+with the objective and per-row names, families, senses and right-hand sides.
 """
 
 import dataclasses
+
+import numpy as np
 
 from evrelocate import (
     GeneratorConfig,
@@ -32,11 +35,9 @@ model = build_milp(instance, graph, ModelOptions(symmetry_breaking=True, upper_b
 text = export_lp(model)
 
 print(f"{len(model.binaries)} binary + {len(model.continuous)} continuous variables, "
-      f"{len(model.rows)} rows")
-per_family = {}
-for row in model.rows:
-    per_family[row.family] = per_family.get(row.family, 0) + 1
-print("rows per family:", dict(sorted(per_family.items())))
+      f"{len(model.row_names)} rows, {model.matrix.nnz} nonzero coefficients")
+families, counts = np.unique(model.families, return_counts=True)
+print("rows per family:", dict(zip(families.tolist(), counts.tolist())))
 
 print("\nfirst 25 lines of the export:\n")
 print("\n".join(text.splitlines()[:25]))

@@ -45,8 +45,6 @@ from .domain import (
     solution_to_json,
 )
 from .milp import (
-    LinearRow,
-    MatrixForm,
     MilpModel,
     ModelOptions,
     assignment_to_solution,
@@ -54,7 +52,6 @@ from .milp import (
     build_milp,
     evaluate_assignment,
     export_lp,
-    matrix_form,
     models_equivalent,
     parse_lp,
     read_solution_values,

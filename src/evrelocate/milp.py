@@ -35,10 +35,26 @@ earliest time e_i and an idle worker's depot time is 0
 (:func:`solution_to_assignment`): the model is a relaxation of the
 problem, and its LP relaxation bounds the served count from above.
 
+Layout.  A :class:`MilpModel` is arrays: one sparse row-by-column matrix,
+the objective vector, and per row its name, family, sense and right-hand
+side.  Nodes are ordered depot first, then by request id; arcs by (from
+node, to node) in that order.  With A arcs and K workers, the column of
+``x`` on arc a for worker k is ``a*K + k - 1`` (all binaries come first)
+and the column of ``t`` at node n is ``(A + n)*K + k - 1``.  Rows come
+family by family in the order above: family 2 per worker, 3 per request,
+4 per (node, worker), 5 per (arc not entering the depot, worker), 6 per
+(arc entering the depot, worker), 7 per (pickup, worker), 8 per
+(delivery, worker), then 9, 10 and 11 interleaved per (EV arc, worker);
+when enabled, 14 per worker pair and 15 once.  A node's LP name is its id
+reduced to letters and digits, with a numeric suffix where two ids reduce
+alike, so ``_`` separates the parts of every variable and row name
+unambiguously.
+
 Binary domains and nonnegativity are the variable sections of the export.
-Variable and row ordering is fixed (family id, node id order, worker), so
+The export writes each row's nonzero terms in column order, each
+coefficient as the shortest decimal that reads back exactly, so
 re-exporting the same model is byte-identical, and the bundled reader
-parses the emitted format back for round-trip checks.
+parses the emitted format back into the same arrays for round-trip checks.
 """
 
 from __future__ import annotations
@@ -49,23 +65,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .actiongraph import ActionGraph, Arc, ArcKind
+from .actiongraph import ActionGraph, ArcKind
 from .domain import DEPOT_NODE, Instance, RequestKind, Route, Solution
 
-_TOL_BY_FAMILY = {
-    2: 1e-9,
-    3: 1e-9,
-    4: 1e-9,
-    5: 1e-6,
-    6: 1e-6,
-    7: 1e-6,
-    8: 1e-6,
-    9: 1e-6,
-    10: 1e-9,
-    11: 1e-9,
-    14: 1e-6,
-    15: 1e-9,
-}
+# rows on times and distances are checked to 1e-6, the counting rows to 1e-9
+_LOOSE_FAMILIES = (5, 6, 7, 8, 9, 14)
+_SENSES = ("<=", ">=", "=")
 
 
 @dataclass(frozen=True)
@@ -80,77 +85,59 @@ class ModelOptions:
             raise ValueError("upper_bound_cut must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LinearRow:
-    name: str
-    family: int
-    coeffs: dict[str, float]
-    sense: str  # "<=", ">=" or "="
-    rhs: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilpModel:
-    """Abstract model: maximize ``objective`` subject to ``rows``."""
+    """Maximize ``objective @ v`` subject to ``matrix @ v <sense> rhs`` per row.
 
-    objective: dict[str, float]
-    rows: tuple[LinearRow, ...]
-    binaries: tuple[str, ...]
-    continuous: tuple[str, ...]
-    x_names: dict[tuple[str, str, int], str]
-    t_names: dict[tuple[str, int], str]
-    workers: int
-
-    def family_rows(self, family: int) -> tuple[LinearRow, ...]:
-        return tuple(r for r in self.rows if r.family == family)
-
-    def variable_count(self) -> int:
-        return len(self.binaries) + len(self.continuous)
-
-
-@dataclass(frozen=True)
-class MatrixForm:
-    """A model as arrays; columns are ``binaries + continuous`` in model order.
-
-    Maximize ``objective @ v`` subject to ``a_ub @ v <= b_ub``,
-    ``a_eq @ v == b_eq`` and ``0 <= v <= upper`` (1 for binaries, ``inf``
-    for visit times); ``>=`` rows are negated into ``a_ub``.
+    ``v`` runs over ``columns``: binaries first (``0 <= v <= 1``), then the
+    visit times (``v >= 0``).  A built model also keeps its node order, its
+    arc keys in column order and K (see the module notes for the layout); a
+    parsed model has none of these.
     """
 
+    matrix: csr_matrix  # sorted column indices per row, no stored zeros
     objective: np.ndarray
-    a_ub: csr_matrix
-    b_ub: np.ndarray
-    a_eq: csr_matrix
-    b_eq: np.ndarray
-    upper: np.ndarray
+    row_names: tuple[str, ...]
+    families: np.ndarray
+    senses: np.ndarray  # "<=", ">=" or "=" per row
+    rhs: np.ndarray
+    columns: tuple[str, ...]
+    binary_count: int
+    nodes: tuple[str, ...] = ()
+    arcs: tuple[tuple[str, str], ...] = ()
+    workers: int = 0
+
+    @property
+    def binaries(self) -> tuple[str, ...]:
+        return self.columns[: self.binary_count]
+
+    @property
+    def continuous(self) -> tuple[str, ...]:
+        return self.columns[self.binary_count :]
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Column upper bounds: 1 for binaries, ``inf`` for visit times."""
+        return np.r_[np.ones(self.binary_count), np.full(len(self.continuous), np.inf)]
+
+    def variable_count(self) -> int:
+        return len(self.columns)
 
 
-def matrix_form(model: MilpModel) -> MatrixForm:
-    """Sparse-matrix form of ``model`` for array-based solvers."""
-    variables = model.binaries + model.continuous
-    column = {name: i for i, name in enumerate(variables)}
-    objective = np.zeros(len(variables))
-    for name, coef in model.objective.items():
-        objective[column[name]] = coef
-    # (data, row index, column index, rhs) of the inequality and equality blocks
-    blocks = {"ub": ([], [], [], []), "eq": ([], [], [], [])}
-    for row in model.rows:
-        data, rows, cols, rhs = blocks["eq" if row.sense == "=" else "ub"]
-        sign = -1.0 if row.sense == ">=" else 1.0
-        for name, coef in row.coeffs.items():
-            data.append(sign * coef)
-            rows.append(len(rhs))
-            cols.append(column[name])
-        rhs.append(sign * row.rhs)
+def _x_column(arc, k, workers: int):
+    return arc * workers + k - 1
 
-    def stack(data: list, rows: list, cols: list, rhs: list) -> tuple[csr_matrix, np.ndarray]:
-        matrix = csr_matrix((data, (rows, cols)), shape=(len(rhs), len(variables)))
-        return matrix, np.array(rhs, dtype=float)
 
-    a_ub, b_ub = stack(*blocks["ub"])
-    a_eq, b_eq = stack(*blocks["eq"])
-    upper = np.array([1.0] * len(model.binaries) + [np.inf] * len(model.continuous))
-    return MatrixForm(objective, a_ub, b_ub, a_eq, b_eq, upper)
+def _t_column(node, k, arc_count: int, workers: int):
+    return (arc_count + node) * workers + k - 1
+
+
+def _sparse(rows, cols, values, shape: tuple[int, int]) -> csr_matrix:
+    """CSR with duplicates summed, column indices sorted and no stored zeros."""
+    matrix = csr_matrix((values, (rows, cols)), shape=shape)
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def time_windows(instance: Instance, graph: ActionGraph) -> dict[str, tuple[float, float]]:
@@ -176,19 +163,41 @@ def time_windows(instance: Instance, graph: ActionGraph) -> dict[str, tuple[floa
 
 
 def _safe_names(ids: list[str]) -> dict[str, str]:
-    """Deterministic LP-safe renaming, unique per input order."""
+    """Letters-and-digits renaming, unique per input order: ``a_b``, ``ab`` -> ``ab``, ``ab2``."""
     out: dict[str, str] = {}
     taken: set[str] = set()
     for raw in ids:
-        base = re.sub(r"[^A-Za-z0-9]", "_", raw) or "n"
+        base = re.sub(r"[^A-Za-z0-9]", "", raw) or "n"
         name = base
         suffix = 2
         while name in taken:
-            name = f"{base}_{suffix}"
+            name = f"{base}{suffix}"
             suffix += 1
         taken.add(name)
         out[raw] = name
     return out
+
+
+class _Rows:
+    """Row blocks in model order: per-row data plus (row, column, value) triplets."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.families: list[np.ndarray] = []
+        self.senses: list[np.ndarray] = []
+        self.rhs: list[np.ndarray] = []
+        self.triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add(self, names: list[str], family, sense, rhs, *terms) -> None:
+        """Append rows; each term is (row within this block, column, value), broadcast."""
+        first, count = len(self.names), len(names)
+        self.names += names
+        self.families.append(np.broadcast_to(family, count))
+        self.senses.append(np.broadcast_to(np.asarray(sense), count))
+        self.rhs.append(np.broadcast_to(np.asarray(rhs, dtype=float), count))
+        for rows, cols, values in terms:
+            rows, cols, values = np.broadcast_arrays(first + np.asarray(rows), cols, values)
+            self.triplets.append((rows.ravel(), cols.ravel(), values.ravel().astype(float)))
 
 
 def build_milp(
@@ -205,190 +214,168 @@ def build_milp(
     gamma = params.recharge_time_min
     cap_km = params.max_range_km
 
-    node_order = [DEPOT_NODE] + sorted(r.id for r in instance.requests)
-    node_pos = {n: i for i, n in enumerate(node_order)}
-    names = _safe_names(node_order)
-    arcs = sorted(graph.arcs, key=lambda a: (node_pos[a.from_node], node_pos[a.to_node]))
-
-    x_names: dict[tuple[str, str, int], str] = {}
-    t_names: dict[tuple[str, int], str] = {}
-    binaries: list[str] = []
-    continuous: list[str] = []
-    for arc in arcs:
-        for k in range(1, k_total + 1):
-            name = f"x_{names[arc.from_node]}_{names[arc.to_node]}_{k}"
-            x_names[(arc.from_node, arc.to_node, k)] = name
-            binaries.append(name)
-    for node in node_order:
-        for k in range(1, k_total + 1):
-            name = f"t_{names[node]}_{k}"
-            t_names[(node, k)] = name
-            continuous.append(name)
-
-    objective = {
-        x_names[(a.from_node, a.to_node, k)]: 1.0
-        for a in arcs
-        if a.from_node != DEPOT_NODE
-        for k in range(1, k_total + 1)
-    }
-
-    out_arcs: dict[str, list[Arc]] = {n: [] for n in node_order}
-    in_arcs: dict[str, list[Arc]] = {n: [] for n in node_order}
-    for arc in arcs:
-        out_arcs[arc.from_node].append(arc)
-        in_arcs[arc.to_node].append(arc)
-
-    rows: list[LinearRow] = []
-
-    for k in range(1, k_total + 1):
-        coeffs = {x_names[(a.from_node, a.to_node, k)]: 1.0 for a in out_arcs[DEPOT_NODE]}
-        rows.append(LinearRow(f"f2_k{k}", 2, coeffs, "<=", 1.0))
-
-    for node in node_order[1:]:
-        coeffs = {
-            x_names[(a.from_node, a.to_node, k)]: 1.0
-            for k in range(1, k_total + 1)
-            for a in out_arcs[node]
-        }
-        rows.append(LinearRow(f"f3_{names[node]}", 3, coeffs, "<=", 1.0))
-
-    for node in node_order:
-        for k in range(1, k_total + 1):
-            coeffs: dict[str, float] = {}
-            for a in out_arcs[node]:
-                coeffs[x_names[(a.from_node, a.to_node, k)]] = 1.0
-            for a in in_arcs[node]:
-                coeffs[x_names[(a.from_node, a.to_node, k)]] = (
-                    coeffs.get(x_names[(a.from_node, a.to_node, k)], 0.0) - 1.0
-                )
-            rows.append(LinearRow(f"f4_{names[node]}_k{k}", 4, coeffs, "=", 0.0))
-
+    nodes = [DEPOT_NODE] + sorted(r.id for r in instance.requests)
+    node_pos = {n: i for i, n in enumerate(nodes)}
+    safe = _safe_names(nodes)
+    lp_name = [safe[n] for n in nodes]
+    requests = [instance.request(n) for n in nodes[1:]]
+    tau = np.array([0.0] + [r.time_min for r in requests])
+    charge = np.array([0.0] + [r.charge for r in requests])
+    pickups = 1 + np.flatnonzero([r.kind is RequestKind.PICKUP for r in requests])
+    deliveries = 1 + np.flatnonzero([r.kind is RequestKind.DELIVERY for r in requests])
     windows = time_windows(instance, graph)
-    for arc in arcs:
-        if arc.to_node == DEPOT_NODE:
-            continue
-        big_m = max(0.0, windows[arc.from_node][1] + arc.op_time_min - windows[arc.to_node][0])
-        for k in range(1, k_total + 1):
-            coeffs = {
-                t_names[(arc.from_node, k)]: 1.0,
-                t_names[(arc.to_node, k)]: -1.0,
-                x_names[(arc.from_node, arc.to_node, k)]: arc.op_time_min + big_m,
-            }
-            rows.append(
-                LinearRow(
-                    f"f5_{names[arc.from_node]}_{names[arc.to_node]}_k{k}",
-                    5,
-                    coeffs,
-                    "<=",
-                    big_m,
-                )
-            )
+    early = np.array([windows[n][0] for n in nodes])
+    late = np.array([windows[n][1] for n in nodes])
 
-    for arc in in_arcs[DEPOT_NODE]:
-        big_m = max(0.0, instance.request(arc.from_node).time_min - horizon)
-        for k in range(1, k_total + 1):
-            coeffs = {
-                t_names[(arc.from_node, k)]: 1.0,
-                x_names[(arc.from_node, DEPOT_NODE, k)]: arc.op_time_min + big_m,
-                t_names[(DEPOT_NODE, k)]: -1.0,
-            }
-            rows.append(
-                LinearRow(f"f6_{names[arc.from_node]}_k{k}", 6, coeffs, "<=", horizon + big_m)
-            )
+    arcs = sorted(graph.arcs, key=lambda a: (node_pos[a.from_node], node_pos[a.to_node]))
+    n_arcs = len(arcs)
+    src = np.array([node_pos[a.from_node] for a in arcs], dtype=np.int64)
+    dst = np.array([node_pos[a.to_node] for a in arcs], dtype=np.int64)
+    cost = np.array([a.op_time_min for a in arcs], dtype=float)
+    dist = np.array([a.distance_km for a in arcs], dtype=float)
 
-    requests = [instance.request(node) for node in node_order[1:]]
-    for req in requests:
-        if req.kind is not RequestKind.PICKUP:
-            continue
-        for k in range(1, k_total + 1):
-            rows.append(
-                LinearRow(
-                    f"f7_{names[req.id]}_k{k}", 7, {t_names[(req.id, k)]: 1.0}, ">=", req.time_min
-                )
-            )
-    for req in requests:
-        if req.kind is not RequestKind.DELIVERY:
-            continue
-        for k in range(1, k_total + 1):
-            rows.append(
-                LinearRow(
-                    f"f8_{names[req.id]}_k{k}", 8, {t_names[(req.id, k)]: 1.0}, "<=", req.time_min
-                )
-            )
+    workers = np.arange(1, k_total + 1)
 
-    ev_arcs = [a for a in arcs if a.kind is ArcKind.EV]
-    for arc in ev_arcs:
-        p = instance.request(arc.from_node)
-        d = instance.request(arc.to_node)
-        tag = f"{names[arc.from_node]}_{names[arc.to_node]}"
-        for k in range(1, k_total + 1):
-            x_var = x_names[(arc.from_node, arc.to_node, k)]
-            # (9): d*x <= L*rho_p + (L/Gamma)*(t_p - tau_p)
-            rows.append(
-                LinearRow(
-                    f"f9_{tag}_k{k}",
-                    9,
-                    {x_var: arc.distance_km, t_names[(p.id, k)]: -cap_km / gamma},
-                    "<=",
-                    cap_km * p.charge - cap_km * p.time_min / gamma,
-                )
-            )
-            # (10): charge at pickup minus consumption covers the delivery
-            # requirement backdated from its deadline, big-M (rho_d + 1)
-            rows.append(
-                LinearRow(
-                    f"f10_{tag}_k{k}",
-                    10,
-                    {
-                        t_names[(p.id, k)]: 1.0 / gamma,
-                        t_names[(d.id, k)]: -1.0 / gamma,
-                        x_var: -(arc.distance_km / cap_km + d.charge + 1.0),
-                    },
-                    ">=",
-                    p.time_min / gamma - d.time_min / gamma - p.charge - 1.0,
-                )
-            )
-            # (11): the same with a full battery at the pickup
-            rows.append(
-                LinearRow(
-                    f"f11_{tag}_k{k}",
-                    11,
-                    {
-                        t_names[(d.id, k)]: -1.0 / gamma,
-                        x_var: -(arc.distance_km / cap_km + d.charge + 1.0),
-                    },
-                    ">=",
-                    -2.0 - d.time_min / gamma,
-                )
-            )
+    def per_worker(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, item, k) of the rows ``item x worker``, item-major."""
+        rows = np.arange(len(items) * k_total)
+        return rows, np.repeat(items, k_total), np.tile(workers, len(items))
+
+    def x(arc, k):
+        return _x_column(arc, k, k_total)
+
+    def t(node, k):
+        return _t_column(node, k, n_arcs, k_total)
+
+    row_suffix = [f"_k{k}" for k in range(1, k_total + 1)]
+    column_suffix = [f"_{k}" for k in range(1, k_total + 1)]
+
+    def named(prefix: str, tags: list[str]) -> list[str]:
+        return [f"{prefix}_{tag}{suffix}" for tag in tags for suffix in row_suffix]
+
+    def arc_tags(arc_ids: np.ndarray) -> list[str]:
+        ends = zip(src[arc_ids].tolist(), dst[arc_ids].tolist())
+        return [f"{lp_name[i]}_{lp_name[j]}" for i, j in ends]
+
+    def node_tags(node_ids: np.ndarray) -> list[str]:
+        return [lp_name[i] for i in node_ids.tolist()]
+
+    rows = _Rows()
+    from_depot = np.flatnonzero(src == 0)
+    from_request = np.flatnonzero(src != 0)
+
+    _, a, k = per_worker(from_depot)
+    rows.add([f"f2{suffix}" for suffix in row_suffix], 2, "<=", 1.0, (k - 1, x(a, k), 1.0))
+
+    _, a, k = per_worker(from_request)
+    rows.add([f"f3_{name}" for name in lp_name[1:]], 3, "<=", 1.0, (src[a] - 1, x(a, k), 1.0))
+
+    _, a, k = per_worker(np.arange(n_arcs))
+    rows.add(
+        named("f4", lp_name),
+        4,
+        "=",
+        0.0,
+        (src[a] * k_total + k - 1, x(a, k), 1.0),
+        (dst[a] * k_total + k - 1, x(a, k), -1.0),
+    )
+
+    timed = np.flatnonzero(dst != 0)
+    big_m = np.maximum(0.0, late[src[timed]] + cost[timed] - early[dst[timed]])
+    r, a, k = per_worker(timed)
+    m = np.repeat(big_m, k_total)
+    rows.add(
+        named("f5", arc_tags(timed)),
+        5,
+        "<=",
+        m,
+        (r, t(src[a], k), 1.0),
+        (r, t(dst[a], k), -1.0),
+        (r, x(a, k), cost[a] + m),
+    )
+
+    returns = np.flatnonzero(dst == 0)
+    big_m = np.maximum(0.0, tau[src[returns]] - horizon)
+    r, a, k = per_worker(returns)
+    m = np.repeat(big_m, k_total)
+    rows.add(
+        named("f6", node_tags(src[returns])),
+        6,
+        "<=",
+        horizon + m,
+        (r, t(src[a], k), 1.0),
+        (r, x(a, k), cost[a] + m),
+        (r, t(0, k), -1.0),
+    )
+
+    r, n, k = per_worker(pickups)
+    rows.add(named("f7", node_tags(pickups)), 7, ">=", tau[n], (r, t(n, k), 1.0))
+    r, n, k = per_worker(deliveries)
+    rows.add(named("f8", node_tags(deliveries)), 8, "<=", tau[n], (r, t(n, k), 1.0))
+
+    # families 9, 10 and 11 interleaved: rows 3r, 3r + 1, 3r + 2 of EV arc x worker r
+    ev = np.flatnonzero([arc.kind is ArcKind.EV for arc in arcs])
+    r, a, k = per_worker(ev)
+    p, d = src[a], dst[a]
+    tags = arc_tags(ev)
+    handover = -(dist[a] / cap_km + charge[d] + 1.0)
+    rows.add(
+        [name for row in zip(*(named(f"f{f}", tags) for f in (9, 10, 11))) for name in row],
+        np.tile([9, 10, 11], len(r)),
+        np.tile(["<=", ">=", ">="], len(r)),
+        np.column_stack(
+            [
+                # (9): d*x <= L*rho_p + (L/Gamma)*(t_p - tau_p)
+                cap_km * charge[p] - cap_km * tau[p] / gamma,
+                # (10): charge at pickup minus consumption covers the delivery
+                # requirement backdated from its deadline, big-M (rho_d + 1)
+                tau[p] / gamma - tau[d] / gamma - charge[p] - 1.0,
+                # (11): the same with a full battery at the pickup
+                -2.0 - tau[d] / gamma,
+            ]
+        ).ravel(),
+        (3 * r, x(a, k), dist[a]),
+        (3 * r, t(p, k), -cap_km / gamma),
+        (3 * r + 1, t(p, k), 1.0 / gamma),
+        (3 * r + 1, t(d, k), -1.0 / gamma),
+        (3 * r + 1, x(a, k), handover),
+        (3 * r + 2, t(d, k), -1.0 / gamma),
+        (3 * r + 2, x(a, k), handover),
+    )
 
     if options.symmetry_breaking:
-        for k1 in range(1, k_total + 1):
-            for k2 in range(k1 + 1, k_total + 1):
-                coeffs = {}
-                for a in arcs:
-                    if a.from_node == DEPOT_NODE:
-                        continue
-                    coeffs[x_names[(a.from_node, a.to_node, k1)]] = a.op_time_min
-                    coeffs[x_names[(a.from_node, a.to_node, k2)]] = -a.op_time_min
-                rows.append(LinearRow(f"f14_k{k1}_k{k2}", 14, coeffs, ">=", 0.0))
+        pairs = [(k1, k2) for k1 in range(1, k_total + 1) for k2 in range(k1 + 1, k_total + 1)]
+        terms = []
+        for row, (k1, k2) in enumerate(pairs):
+            terms.append((row, x(from_request, k1), cost[from_request]))
+            terms.append((row, x(from_request, k2), -cost[from_request]))
+        rows.add([f"f14_k{k1}_k{k2}" for k1, k2 in pairs], 14, ">=", 0.0, *terms)
 
+    _, a, k = per_worker(from_request)
+    served = x(a, k)
     if options.upper_bound_cut is not None:
-        coeffs = {
-            x_names[(a.from_node, a.to_node, k)]: 1.0
-            for a in arcs
-            if a.from_node != DEPOT_NODE
-            for k in range(1, k_total + 1)
-        }
-        rows.append(LinearRow("f15", 15, coeffs, "<=", float(options.upper_bound_cut)))
+        rows.add(["f15"], 15, "<=", float(options.upper_bound_cut), (0, served, 1.0))
 
+    columns = [
+        f"x_{lp_name[i]}_{lp_name[j]}{suffix}"
+        for i, j in zip(src.tolist(), dst.tolist())
+        for suffix in column_suffix
+    ]
+    columns += [f"t_{name}{suffix}" for name in lp_name for suffix in column_suffix]
+    objective = np.zeros(len(columns))
+    objective[served] = 1.0
+    row_idx, col_idx, values = (np.concatenate(part) for part in zip(*rows.triplets))
     return MilpModel(
+        matrix=_sparse(row_idx, col_idx, values, (len(rows.names), len(columns))),
         objective=objective,
-        rows=tuple(rows),
-        binaries=tuple(binaries),
-        continuous=tuple(continuous),
-        x_names=x_names,
-        t_names=t_names,
+        row_names=tuple(rows.names),
+        families=np.concatenate(rows.families).astype(np.int64),
+        senses=np.concatenate(rows.senses).astype("<U2"),
+        rhs=np.concatenate(rows.rhs).astype(float),
+        columns=tuple(columns),
+        binary_count=n_arcs * k_total,
+        nodes=tuple(nodes),
+        arcs=tuple((a.from_node, a.to_node) for a in arcs),
         workers=k_total,
     )
 
@@ -398,112 +385,155 @@ def build_milp(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    # repr is the shortest exact decimal form: byte-stable and lossless
-    return repr(float(value))
+def _lines(
+    heads: list[str], matrix: csr_matrix, columns: np.ndarray, tails: list[str] | None = None
+) -> str:
+    """One line `` <head>: <terms> <tail>`` per row, lines separated by newlines.
 
+    A term is ``+c name`` or ``-c name``, in column order, with ``c`` the
+    shortest decimal of the coefficient that reads back exactly (``repr``);
+    a row without terms reads ``+0 <first column>``.  ``columns`` holds the
+    column names, each with a leading space.  Every token goes into one
+    array in text order, so a single ``str.join`` writes the whole text.
+    """
+    n_rows, nnz = matrix.shape[0], matrix.nnz
+    counts = np.diff(matrix.indptr)
+    per_row = 1 if tails is None else 2  # the head, and the tail if any
+    values, inverse = np.unique(matrix.data, return_inverse=True)
+    signed = [f" +{v!r}" if v >= 0 else f" -{-v!r}" for v in values.tolist()]
+    heads = np.array([f"\n {head}:" for head in heads], dtype=object)
+    heads[counts == 0] += " +0" + columns[0]
 
-def _expr(coeffs: dict[str, float], order: dict[str, int]) -> str:
-    parts = []
-    for var in sorted(coeffs, key=order.__getitem__):
-        coef = coeffs[var]
-        if coef == 0.0:
-            continue
-        sign = "+" if coef >= 0 else "-"
-        parts.append(f"{sign}{_fmt(abs(coef))} {var}")
-    return " ".join(parts) if parts else "+0 " + next(iter(order))
+    tokens = np.empty(2 * nnz + per_row * n_rows, dtype=object)
+    row_start = 2 * matrix.indptr[:-1] + per_row * np.arange(n_rows)
+    coef_at = 2 * np.arange(nnz) + np.repeat(row_start - 2 * matrix.indptr[:-1], counts) + 1
+    tokens[row_start] = heads
+    tokens[coef_at] = np.array(signed, dtype=object)[inverse]
+    tokens[coef_at + 1] = columns[matrix.indices]
+    if tails is not None:
+        tokens[row_start + 2 * counts + 1] = tails
+    return "".join(tokens.tolist())[1:]
 
 
 def export_lp(model: MilpModel) -> str:
     """Serialize to LP text; identical models export byte-identically."""
-    order = {name: i for i, name in enumerate(list(model.binaries) + list(model.continuous))}
-    lines = ["\\ relocation model export", "Maximize"]
-    lines.append(f" obj: {_expr(model.objective, order)}")
+    columns = np.array([" " + name for name in model.columns], dtype=object)
+    objective = csr_matrix(model.objective[np.newaxis, :])
+    values, inverse = np.unique(model.rhs, return_inverse=True)  # repr once per distinct rhs
+    rhs = np.array([repr(v) for v in values.tolist()], dtype=object)[inverse]
+    tails = [f" {sense} {text}" for sense, text in zip(model.senses.tolist(), rhs.tolist())]
+    lines = ["\\ relocation model export", "Maximize", _lines(["obj"], objective, columns)]
     lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: {_expr(row.coeffs, order)} {row.sense} {_fmt(row.rhs)}")
+    if len(model.row_names):
+        lines.append(_lines(list(model.row_names), model.matrix, columns, tails))
     lines.append("Bounds")
-    for var in model.continuous:
-        lines.append(f" {var} >= 0")
+    lines += [f" {var} >= 0" for var in model.continuous]
     lines.append("Binaries")
-    for var in model.binaries:
-        lines.append(f" {var}")
+    lines += [f" {var}" for var in model.binaries]
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
-_TERM_RE = re.compile(r"([+-])\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s+([A-Za-z0-9_]+)")
-_ROW_RE = re.compile(r"^\s*([A-Za-z0-9_]+):\s*(.*?)\s*(<=|>=|=)\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*$")
+_FAMILY_RE = re.compile(r"f(\d+)")
+
+
+def _terms(tokens: list[str], column: dict[str, int], where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and column indices of ``+c name`` token pairs."""
+    count = len(tokens) // 2
+    try:
+        cols = np.fromiter(map(column.__getitem__, tokens[1::2]), dtype=np.int64, count=count)
+    except KeyError as exc:
+        raise ValueError(f"{where}: {exc.args[0]!r} is in neither Bounds nor Binaries") from None
+    return np.fromiter(map(float, tokens[0::2]), dtype=float, count=count), cols
 
 
 def parse_lp(text: str) -> MilpModel:
     """Parse text in the exported LP dialect back into a model.
 
-    Family ids are recovered from the ``f<N>_`` row-name prefix.
+    Family ids are recovered from the ``f<N>`` row-name prefix (0 without one).
     """
-    section = None
-    objective: dict[str, float] = {}
-    rows: list[LinearRow] = []
-    continuous: list[str] = []
-    binaries: list[str] = []
+    sections: dict[str, list[str]] = {
+        "maximize": [], "subject to": [], "bounds": [], "binaries": []
+    }
+    current: list[str] | None = None
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith("\\"):
             continue
         lowered = line.lower()
-        if lowered in ("maximize", "subject to", "bounds", "binaries", "end"):
-            section = lowered
-            continue
-        if section == "maximize":
-            body = line.split(":", 1)[1] if ":" in line else line
-            for sign, coef, var in _TERM_RE.findall(" " + body):
-                objective[var] = objective.get(var, 0.0) + float(sign + coef)
-        elif section == "subject to":
-            match = _ROW_RE.match(line)
-            if not match:
-                raise ValueError(f"unparseable constraint line: {line!r}")
-            name, body, sense, rhs = match.groups()
-            coeffs: dict[str, float] = {}
-            for sign, coef, var in _TERM_RE.findall(" " + body):
-                coeffs[var] = coeffs.get(var, 0.0) + float(sign + coef)
-            family_match = re.match(r"f(\d+)", name)
-            family = int(family_match.group(1)) if family_match else 0
-            rows.append(LinearRow(name, family, coeffs, sense, float(rhs)))
-        elif section == "bounds":
-            var = line.split(">=")[0].strip()
-            continuous.append(var)
-        elif section == "binaries":
-            binaries.extend(line.split())
+        if lowered in sections or lowered == "end":
+            current = sections.get(lowered)
+        elif current is not None:
+            current.append(line)
+
+    binaries = [var for line in sections["binaries"] for var in line.split()]
+    continuous = [line.split(">=")[0].strip() for line in sections["bounds"]]
+    columns = binaries + continuous
+    column = {name: i for i, name in enumerate(columns)}
+
+    objective_tokens = [
+        token for line in sections["maximize"] for token in line.rpartition(":")[2].split()
+    ]
+    if len(objective_tokens) % 2:
+        raise ValueError(f"unparseable objective: {' '.join(objective_tokens)!r}")
+    coefs, cols = _terms(objective_tokens, column, "objective")
+    objective = np.bincount(cols, weights=coefs, minlength=len(columns))
+
+    names: list[str] = []
+    senses: list[str] = []
+    rhs: list[str] = []
+    counts: list[int] = []
+    term_tokens: list[str] = []
+    for line in sections["subject to"]:
+        name, colon, body = line.partition(":")
+        tokens = body.split()
+        if not colon or len(tokens) < 2 or len(tokens) % 2 or tokens[-2] not in _SENSES:
+            raise ValueError(f"unparseable constraint line: {line!r}")
+        names.append(name.strip())
+        senses.append(tokens[-2])
+        rhs.append(tokens[-1])
+        counts.append(len(tokens) // 2 - 1)
+        term_tokens += tokens[:-2]
+    coefs, cols = _terms(term_tokens, column, "constraints")
+    row_idx = np.repeat(np.arange(len(names)), counts)
+    families = [int(m.group(1)) if (m := _FAMILY_RE.match(name)) else 0 for name in names]
     return MilpModel(
+        matrix=_sparse(row_idx, cols, coefs, (len(names), len(columns))),
         objective=objective,
-        rows=tuple(rows),
-        binaries=tuple(binaries),
-        continuous=tuple(continuous),
-        x_names={},
-        t_names={},
-        workers=0,
+        row_names=tuple(names),
+        families=np.array(families, dtype=np.int64),
+        senses=np.array(senses, dtype="<U2"),
+        rhs=np.fromiter(map(float, rhs), dtype=float, count=len(rhs)),
+        columns=tuple(columns),
+        binary_count=len(binaries),
     )
 
 
 def models_equivalent(a: MilpModel, b: MilpModel) -> bool:
-    """Same objective, rows (by name) and variable sections, up to float repr."""
-
-    def canon(coeffs: dict[str, float]) -> tuple:
-        return tuple(sorted((k, round(v, 9)) for k, v in coeffs.items() if v != 0.0))
-
-    if canon(a.objective) != canon(b.objective):
+    """Same objective, rows and variable sections, matched by name, up to float repr."""
+    if set(a.binaries) != set(b.binaries) or set(a.continuous) != set(b.continuous):
         return False
-    rows_a = {r.name: r for r in a.rows}
-    rows_b = {r.name: r for r in b.rows}
-    if set(rows_a) != set(rows_b):
+    if len(a.row_names) != len(b.row_names) or set(a.row_names) != set(b.row_names):
         return False
-    for name, row in rows_a.items():
-        other = rows_b[name]
-        if row.sense != other.sense or round(row.rhs - other.rhs, 9) != 0.0:
-            return False
-        if canon(row.coeffs) != canon(other.coeffs):
-            return False
-    return set(a.binaries) == set(b.binaries) and set(a.continuous) == set(b.continuous)
+    b_column = {name: i for i, name in enumerate(b.columns)}
+    cols = np.array([b_column[name] for name in a.columns], dtype=np.int64)
+    b_row = {name: i for i, name in enumerate(b.row_names)}
+    rows = np.array([b_row[name] for name in a.row_names], dtype=np.int64)
+
+    def same(x: np.ndarray, y: np.ndarray) -> bool:
+        return bool(np.array_equal(np.round(x, 9), np.round(y, 9)))
+
+    b_objective = b.objective[cols]
+    if not np.array_equal(a.objective != 0, b_objective != 0) or not same(a.objective, b_objective):
+        return False
+    if not np.array_equal(a.senses, b.senses[rows]) or np.round(a.rhs - b.rhs[rows], 9).any():
+        return False
+    aligned = b.matrix[rows][:, cols].sorted_indices()
+    return (
+        np.array_equal(a.matrix.indptr, aligned.indptr)
+        and np.array_equal(a.matrix.indices, aligned.indices)
+        and same(a.matrix.data, aligned.data)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +559,17 @@ def values_to_assignment(
     model: MilpModel, values: dict[str, float]
 ) -> tuple[dict[tuple[str, str, int], float], dict[tuple[str, int], float]]:
     """Map name-keyed values back to (i, j, k) / (i, k) keyed dictionaries."""
-    x_vals = {key: values.get(name, 0.0) for key, name in model.x_names.items()}
-    t_vals = {key: values.get(name, 0.0) for key, name in model.t_names.items()}
+    k_total, n_arcs = model.workers, len(model.arcs)
+    x_vals = {
+        (i, j, k): values.get(model.columns[_x_column(a, k, k_total)], 0.0)
+        for a, (i, j) in enumerate(model.arcs)
+        for k in range(1, k_total + 1)
+    }
+    t_vals = {
+        (node, k): values.get(model.columns[_t_column(n, k, n_arcs, k_total)], 0.0)
+        for n, node in enumerate(model.nodes)
+        for k in range(1, k_total + 1)
+    }
     return x_vals, t_vals
 
 
@@ -633,38 +672,37 @@ def assignment_to_values(
     model: MilpModel,
     x_values: dict[tuple[str, str, int], float],
     t_values: dict[tuple[str, int], float],
-) -> dict[str, float]:
-    """Name-keyed variable values for row evaluation (absent x means 0)."""
-    values = {name: 0.0 for name in model.binaries}
-    for key, value in x_values.items():
-        if key in model.x_names:
-            values[model.x_names[key]] = value
+) -> np.ndarray:
+    """One value per column of ``model`` for row evaluation (absent x means 0)."""
+    k_total, n_arcs = model.workers, len(model.arcs)
+    arc_pos = {key: a for a, key in enumerate(model.arcs)}
+    node_pos = {node: n for n, node in enumerate(model.nodes)}
+    values = np.zeros(len(model.columns))
+    for (i, j, k), value in x_values.items():
+        if (i, j) in arc_pos and 1 <= k <= k_total:
+            values[_x_column(arc_pos[(i, j)], k, k_total)] = value
         elif value >= 0.5:
-            raise ValueError(f"assignment uses arc {key} absent from the model")
-    for key, value in t_values.items():
-        values[model.t_names[key]] = value
+            raise ValueError(f"assignment uses arc {(i, j, k)} absent from the model")
+    for (node, k), value in t_values.items():
+        if node not in node_pos or not 1 <= k <= k_total:
+            raise ValueError(f"assignment sets t[{node},{k}], absent from the model")
+        values[_t_column(node_pos[node], k, n_arcs, k_total)] = value
     return values
 
 
-def evaluate_assignment(
-    model: MilpModel, values: dict[str, float]
-) -> list[tuple[LinearRow, bool, float]]:
-    """Evaluate each row; slack is the satisfied margin (negative = violated)."""
-    results = []
-    for row in model.rows:
-        lhs = sum(coef * values.get(var, 0.0) for var, coef in row.coeffs.items())
-        tol = _TOL_BY_FAMILY.get(row.family, 1e-9)
-        if row.sense == "<=":
-            slack = row.rhs - lhs
-            ok = slack >= -tol
-        elif row.sense == ">=":
-            slack = lhs - row.rhs
-            ok = slack >= -tol
-        else:
-            slack = -abs(lhs - row.rhs)
-            ok = slack >= -tol
-        results.append((row, ok, slack))
-    return results
+def evaluate_assignment(model: MilpModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, whether it holds and its slack (the satisfied margin, negative = violated).
+
+    ``values`` has one entry per column (:func:`assignment_to_values`).
+    """
+    lhs = model.matrix @ values
+    slack = np.where(
+        model.senses == "<=",
+        model.rhs - lhs,
+        np.where(model.senses == ">=", lhs - model.rhs, -np.abs(lhs - model.rhs)),
+    )
+    tol = np.where(np.isin(model.families, _LOOSE_FAMILIES), 1e-6, 1e-9)
+    return slack >= -tol, slack
 
 
 def route_operational_cost(graph: ActionGraph, route: Route) -> float:

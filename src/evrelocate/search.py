@@ -51,11 +51,12 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import diags
 
 # build_graph is unused here, but perfbench's traced run wraps evrelocate.search.build_graph.
 from .actiongraph import ActionGraph, ArcKind, build_graph  # noqa: F401
 from .domain import DEPOT_NODE, Instance, Route, Solution
-from .milp import build_milp, matrix_form
+from . import milp
 from .scheduling import ScheduleResult, schedule_route
 
 
@@ -415,14 +416,17 @@ def compute_upper_bound(instance: Instance, graph: ActionGraph) -> int:
 
     Raises ``RuntimeError`` when the LP solver does not report an optimum.
     """
-    form = matrix_form(build_milp(instance, graph))
+    model = milp.build_milp(instance, graph)
+    sign = np.where(model.senses == ">=", -1.0, 1.0)  # ">=" rows enter A_ub negated
+    signed = diags(sign) @ model.matrix
+    eq = model.senses == "="
     result = linprog(
-        -form.objective,
-        A_ub=form.a_ub,
-        b_ub=form.b_ub,
-        A_eq=form.a_eq,
-        b_eq=form.b_eq,
-        bounds=np.column_stack([np.zeros_like(form.upper), form.upper]),
+        -model.objective,
+        A_ub=signed[~eq],
+        b_ub=(sign * model.rhs)[~eq],
+        A_eq=model.matrix[eq],
+        b_eq=model.rhs[eq],
+        bounds=np.column_stack([np.zeros_like(model.upper), model.upper]),
         method="highs",
     )
     if result.status != 0:

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 
 import dataclasses
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -253,9 +254,7 @@ def test_criterion_7_model_fidelity():
             14: k * (k - 1) // 2,
             15: 1,
         }
-        actual = {}
-        for row in model.rows:
-            actual[row.family] = actual.get(row.family, 0) + 1
+        actual = dict(Counter(model.families.tolist()))
         if actual != expected:
             counted = False
         text = export_lp(model)

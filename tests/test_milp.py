@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from evrelocate import (
@@ -7,8 +10,10 @@ from evrelocate import (
     GeneratorConfig,
     ModelOptions,
     Solution,
+    SolveOptions,
     assignment_to_solution,
     assignment_to_values,
+    brute_force,
     build_graph,
     build_milp,
     compute_upper_bound,
@@ -24,6 +29,7 @@ from evrelocate import (
     solution_to_assignment,
     values_to_assignment,
 )
+from evrelocate.milp import _safe_names
 from conftest import BASE_PARAMS, delivery, make_instance, make_matrix, pickup
 
 
@@ -43,10 +49,21 @@ def three_node_model(workers=1, options=None):
 
 
 def family_counts(model):
-    counts = {}
-    for row in model.rows:
-        counts[row.family] = counts.get(row.family, 0) + 1
-    return counts
+    return Counter(model.families.tolist())
+
+
+def row(model, name):
+    """(coefficient by column name, sense, rhs) of the named row."""
+    i = model.row_names.index(name)
+    span = slice(model.matrix.indptr[i], model.matrix.indptr[i + 1])
+    coeffs = dict(zip((model.columns[c] for c in model.matrix.indices[span]), model.matrix.data[span]))
+    return coeffs, model.senses[i], model.rhs[i]
+
+
+def violations(model, x, t):
+    """(row name, slack) of every row the assignment violates."""
+    ok, slack = evaluate_assignment(model, assignment_to_values(model, x, t))
+    return [(model.row_names[i], slack[i]) for i in np.flatnonzero(~ok)]
 
 
 class TestModelShape:
@@ -67,28 +84,29 @@ class TestModelShape:
 
     def test_symmetry_rows_pair_count(self):
         _, _, model = three_node_model(workers=2, options=ModelOptions(symmetry_breaking=True))
-        assert len(model.family_rows(14)) == 1
+        assert family_counts(model)[14] == 1
         _, _, model3 = three_node_model(workers=3, options=ModelOptions(symmetry_breaking=True))
-        assert len(model3.family_rows(14)) == 3
+        assert family_counts(model3)[14] == 3
 
     def test_upper_bound_row(self):
         _, _, model = three_node_model(options=ModelOptions(upper_bound_cut=5))
-        rows = model.family_rows(15)
-        assert len(rows) == 1
-        assert rows[0].rhs == 5.0
-        assert rows[0].sense == "<="
+        assert family_counts(model)[15] == 1
+        _, sense, rhs = row(model, "f15")
+        assert rhs == 5.0
+        assert sense == "<="
 
     def test_big_m_from_time_windows(self):
         # c(0,p1) = 20 and c(p1,d1) = 14 minutes; windows: p1 [480, 686],
         # d1 [494, 700], depot [0, 666]
         _, _, model = three_node_model()
-        f5 = {r.name: r for r in model.family_rows(5)}
-        assert f5["f5_0_p1_k1"].rhs == pytest.approx(666.0 + 20.0 - 480.0)
-        assert f5["f5_0_p1_k1"].coeffs["x_0_p1_1"] == pytest.approx(20.0 + 206.0)
-        assert f5["f5_p1_d1_k1"].rhs == pytest.approx(686.0 + 14.0 - 494.0)
-        (f6,) = model.family_rows(6)
-        assert f6.rhs == pytest.approx(300.0 + 400.0)  # M_d = tau_d - T
-        assert f6.coeffs["x_d1_0_1"] == pytest.approx(20.0 + 400.0)
+        coeffs, _, rhs = row(model, "f5_0_p1_k1")
+        assert rhs == pytest.approx(666.0 + 20.0 - 480.0)
+        assert coeffs["x_0_p1_1"] == pytest.approx(20.0 + 206.0)
+        assert row(model, "f5_p1_d1_k1")[2] == pytest.approx(686.0 + 14.0 - 494.0)
+        assert family_counts(model)[6] == 1
+        coeffs, _, rhs = row(model, "f6_d1_k1")
+        assert rhs == pytest.approx(300.0 + 400.0)  # M_d = tau_d - T
+        assert coeffs["x_d1_0_1"] == pytest.approx(20.0 + 400.0)
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
@@ -132,8 +150,8 @@ class TestLpExport:
     def test_objective_counts_non_depot_arcs(self):
         _, graph, model = three_node_model(workers=2)
         non_depot = [a for a in graph.arcs if a.from_node != DEPOT_NODE]
-        assert len(model.objective) == 2 * len(non_depot)
-        assert all(c == 1.0 for c in model.objective.values())
+        assert np.count_nonzero(model.objective) == 2 * len(non_depot)
+        assert all(c == 1.0 for c in model.objective[model.objective != 0])
 
     def test_byte_stable_across_builds(self):
         _, _, model_a = three_node_model(workers=2)
@@ -157,6 +175,117 @@ class TestLpExport:
         text = export_lp(model)
         assert export_lp(build_milp(inst, graph)) == text
         assert models_equivalent(model, parse_lp(text))
+        assert export_lp(parse_lp(text)) == text
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("f2_k1: +1.0 x_0_p1_1 <= 1.0", "f2_k1: +1.0 x_0_p1_1 <= 2.0")],
+            [("+226.0 x_0_p1_1", "+225.0 x_0_p1_1")],
+            [("f7_p1_k1: +1.0 t_p1_1 >=", "f7_p1_k1: +1.0 t_p1_1 <=")],
+            [(" -0.625 t_p1_1 <= -225.0", " <= -225.0")],
+            [("obj: +1.0 x_d1_0_1 +1.0 x_d1_0_2", "obj: +1.0 x_d1_0_1")],
+            [(" f15: +1.0 x_d1_0_1 +1.0 x_d1_0_2 +1.0 x_p1_d1_1 +1.0 x_p1_d1_2 <= 3.0\n", "")],
+            [("f3_d1:", "f3_dx:")],
+            [("Bounds\n", "Bounds\n x_0_p1_2 >= 0\n"), ("\n x_0_p1_2\n", "\n")],
+        ],
+    )
+    def test_comparison_sees_every_change(self, edits):
+        options = ModelOptions(symmetry_breaking=True, upper_bound_cut=3)
+        _, _, model = three_node_model(workers=2, options=options)
+        text = export_lp(model)
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        assert not models_equivalent(model, parse_lp(text))
+
+    def test_reader_rejects_malformed_text(self):
+        text = export_lp(three_node_model()[2])
+        with pytest.raises(ValueError, match="unparseable constraint line"):
+            parse_lp(text.replace("<= 1.0", "<=", 1))
+        with pytest.raises(ValueError, match="neither Bounds nor Binaries"):
+            parse_lp(text.replace(" t_p1_1 >= 0\n", ""))
+
+    @pytest.mark.parametrize(
+        "size, seed, k, cut, digest, length",
+        [
+            # demos/03_export_model.py
+            (6, 3, 2, 6, "b7f530b7aefa699c1512c8657ad96c8553f68d8b68bb6fc54cf632deadcaa485", 7556),
+            (60, 7, 3, 40, "00f7da237d3e91b849e4817cc62e6fa694111d30fe8ccfe2017ce6e8e36e3426", 1001570),
+        ],
+    )
+    def test_export_bytes_pinned(self, size, seed, k, cut, digest, length):
+        # sha256 of the export of the row-by-row builder this one replaced
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=size, seed=seed)), k)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        model = build_milp(inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=cut))
+        data = export_lp(model).encode()
+        assert len(data) == length
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_zero_coefficient_left_out(self):
+        # d1 and p2 share a station, so the bike arc d1 -> p2 has c = 0, and
+        # M = max(0, l_d1 - e_p2) = 0: its family-5 row has x coefficient 0
+        inst = make_instance(
+            [
+                pickup("p1", "a", 1.0, 480.0),
+                delivery("d1", "b", 0.0, 500.0),
+                pickup("p2", "b", 1.0, 520.0),
+                delivery("d2", "a", 0.0, 560.0),
+            ]
+        )
+        graph = build_graph(inst, make_matrix(["depot", "a", "b"], {}, default=2.0))
+        assert graph.arc("d1", "p2").op_time_min == 0.0
+        model = build_milp(inst, graph)
+        coeffs, sense, rhs = row(model, "f5_d1_p2_k1")
+        assert coeffs == {"t_d1_1": 1.0, "t_p2_1": -1.0}
+        text = export_lp(model)
+        assert " f5_d1_p2_k1: +1.0 t_d1_1 -1.0 t_p2_1 <= 0.0\n" in text
+        parsed = parse_lp(text)
+        assert models_equivalent(model, parsed)
+        assert row(parsed, "f5_d1_p2_k1") == (coeffs, sense, rhs)
+        x = {("d1", "p2", 1): 1.0}
+        assert ("f5_d1_p2_k1", -10.0) in violations(model, x, {("d1", 1): 510.0, ("p2", 1): 500.0})
+        assert "f5_d1_p2_k1" not in dict(violations(model, x, {("d1", 1): 500.0, ("p2", 1): 520.0}))
+
+
+class TestNameCollisions:
+    @staticmethod
+    def colliding_case():
+        """Ids whose old LP names collided: arcs a -> b_c and a_b -> c were both x_a_b_c_k."""
+        inst = make_instance(
+            [
+                pickup("a", "s1", 1.0, 480.0),
+                pickup("a_b", "s2", 1.0, 480.0),
+                delivery("b_c", "s3", 0.0, 500.0),
+                delivery("c", "s4", 0.0, 500.0),
+            ],
+            params=dataclasses.replace(BASE_PARAMS, workers=2),
+        )
+        entries = {("s1", "s3"): 1.0, ("s2", "s4"): 1.0, ("s1", "s4"): 50.0, ("s2", "s3"): 50.0}
+        matrix = make_matrix(["depot", "s1", "s2", "s3", "s4"], entries, default=1.0)
+        return inst, build_graph(inst, matrix)
+
+    def test_exact_answer_and_bound(self):
+        inst, graph = self.colliding_case()
+        assert brute_force(inst, graph).served_count == 4
+        assert compute_upper_bound(inst, graph) >= 4
+        result = solve_branch_and_bound(inst, graph, SolveOptions(use_upper_bound=True))
+        assert result.optimal
+        assert result.solution.served_count == 4
+
+    def test_binaries_distinct_and_round_trip(self):
+        inst, graph = self.colliding_case()
+        model = build_milp(inst, graph)
+        text = export_lp(model)
+        binaries = text.split("Binaries\n")[1].split()[:-1]  # up to "End"
+        assert len(set(binaries)) == len(binaries) == 2 * len(graph.arcs) == 12
+        assert {"x_a_bc_1", "x_ab_c_1"} <= set(binaries)
+        assert models_equivalent(model, parse_lp(text))
+
+    def test_safe_names_unique_alphanumeric(self):
+        names = _safe_names(["0", "a_b", "ab", "ab2", "a-b", "__"])
+        assert names == {"0": "0", "a_b": "ab", "ab": "ab2", "ab2": "ab22", "a-b": "ab3", "__": "n"}
 
 
 class TestAssignments:
@@ -258,8 +387,7 @@ class TestCrossValidation:
             solution = solve_branch_and_bound(inst, graph).solution
             model = build_milp(inst, graph)
             x, t = solution_to_assignment(inst, graph, solution)
-            values = assignment_to_values(model, x, t)
-            bad = [(r.name, s) for r, okr, s in evaluate_assignment(model, values) if not okr]
+            bad = violations(model, x, t)
             assert not bad, (seed, bad[:5])
 
     def test_strengthened_model_admits_reordered_optimum(self):
@@ -289,6 +417,5 @@ class TestCrossValidation:
                 ModelOptions(symmetry_breaking=True, upper_bound_cut=bound),
             )
             x, t = solution_to_assignment(inst, graph, reordered)
-            values = assignment_to_values(model, x, t)
-            bad = [(r.name, s) for r, okr, s in evaluate_assignment(model, values) if not okr]
+            bad = violations(model, x, t)
             assert not bad, (seed, bad[:5])

@@ -27,7 +27,6 @@ from evrelocate import (
     generate_instance,
     heuristic_sequential,
     matrix_for_instance,
-    matrix_form,
     solution_to_assignment,
     solve_branch_and_bound,
 )
@@ -96,8 +95,8 @@ def violated_rows(inst, graph, solution):
     """Rows of the model that the solution's completed assignment violates."""
     model = build_milp(inst, graph)
     x, t = solution_to_assignment(inst, graph, solution)
-    values = assignment_to_values(model, x, t)
-    return [(row.name, slack) for row, ok, slack in evaluate_assignment(model, values) if not ok]
+    ok, slack = evaluate_assignment(model, assignment_to_values(model, x, t))
+    return [(model.row_names[i], slack[i]) for i in np.flatnonzero(~ok)]
 
 
 def unique_route_case():
@@ -425,16 +424,18 @@ class TestStoppingRule:
 def highs_optimum(inst, graph):
     """Integer optimum of the model through HiGHS, independent of the search."""
     model = build_milp(inst, graph)
-    form = matrix_form(model)
     integrality = np.r_[np.ones(len(model.binaries)), np.zeros(len(model.continuous))]
     result = milp(
-        -form.objective,
+        -model.objective,
         constraints=[
-            LinearConstraint(form.a_ub, -np.inf, form.b_ub),
-            LinearConstraint(form.a_eq, form.b_eq, form.b_eq),
+            LinearConstraint(
+                model.matrix,
+                np.where(model.senses == "<=", -np.inf, model.rhs),
+                np.where(model.senses == ">=", np.inf, model.rhs),
+            )
         ],
         integrality=integrality,
-        bounds=Bounds(np.zeros_like(form.upper), form.upper),
+        bounds=Bounds(np.zeros_like(model.upper), model.upper),
     )
     assert result.status == 0, result.message
     return round(-result.fun)
