@@ -17,16 +17,30 @@ encodes pairwise compatibility:
 
 Every route is then an elementary cycle through the depot, alternating
 bike and EV arcs, even when several requests share one parking location.
+
+Layout.  An :class:`ActionGraph` is arrays in one canonical order, the one
+the MILP uses: ``nodes`` is the depot, then the request ids sorted; arc
+``a`` runs from node ``src[a]`` to node ``dst[a]`` (indices into
+``nodes``) with ``is_ev[a]``, ``distance_km[a]`` and ``op_time_min[a]``,
+and arcs are sorted by (from node, to node) in node order.
+:func:`build_graph` computes each arc class over a whole block of
+candidate pairs of the distance matrix at once.  The :class:`Arc` objects
+(``arcs``), the per-node ``out_arcs``/``in_arcs`` and the ``arc_index``
+behind :meth:`ActionGraph.arc` are views made from the arrays on first
+use, for the search and the scheduler; building and exporting the model
+reads the arrays alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-import math
+from functools import cached_property
+
+import numpy as np
 
 from .distances import DistanceMatrix
-from .domain import DEPOT_NODE, Instance, TIME_TOL, minutes_of
+from .domain import DEPOT_NODE, Instance, RequestKind, TIME_TOL
 
 
 class ArcKind(str, Enum):
@@ -45,100 +59,125 @@ class Arc:
     op_time_min: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionGraph:
-    """Immutable arc set with adjacency, plus the distance matrix it used."""
+    """Immutable arc arrays in canonical order, plus the distance matrix they used."""
 
     instance: Instance
-    arcs: tuple[Arc, ...]
     distances: DistanceMatrix
-    out_arcs: dict[str, tuple[Arc, ...]] = field(init=False)
-    in_arcs: dict[str, tuple[Arc, ...]] = field(init=False)
-    arc_index: dict[tuple[str, str], Arc] = field(init=False)
+    nodes: tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    is_ev: np.ndarray
+    distance_km: np.ndarray
+    op_time_min: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = self.node_ids
-        out: dict[str, list[Arc]] = {n: [] for n in nodes}
-        incoming: dict[str, list[Arc]] = {n: [] for n in nodes}
-        index: dict[tuple[str, str], Arc] = {}
-        for arc in self.arcs:
-            out[arc.from_node].append(arc)
-            incoming[arc.to_node].append(arc)
-            index[(arc.from_node, arc.to_node)] = arc
-        object.__setattr__(self, "out_arcs", {n: tuple(a) for n, a in out.items()})
-        object.__setattr__(self, "in_arcs", {n: tuple(a) for n, a in incoming.items()})
-        object.__setattr__(self, "arc_index", index)
-
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return (DEPOT_NODE,) + tuple(r.id for r in self.instance.requests)
+        for column in (self.src, self.dst, self.is_ev, self.distance_km, self.op_time_min):
+            column.setflags(write=False)  # the cached views must not go stale
 
     @property
     def node_count(self) -> int:
-        return len(self.instance.requests) + 1
+        return len(self.nodes)
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        nodes, kinds = self.nodes, (ArcKind.BIKE, ArcKind.EV)
+        columns = (self.src, self.dst, self.is_ev, self.distance_km, self.op_time_min)
+        return tuple(
+            Arc(nodes[i], nodes[j], kinds[ev], km, cost)
+            for i, j, ev, km, cost in zip(*(column.tolist() for column in columns))
+        )
+
+    @cached_property
+    def out_arcs(self) -> dict[str, tuple[Arc, ...]]:
+        return self._by_node(self.src)
+
+    @cached_property
+    def in_arcs(self) -> dict[str, tuple[Arc, ...]]:
+        return self._by_node(self.dst)
+
+    @cached_property
+    def arc_index(self) -> dict[tuple[str, str], Arc]:
+        return {(arc.from_node, arc.to_node): arc for arc in self.arcs}
+
+    def _by_node(self, ends: np.ndarray) -> dict[str, tuple[Arc, ...]]:
+        """The arcs at each node (an entry for every node), where ``ends`` says."""
+        groups: dict[str, list[Arc]] = {node: [] for node in self.nodes}
+        for end, arc in zip(ends.tolist(), self.arcs):
+            groups[self.nodes[end]].append(arc)
+        return {node: tuple(arcs) for node, arcs in groups.items()}
 
     def arc(self, from_node: str, to_node: str) -> Arc | None:
         return self.arc_index.get((from_node, to_node))
 
     def ev_arcs(self) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a.kind is ArcKind.EV)
+        return tuple(arc for arc in self.arcs if arc.kind is ArcKind.EV)
 
 
 def build_graph(instance: Instance, distances: DistanceMatrix) -> ActionGraph:
-    """Construct the action graph for an instance."""
+    """Construct the action graph for an instance.
+
+    Raises ``ValueError`` naming the first node, in node order, whose
+    location the matrix does not cover, and that location.
+    """
     params = instance.parameters
-    pickups = instance.pickups
-    deliveries = instance.deliveries
+    requests = sorted(instance.requests, key=lambda r: r.id)
+    nodes = (DEPOT_NODE,) + tuple(r.id for r in requests)
+    places = [("the depot", instance.depot.id)]
+    places += [(f"request {r.id!r}", r.location.id) for r in requests]
+    row = np.empty(len(nodes), dtype=np.int64)  # matrix index of each node's location
+    for n, (owner, location) in enumerate(places):
+        if location not in distances.index:
+            raise ValueError(f"distance matrix does not cover location {location!r} of {owner}")
+        row[n] = distances.index[location]
+    tau = np.array([0.0] + [r.time_min for r in requests])
+    pickups = 1 + np.flatnonzero([r.kind is RequestKind.PICKUP for r in requests])
+    deliveries = 1 + np.flatnonzero([r.kind is RequestKind.DELIVERY for r in requests])
+    depot = np.zeros(1, dtype=np.int64)
 
-    def dist(a: str, b: str) -> float:
-        try:
-            return distances.distance(instance.location_id(a), instance.location_id(b))
-        except KeyError as exc:
-            raise ValueError(f"distance matrix does not cover {a!r}/{b!r}: {exc}") from None
+    def finite_pairs(sources: np.ndarray, targets: np.ndarray):
+        """(source, target, km) of every reachable pair, source-major."""
+        km = distances.values[np.ix_(row[sources], row[targets])]
+        i, j = np.nonzero(np.isfinite(km))
+        return sources[i], targets[j], km[i, j]
 
-    arcs: list[Arc] = []
+    def ride(km: np.ndarray) -> np.ndarray:
+        return km / params.bike_speed_kmh * 60.0
 
-    for p in pickups:
-        for d in deliveries:
-            d_km = dist(p.id, d.id)
-            if math.isinf(d_km):
-                continue
-            if d_km > params.max_range_km + 1e-9:
-                continue
-            travel = minutes_of(params.ev_speed_kmh, d_km)
-            op_time = travel + params.handling_min
-            if d.time_min < p.time_min + op_time - TIME_TOL:
-                continue
-            arcs.append(Arc(p.id, d.id, ArcKind.EV, d_km, op_time))
+    p, d, km = finite_pairs(pickups, deliveries)
+    op = km / params.ev_speed_kmh * 60.0 + params.handling_min
+    keep = ~(km > params.max_range_km + 1e-9) & ~(tau[d] < tau[p] + op - TIME_TOL)
+    ev = (p[keep], d[keep], km[keep], op[keep])
 
-    for d in deliveries:
-        for p in pickups:
-            d_km = dist(d.id, p.id)
-            if math.isinf(d_km):
-                continue
-            ride = minutes_of(params.bike_speed_kmh, d_km)
-            if p.time_min < d.time_min + ride + params.load_and_exit_min - TIME_TOL:
-                continue
-            arcs.append(Arc(d.id, p.id, ArcKind.BIKE, d_km, ride))
+    d, p, km = finite_pairs(deliveries, pickups)
+    op = ride(km)
+    keep = ~(tau[p] < tau[d] + op + params.load_and_exit_min - TIME_TOL)
+    bike = (d[keep], p[keep], km[keep], op[keep])
 
-    for p in pickups:
-        d_km = dist(DEPOT_NODE, p.id)
-        if math.isinf(d_km):
-            continue
-        arcs.append(Arc(DEPOT_NODE, p.id, ArcKind.BIKE, d_km, minutes_of(params.bike_speed_kmh, d_km)))
+    _, p, km = finite_pairs(depot, pickups)
+    leave = (np.zeros_like(p), p, km, ride(km))
+    d, _, km = finite_pairs(deliveries, depot)
+    back = (d, np.zeros_like(d), km, ride(km))
 
-    for d in deliveries:
-        d_km = dist(d.id, DEPOT_NODE)
-        if math.isinf(d_km):
-            continue
-        arcs.append(Arc(d.id, DEPOT_NODE, ArcKind.BIKE, d_km, minutes_of(params.bike_speed_kmh, d_km)))
-
-    return ActionGraph(instance=instance, arcs=tuple(arcs), distances=distances)
+    src, dst, dist, cost = (np.concatenate(column) for column in zip(ev, bike, leave, back))
+    is_ev = np.arange(len(src)) < len(ev[0])  # the EV arcs were concatenated first
+    order = np.argsort(src * len(nodes) + dst, kind="stable")
+    return ActionGraph(
+        instance=instance,
+        distances=distances,
+        nodes=nodes,
+        src=src[order],
+        dst=dst[order],
+        is_ev=is_ev[order],
+        distance_km=dist[order],
+        op_time_min=cost[order],
+    )
 
 
 def arc_count_bound_check(graph: ActionGraph) -> bool:
     """True iff the arc count is strictly below the squared node count."""
-    return len(graph.arcs) < graph.node_count**2
+    return len(graph.src) < graph.node_count**2
 
 
 def to_dot(graph: ActionGraph) -> str:

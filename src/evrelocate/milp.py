@@ -37,8 +37,10 @@ problem, and its LP relaxation bounds the served count from above.
 
 Layout.  A :class:`MilpModel` is arrays: one sparse row-by-column matrix,
 the objective vector, and per row its name, family, sense and right-hand
-side.  Nodes are ordered depot first, then by request id; arcs by (from
-node, to node) in that order.  With A arcs and K workers, the column of
+side.  Nodes and arcs take the action graph's canonical order
+(:mod:`evrelocate.actiongraph`): the depot first, then by request id, and
+arcs by (from node, to node) in that order, so the model reads the graph's
+arrays as they are.  With A arcs and K workers, the column of
 ``x`` on arc a for worker k is ``a*K + k - 1`` (all binaries come first)
 and the column of ``t`` at node n is ``(A + n)*K + k - 1``.  Rows come
 family by family in the order above: family 2 per worker, 3 per request,
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .actiongraph import ActionGraph, ArcKind
+from .actiongraph import ActionGraph
 from .domain import DEPOT_NODE, Instance, RequestKind, Route, Solution
 
 # rows on times and distances are checked to 1e-6, the counting rows to 1e-9
@@ -148,18 +150,21 @@ def time_windows(instance: Instance, graph: ActionGraph) -> dict[str, tuple[floa
     and no earlier than tau_p + c_pd.  The depot time is a departure, at or
     after 0 and no later than l_p - c_0p for the first pickup.
     """
-    windows = {r.id: (r.time_min, r.time_min) for r in instance.requests}
-    for arc in graph.arcs:
-        if arc.kind is ArcKind.EV:
-            p, d, c = arc.from_node, arc.to_node, arc.op_time_min
-            tau_p, tau_d = instance.request(p).time_min, instance.request(d).time_min
-            windows[p] = (windows[p][0], max(windows[p][1], tau_d - c))
-            windows[d] = (min(windows[d][0], tau_p + c), windows[d][1])
-    latest_departure = max(
-        [0.0] + [windows[a.to_node][1] - a.op_time_min for a in graph.out_arcs[DEPOT_NODE]]
-    )
-    windows[DEPOT_NODE] = (0.0, latest_departure)
-    return windows
+    tau = np.array([0.0] + [instance.request(n).time_min for n in graph.nodes[1:]])
+    early, late = _window_arrays(graph, tau)
+    return dict(zip(graph.nodes, zip(early.tolist(), late.tolist())))
+
+
+def _window_arrays(graph: ActionGraph, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`time_windows` as ``(early, late)`` in node order; ``tau[0]`` is the depot's 0."""
+    early, late = tau.copy(), tau.copy()
+    ev = graph.is_ev
+    p, d, cost = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
+    np.maximum.at(late, p, tau[d] - cost)
+    np.minimum.at(early, d, tau[p] + cost)
+    leave = graph.src == 0
+    late[0] = np.max(late[graph.dst[leave]] - graph.op_time_min[leave], initial=0.0)
+    return early, late
 
 
 def _safe_names(ids: list[str]) -> dict[str, str]:
@@ -214,25 +219,19 @@ def build_milp(
     gamma = params.recharge_time_min
     cap_km = params.max_range_km
 
-    nodes = [DEPOT_NODE] + sorted(r.id for r in instance.requests)
-    node_pos = {n: i for i, n in enumerate(nodes)}
-    safe = _safe_names(nodes)
+    nodes = graph.nodes
+    safe = _safe_names(list(nodes))
     lp_name = [safe[n] for n in nodes]
     requests = [instance.request(n) for n in nodes[1:]]
     tau = np.array([0.0] + [r.time_min for r in requests])
     charge = np.array([0.0] + [r.charge for r in requests])
     pickups = 1 + np.flatnonzero([r.kind is RequestKind.PICKUP for r in requests])
     deliveries = 1 + np.flatnonzero([r.kind is RequestKind.DELIVERY for r in requests])
-    windows = time_windows(instance, graph)
-    early = np.array([windows[n][0] for n in nodes])
-    late = np.array([windows[n][1] for n in nodes])
+    early, late = _window_arrays(graph, tau)
 
-    arcs = sorted(graph.arcs, key=lambda a: (node_pos[a.from_node], node_pos[a.to_node]))
-    n_arcs = len(arcs)
-    src = np.array([node_pos[a.from_node] for a in arcs], dtype=np.int64)
-    dst = np.array([node_pos[a.to_node] for a in arcs], dtype=np.int64)
-    cost = np.array([a.op_time_min for a in arcs], dtype=float)
-    dist = np.array([a.distance_km for a in arcs], dtype=float)
+    src, dst = graph.src, graph.dst
+    cost, dist = graph.op_time_min, graph.distance_km
+    n_arcs = len(src)
 
     workers = np.arange(1, k_total + 1)
 
@@ -314,7 +313,7 @@ def build_milp(
     rows.add(named("f8", node_tags(deliveries)), 8, "<=", tau[n], (r, t(n, k), 1.0))
 
     # families 9, 10 and 11 interleaved: rows 3r, 3r + 1, 3r + 2 of EV arc x worker r
-    ev = np.flatnonzero([arc.kind is ArcKind.EV for arc in arcs])
+    ev = np.flatnonzero(graph.is_ev)
     r, a, k = per_worker(ev)
     p, d = src[a], dst[a]
     tags = arc_tags(ev)
@@ -374,8 +373,8 @@ def build_milp(
         rhs=np.concatenate(rows.rhs).astype(float),
         columns=tuple(columns),
         binary_count=n_arcs * k_total,
-        nodes=tuple(nodes),
-        arcs=tuple((a.from_node, a.to_node) for a in arcs),
+        nodes=nodes,
+        arcs=tuple((nodes[i], nodes[j]) for i, j in zip(src.tolist(), dst.tolist())),
         workers=k_total,
     )
 
@@ -386,7 +385,7 @@ def build_milp(
 
 
 def _lines(
-    heads: list[str], matrix: csr_matrix, columns: np.ndarray, tails: list[str] | None = None
+    heads: list[str], matrix: csr_matrix, columns: np.ndarray, tails: np.ndarray | None = None
 ) -> str:
     """One line `` <head>: <terms> <tail>`` per row, lines separated by newlines.
 
@@ -419,9 +418,13 @@ def export_lp(model: MilpModel) -> str:
     """Serialize to LP text; identical models export byte-identically."""
     columns = np.array([" " + name for name in model.columns], dtype=object)
     objective = csr_matrix(model.objective[np.newaxis, :])
-    values, inverse = np.unique(model.rhs, return_inverse=True)  # repr once per distinct rhs
-    rhs = np.array([repr(v) for v in values.tolist()], dtype=object)[inverse]
-    tails = [f" {sense} {text}" for sense, text in zip(model.senses.tolist(), rhs.tolist())]
+    # one tail text per distinct (sense, rhs) pair, gathered per row
+    senses, sense_of = np.unique(model.senses, return_inverse=True)
+    values, value_of = np.unique(model.rhs, return_inverse=True)
+    pairs, tail_of = np.unique(sense_of * len(values) + value_of, return_inverse=True)
+    senses, values = senses.tolist(), values.tolist()
+    texts = [f" {senses[p // len(values)]} {values[p % len(values)]!r}" for p in pairs.tolist()]
+    tails = np.array(texts, dtype=object)[tail_of]
     lines = ["\\ relocation model export", "Maximize", _lines(["obj"], objective, columns)]
     lines.append("Subject To")
     if len(model.row_names):

@@ -2,8 +2,52 @@ import math
 
 import pytest
 
-from evrelocate import ArcKind, arc_count_bound_check, build_graph, to_dot
-from conftest import delivery, make_instance, make_matrix, pickup
+from evrelocate import DEPOT_NODE, ArcKind, arc_count_bound_check, build_graph, minutes_of, to_dot
+from evrelocate.domain import TIME_TOL
+from conftest import ORACLE_CASES, delivery, make_instance, make_matrix, oracle_case, pickup
+
+
+def oracle_arcs(instance, distances):
+    """(from, to, kind, km, op_time) of every arc, built pair by pair, in canonical order.
+
+    This is the loop that the array build replaced, kept as its reference.
+    """
+    params = instance.parameters
+
+    def dist(a, b):
+        return distances.distance(instance.location_id(a), instance.location_id(b))
+
+    arcs = []
+    for p in instance.pickups:
+        for d in instance.deliveries:
+            d_km = dist(p.id, d.id)
+            if math.isinf(d_km) or d_km > params.max_range_km + 1e-9:
+                continue
+            op_time = minutes_of(params.ev_speed_kmh, d_km) + params.handling_min
+            if d.time_min < p.time_min + op_time - TIME_TOL:
+                continue
+            arcs.append((p.id, d.id, ArcKind.EV, d_km, op_time))
+    for d in instance.deliveries:
+        for p in instance.pickups:
+            d_km = dist(d.id, p.id)
+            if math.isinf(d_km):
+                continue
+            ride = minutes_of(params.bike_speed_kmh, d_km)
+            if p.time_min < d.time_min + ride + params.load_and_exit_min - TIME_TOL:
+                continue
+            arcs.append((d.id, p.id, ArcKind.BIKE, d_km, ride))
+    for p in instance.pickups:
+        d_km = dist(DEPOT_NODE, p.id)
+        if not math.isinf(d_km):
+            ride = minutes_of(params.bike_speed_kmh, d_km)
+            arcs.append((DEPOT_NODE, p.id, ArcKind.BIKE, d_km, ride))
+    for d in instance.deliveries:
+        d_km = dist(d.id, DEPOT_NODE)
+        if not math.isinf(d_km):
+            ride = minutes_of(params.bike_speed_kmh, d_km)
+            arcs.append((d.id, DEPOT_NODE, ArcKind.BIKE, d_km, ride))
+    order = {n: i for i, n in enumerate([DEPOT_NODE] + sorted(r.id for r in instance.requests))}
+    return sorted(arcs, key=lambda arc: (order[arc[0]], order[arc[1]]))
 
 
 def tiny(tau_p=480.0, tau_d=500.0, d_pd=5.0, rho_p=1.0, rho_d=0.0):
@@ -86,8 +130,9 @@ class TestDepotArcs:
     def test_missing_matrix_entry_is_error(self):
         inst, _ = tiny()
         matrix = make_matrix(["depot", "a"], {}, default=2.0)  # no "b"
-        with pytest.raises(ValueError, match="does not cover"):
+        with pytest.raises(ValueError, match="does not cover") as error:
             build_graph(inst, matrix)
+        assert "'b'" in str(error.value) and "'d1'" in str(error.value)
 
 
 class TestGraphShape:
@@ -163,6 +208,19 @@ class TestGraphShape:
             (a.from_node, a.to_node) for a in full.arcs if "p2" not in (a.from_node, a.to_node)
         }
         assert {(a.from_node, a.to_node) for a in partial.arcs} == full_minus
+
+
+@pytest.mark.parametrize("kind, size, seed", ORACLE_CASES)
+def test_arcs_equal_pair_by_pair_oracle(kind, size, seed):
+    inst, matrix = oracle_case(kind, size, seed)
+    graph = build_graph(inst, matrix)
+    arcs = [(a.from_node, a.to_node, a.kind, a.distance_km, a.op_time_min) for a in graph.arcs]
+    assert arcs == oracle_arcs(inst, matrix)
+    assert graph.nodes == (DEPOT_NODE,) + tuple(sorted(r.id for r in inst.requests))
+    assert graph.arc_index == {(a.from_node, a.to_node): a for a in graph.arcs}
+    for node in graph.nodes:
+        assert graph.out_arcs[node] == tuple(a for a in graph.arcs if a.from_node == node)
+        assert graph.in_arcs[node] == tuple(a for a in graph.arcs if a.to_node == node)
 
 
 class TestDot:

@@ -7,6 +7,7 @@ import pytest
 
 from evrelocate import (
     DEPOT_NODE,
+    ArcKind,
     GeneratorConfig,
     ModelOptions,
     Solution,
@@ -27,10 +28,19 @@ from evrelocate import (
     route_operational_cost,
     solve_branch_and_bound,
     solution_to_assignment,
+    time_windows,
     values_to_assignment,
 )
 from evrelocate.milp import _safe_names
-from conftest import BASE_PARAMS, delivery, make_instance, make_matrix, pickup
+from conftest import (
+    BASE_PARAMS,
+    ORACLE_CASES,
+    delivery,
+    make_instance,
+    make_matrix,
+    oracle_case,
+    pickup,
+)
 
 
 def with_workers(inst, k):
@@ -46,6 +56,22 @@ def three_node_model(workers=1, options=None):
     graph = build_graph(inst, matrix)
     model = build_milp(inst, graph, options)
     return inst, graph, model
+
+
+def oracle_windows(instance, graph):
+    """Time windows by the per-arc loop that the array version replaced, kept as its reference."""
+    windows = {r.id: (r.time_min, r.time_min) for r in instance.requests}
+    for arc in graph.arcs:
+        if arc.kind is ArcKind.EV:
+            p, d, c = arc.from_node, arc.to_node, arc.op_time_min
+            tau_p, tau_d = instance.request(p).time_min, instance.request(d).time_min
+            windows[p] = (windows[p][0], max(windows[p][1], tau_d - c))
+            windows[d] = (min(windows[d][0], tau_p + c), windows[d][1])
+    latest_departure = max(
+        [0.0] + [windows[a.to_node][1] - a.op_time_min for a in graph.out_arcs[DEPOT_NODE]]
+    )
+    windows[DEPOT_NODE] = (0.0, latest_departure)
+    return windows
 
 
 def family_counts(model):
@@ -107,6 +133,12 @@ class TestModelShape:
         coeffs, _, rhs = row(model, "f6_d1_k1")
         assert rhs == pytest.approx(300.0 + 400.0)  # M_d = tau_d - T
         assert coeffs["x_d1_0_1"] == pytest.approx(20.0 + 400.0)
+
+    @pytest.mark.parametrize("kind, size, seed", ORACLE_CASES)
+    def test_time_windows_equal_per_arc_oracle(self, kind, size, seed):
+        inst, matrix = oracle_case(kind, size, seed)
+        graph = build_graph(inst, matrix)
+        assert time_windows(inst, graph) == oracle_windows(inst, graph)
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
@@ -221,6 +253,20 @@ class TestLpExport:
         model = build_milp(inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=cut))
         data = export_lp(model).encode()
         assert len(data) == length
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_export_makes_no_arc_objects(self):
+        inst, matrix = oracle_case("generated", 24, 1)
+        graph = build_graph(inst, matrix)
+        export_lp(build_milp(inst, graph))
+        assert not {"arcs", "out_arcs", "in_arcs", "arc_index"} & set(vars(graph))
+
+    def test_export_400_bytes_pinned(self):
+        # the benchmark's export-400 instance: its first run's (seed 1) first instance
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=400, seed=100000)), 3)
+        data = export_lp(build_milp(inst, build_graph(inst, matrix_for_instance(inst)))).encode()
+        assert len(data) == 33_571_358
+        digest = "23f8bb73cb6f2fae1b0a360f0233d99058265cbb7225602d9ddb0b1476326312"
         assert hashlib.sha256(data).hexdigest() == digest
 
     def test_zero_coefficient_left_out(self):
