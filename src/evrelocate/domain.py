@@ -47,6 +47,9 @@ class RequestKind(str, Enum):
 class Parameters:
     """Fleet-wide operating constants.
 
+    Every constant but ``workers`` must be finite and strictly positive;
+    ``workers`` is a positive integer.
+
     Attributes
     ----------
     max_range_km : float
@@ -89,8 +92,9 @@ class Parameters:
             "park_and_unload_min",
             "load_and_exit_min",
         ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
         if not (isinstance(self.workers, int) and self.workers >= 1):
             raise ValueError("workers must be a positive integer")
 

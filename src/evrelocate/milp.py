@@ -52,17 +52,26 @@ reduced to letters and digits, with a numeric suffix where two ids reduce
 alike, so ``_`` separates the parts of every variable and row name
 unambiguously.
 
-Binary domains and nonnegativity are the variable sections of the export.
-The export writes each row's nonzero terms in column order, each
-coefficient as the shortest decimal that reads back exactly, so
+Export.  Binary domains and nonnegativity are the variable sections of the
+LP text.  Each row's nonzero terms are written in column order, each
+coefficient as the shortest decimal that reads back exactly (``repr``), so
 re-exporting the same model is byte-identical, and the bundled reader
 parses the emitted format back into the same arrays for round-trip checks.
+The whole text is one array of tokens, header, objective row, constraint
+rows and variable sections, written by a single ``str.join``.  Every token
+comes from a small table, so nothing is formatted per row: a row is its
+name, then per term a coefficient token and the bare column name, then its
+tail.  Each distinct coefficient is formatted once into two tables,
+``": +c "`` for a row's first term (it carries the colon after the name)
+and ``" +c "`` for the others.  Each distinct (sense, rhs) pair is
+formatted once into a tail `` <= b`` plus the newline and the next line's
+one-space indent.  A row without terms reads ``+0 <first column>``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -92,9 +101,10 @@ class MilpModel:
     """Maximize ``objective @ v`` subject to ``matrix @ v <sense> rhs`` per row.
 
     ``v`` runs over ``columns``: binaries first (``0 <= v <= 1``), then the
-    visit times (``v >= 0``).  A built model also keeps its node order, its
-    arc keys in column order and K (see the module notes for the layout); a
-    parsed model has none of these.
+    visit times (``v >= 0``).  A built model also keeps its node order, K,
+    and its arcs in column order as the graph's node-index arrays:
+    ``arc_src[a]`` and ``arc_dst[a]`` index ``nodes`` (see the module notes
+    for the layout).  A parsed model has none of these.
     """
 
     matrix: csr_matrix  # sorted column indices per row, no stored zeros
@@ -106,7 +116,8 @@ class MilpModel:
     columns: tuple[str, ...]
     binary_count: int
     nodes: tuple[str, ...] = ()
-    arcs: tuple[tuple[str, str], ...] = ()
+    arc_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    arc_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     workers: int = 0
 
     @property
@@ -374,7 +385,8 @@ def build_milp(
         columns=tuple(columns),
         binary_count=n_arcs * k_total,
         nodes=nodes,
-        arcs=tuple((nodes[i], nodes[j]) for i, j in zip(src.tolist(), dst.tolist())),
+        arc_src=src,
+        arc_dst=dst,
         workers=k_total,
     )
 
@@ -384,57 +396,67 @@ def build_milp(
 # ---------------------------------------------------------------------------
 
 
-def _lines(
-    heads: list[str], matrix: csr_matrix, columns: np.ndarray, tails: np.ndarray | None = None
-) -> str:
-    """One line `` <head>: <terms> <tail>`` per row, lines separated by newlines.
+def _section(title: str, names: tuple[str, ...], suffix: str) -> list[str]:
+    """Tokens of ``title`` and then one line `` <name><suffix>`` per name."""
+    if not names:
+        return [title]
+    return [title, "\n ", (suffix + "\n ").join(names), suffix]
 
-    A term is ``+c name`` or ``-c name``, in column order, with ``c`` the
-    shortest decimal of the coefficient that reads back exactly (``repr``);
-    a row without terms reads ``+0 <first column>``.  ``columns`` holds the
-    column names, each with a leading space.  Every token goes into one
-    array in text order, so a single ``str.join`` writes the whole text.
-    """
-    n_rows, nnz = matrix.shape[0], matrix.nnz
-    counts = np.diff(matrix.indptr)
-    per_row = 1 if tails is None else 2  # the head, and the tail if any
-    values, inverse = np.unique(matrix.data, return_inverse=True)
-    signed = [f" +{v!r}" if v >= 0 else f" -{-v!r}" for v in values.tolist()]
-    heads = np.array([f"\n {head}:" for head in heads], dtype=object)
-    heads[counts == 0] += " +0" + columns[0]
 
-    tokens = np.empty(2 * nnz + per_row * n_rows, dtype=object)
-    row_start = 2 * matrix.indptr[:-1] + per_row * np.arange(n_rows)
-    coef_at = 2 * np.arange(nnz) + np.repeat(row_start - 2 * matrix.indptr[:-1], counts) + 1
-    tokens[row_start] = heads
-    tokens[coef_at] = np.array(signed, dtype=object)[inverse]
-    tokens[coef_at + 1] = columns[matrix.indices]
-    if tails is not None:
-        tokens[row_start + 2 * counts + 1] = tails
-    return "".join(tokens.tolist())[1:]
+def _tails(senses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """`` <sense> <rhs>\\n `` per row, each distinct (sense, rhs) pair formatted once."""
+    sense = (senses == ">=") + 2 * (senses == "=")  # index into _SENSES
+    values = np.unique(rhs)
+    n = len(values)
+    key = sense * n + np.searchsorted(values, rhs)
+    present = np.flatnonzero(np.bincount(key, minlength=len(_SENSES) * n))
+    values = values.tolist()
+    texts = np.empty(len(_SENSES) * n, dtype=object)
+    texts[present] = [f" {_SENSES[p // n]} {values[p % n]!r}\n " for p in present.tolist()]
+    return texts[key]
 
 
 def export_lp(model: MilpModel) -> str:
     """Serialize to LP text; identical models export byte-identically."""
-    columns = np.array([" " + name for name in model.columns], dtype=object)
-    objective = csr_matrix(model.objective[np.newaxis, :])
-    # one tail text per distinct (sense, rhs) pair, gathered per row
-    senses, sense_of = np.unique(model.senses, return_inverse=True)
-    values, value_of = np.unique(model.rhs, return_inverse=True)
-    pairs, tail_of = np.unique(sense_of * len(values) + value_of, return_inverse=True)
-    senses, values = senses.tolist(), values.tolist()
-    texts = [f" {senses[p // len(values)]} {values[p % len(values)]!r}" for p in pairs.tolist()]
-    tails = np.array(texts, dtype=object)[tail_of]
-    lines = ["\\ relocation model export", "Maximize", _lines(["obj"], objective, columns)]
-    lines.append("Subject To")
-    if len(model.row_names):
-        lines.append(_lines(list(model.row_names), model.matrix, columns, tails))
-    lines.append("Bounds")
-    lines += [f" {var} >= 0" for var in model.continuous]
-    lines.append("Binaries")
-    lines += [f" {var}" for var in model.binaries]
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    # the objective is text row 0, "obj", ahead of the constraint rows
+    matrix = model.matrix
+    objective = np.flatnonzero(model.objective)
+    indptr = np.r_[0, len(objective) + matrix.indptr]
+    data = np.r_[model.objective[objective], matrix.data]
+    counts = np.diff(indptr)
+    empty = counts == 0
+    # row r is tokens name, coefficient, column, ..., tail from start[r] on;
+    # a row without terms holds the one term "+0 <first column>"
+    slots = np.maximum(counts, 1)
+    start = 1 + 2 * np.arange(len(counts)) + 2 * np.r_[0, np.cumsum(slots[:-1])]
+    tail_at = start + 2 * slots + 1
+    footer = (
+        _section("Bounds", model.continuous, " >= 0")
+        + _section("\nBinaries", model.binaries, "")
+        + ["\nEnd\n"]
+    )
+
+    values = np.unique(data)
+    code = np.searchsorted(values, data)
+    signed = [f"+{v!r}" if v >= 0 else f"-{-v!r}" for v in values.tolist()]
+    first = np.array([f": {s} " for s in signed], dtype=object)
+    later = np.array([f" {s} " for s in signed], dtype=object)
+
+    tokens = np.empty(tail_at[-1] + 1 + len(footer), dtype=object)
+    tokens[0] = "\\ relocation model export\nMaximize\n "
+    tokens[start[0]] = "obj"
+    tokens[start[1:]] = model.row_names
+    coef_at = 2 * np.arange(len(data)) + np.repeat(start + 1 - 2 * indptr[:-1], counts)
+    tokens[coef_at] = later[code]
+    tokens[coef_at + 1] = np.array(model.columns, dtype=object)[np.r_[objective, matrix.indices]]
+    tokens[start[~empty] + 1] = first[code[indptr[:-1][~empty]]]
+    tokens[start[empty] + 1] = ": +0 "
+    tokens[start[empty] + 2] = model.columns[0]
+    tokens[tail_at[0]] = "\nSubject To\n "
+    tokens[tail_at[1:]] = _tails(model.senses, model.rhs)
+    tokens[tail_at[-1]] = tokens[tail_at[-1]][:-1]  # the last row is followed by "Bounds"
+    tokens[tail_at[-1] + 1 :] = footer
+    return "".join(tokens.tolist())
 
 
 _FAMILY_RE = re.compile(r"f(\d+)")
@@ -558,14 +580,20 @@ def read_solution_values(text: str) -> dict[str, float]:
     return values
 
 
+def _arc_keys(model: MilpModel) -> list[tuple[str, str]]:
+    """``(from, to)`` node ids of the model's arcs, in column order."""
+    nodes = model.nodes
+    return [(nodes[i], nodes[j]) for i, j in zip(model.arc_src.tolist(), model.arc_dst.tolist())]
+
+
 def values_to_assignment(
     model: MilpModel, values: dict[str, float]
 ) -> tuple[dict[tuple[str, str, int], float], dict[tuple[str, int], float]]:
     """Map name-keyed values back to (i, j, k) / (i, k) keyed dictionaries."""
-    k_total, n_arcs = model.workers, len(model.arcs)
+    k_total, n_arcs = model.workers, len(model.arc_src)
     x_vals = {
         (i, j, k): values.get(model.columns[_x_column(a, k, k_total)], 0.0)
-        for a, (i, j) in enumerate(model.arcs)
+        for a, (i, j) in enumerate(_arc_keys(model))
         for k in range(1, k_total + 1)
     }
     t_vals = {
@@ -677,8 +705,8 @@ def assignment_to_values(
     t_values: dict[tuple[str, int], float],
 ) -> np.ndarray:
     """One value per column of ``model`` for row evaluation (absent x means 0)."""
-    k_total, n_arcs = model.workers, len(model.arcs)
-    arc_pos = {key: a for a, key in enumerate(model.arcs)}
+    k_total, n_arcs = model.workers, len(model.arc_src)
+    arc_pos = {key: a for a, key in enumerate(_arc_keys(model))}
     node_pos = {node: n for n, node in enumerate(model.nodes)}
     values = np.zeros(len(model.columns))
     for (i, j, k), value in x_values.items():

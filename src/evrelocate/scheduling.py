@@ -97,6 +97,7 @@ def schedule_route(
     gamma = params.recharge_time_min
     cap_km = params.max_range_km
 
+    arc = graph.arc_index.get  # one attribute read per call, not per leg
     seen: set[str] = set()
     legs = []
     for p_id, d_id in pairs:
@@ -108,17 +109,17 @@ def schedule_route(
             if rid in seen:
                 raise ValueError(f"request {rid!r} repeated in route")
             seen.add(rid)
-        ev = graph.arc(p_id, d_id)
+        ev = arc((p_id, d_id))
         if ev is None or ev.kind is not ArcKind.EV:
             raise ValueError(f"no EV arc {p_id} -> {d_id} in graph")
         legs.append((p, d, ev))
 
-    first_bike = graph.arc(DEPOT_NODE, pairs[0][0])
+    first_bike = arc((DEPOT_NODE, pairs[0][0]))
     if first_bike is None:
         raise ValueError(f"no depot arc to {pairs[0][0]} in graph")
     connectors = []
     for (_, d_prev, _), (p_next, _, _) in zip(legs, legs[1:]):
-        bike = graph.arc(d_prev.id, p_next.id)
+        bike = arc((d_prev.id, p_next.id))
         if bike is None or bike.kind is not ArcKind.BIKE:
             raise ValueError(f"no bike arc {d_prev.id} -> {p_next.id} in graph")
         connectors.append(bike)
@@ -180,7 +181,7 @@ def schedule_route(
     span_open = big_t - first_bike.op_time_min - legs[-1][2].op_time_min
     if start_delay(span_open) is None:
         return _infeasible("shift limit exceeded by the last delivery", extendable=False)
-    last_bike = graph.arc(pairs[-1][1], DEPOT_NODE)
+    last_bike = arc((pairs[-1][1], DEPOT_NODE))
     if last_bike is None:
         return _infeasible(f"no arc from {pairs[-1][1]} back to the depot", extendable=True)
     delay = start_delay(span_open - last_bike.op_time_min)

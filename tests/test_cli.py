@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -143,6 +144,18 @@ class TestSolveAndCheck:
             code, _, err = run(capsys, "solve", "--instance", str(bad))
             assert code == 2
             assert field in err
+
+    @pytest.mark.parametrize("name", ["max_range_km", "shift_limit_min"])
+    def test_infinite_parameter_exits_2(self, tmp_path, capsys, instance_file, name):
+        doc = json.loads(instance_file.read_text())
+        doc["parameters"][name] = math.inf
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export-lp", "--instance", str(bad), "--out", "-")
+        assert code == 2
+        assert f"{name} must be finite" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 def two_station_instance(distance_source, network_nodes=False):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -88,6 +89,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Parameters(150, 240, 300, 0, 25, 15, 1, 1)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(Parameters) if f.name != "workers"]
+    )
+    def test_parameters_must_be_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(BASE_PARAMS, **{name: bad})
+
     def test_charge_bounds(self):
         with pytest.raises(ValueError):
             pickup("p1", "a", 1.5, 480.0)
@@ -156,6 +165,14 @@ class TestJsonRoundTrip:
         text = instance_to_json(make_instance([pickup("p1", "a", 0.25, 480.0)]))
         with pytest.raises(ValueError, match="finite"):
             instance_from_json(text.replace("480.0", "NaN"))
+
+    def test_infinite_parameter_in_json_rejected(self):
+        doc = json.loads(instance_to_json(make_instance([pickup("p1", "a", 0.25, 480.0)])))
+        doc["parameters"]["max_range_km"] = math.inf
+        text = json.dumps(doc)
+        assert '"max_range_km": Infinity' in text
+        with pytest.raises(ValueError, match="max_range_km must be finite"):
+            instance_from_json(text)
 
     def test_solution_round_trip(self):
         sol = Solution.from_routes([route(0, [("p1", 480.0), ("d1", 520.5)])])

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from evrelocate import (
     DEPOT_NODE,
@@ -72,6 +73,49 @@ def oracle_windows(instance, graph):
     )
     windows[DEPOT_NODE] = (0.0, latest_departure)
     return windows
+
+
+def _oracle_lines(heads, matrix, columns, tails=None):
+    """One line `` <head>: <terms> <tail>`` per row, as the per-row-head export wrote them."""
+    n_rows, nnz = matrix.shape[0], matrix.nnz
+    counts = np.diff(matrix.indptr)
+    per_row = 1 if tails is None else 2  # the head, and the tail if any
+    values, inverse = np.unique(matrix.data, return_inverse=True)
+    signed = [f" +{v!r}" if v >= 0 else f" -{-v!r}" for v in values.tolist()]
+    heads = np.array([f"\n {head}:" for head in heads], dtype=object)
+    heads[counts == 0] += " +0" + columns[0]
+
+    tokens = np.empty(2 * nnz + per_row * n_rows, dtype=object)
+    row_start = 2 * matrix.indptr[:-1] + per_row * np.arange(n_rows)
+    coef_at = 2 * np.arange(nnz) + np.repeat(row_start - 2 * matrix.indptr[:-1], counts) + 1
+    tokens[row_start] = heads
+    tokens[coef_at] = np.array(signed, dtype=object)[inverse]
+    tokens[coef_at + 1] = columns[matrix.indices]
+    if tails is not None:
+        tokens[row_start + 2 * counts + 1] = tails
+    return "".join(tokens.tolist())[1:]
+
+
+def oracle_export_lp(model):
+    """The LP export that the single-token-array writer replaced, kept as its reference."""
+    columns = np.array([" " + name for name in model.columns], dtype=object)
+    objective = csr_matrix(model.objective[np.newaxis, :])
+    senses, sense_of = np.unique(model.senses, return_inverse=True)
+    values, value_of = np.unique(model.rhs, return_inverse=True)
+    pairs, tail_of = np.unique(sense_of * len(values) + value_of, return_inverse=True)
+    senses, values = senses.tolist(), values.tolist()
+    texts = [f" {senses[p // len(values)]} {values[p % len(values)]!r}" for p in pairs.tolist()]
+    tails = np.array(texts, dtype=object)[tail_of]
+    lines = ["\\ relocation model export", "Maximize", _oracle_lines(["obj"], objective, columns)]
+    lines.append("Subject To")
+    if len(model.row_names):
+        lines.append(_oracle_lines(list(model.row_names), model.matrix, columns, tails))
+    lines.append("Bounds")
+    lines += [f" {var} >= 0" for var in model.continuous]
+    lines.append("Binaries")
+    lines += [f" {var}" for var in model.binaries]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 def family_counts(model):
@@ -293,6 +337,67 @@ class TestLpExport:
         x = {("d1", "p2", 1): 1.0}
         assert ("f5_d1_p2_k1", -10.0) in violations(model, x, {("d1", 1): 510.0, ("p2", 1): 500.0})
         assert "f5_d1_p2_k1" not in dict(violations(model, x, {("d1", 1): 500.0, ("p2", 1): 520.0}))
+
+
+def assert_same_text(got, want):
+    """``got == want``, reporting the first difference (pytest's diff of megabyte texts is slow)."""
+    if got != want:
+        pairs = enumerate(zip(got, want))
+        at = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        around = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"texts differ at {at}: {got[around]!r} != {want[around]!r}")
+
+
+HAND_WRITTEN = (
+    "\\ hand\nMaximize\n obj: {obj}\nSubject To\n{rows}Bounds\n{bounds}Binaries\n{binaries}End\n"
+)
+
+
+class TestExportOracle:
+    @pytest.mark.parametrize("strengthened", [False, True])
+    @pytest.mark.parametrize("kind, size, seed", ORACLE_CASES)
+    def test_export_equals_oracle(self, kind, size, seed, strengthened):
+        inst, matrix = oracle_case(kind, size, seed)
+        inst = with_workers(inst, 2)
+        options = ModelOptions(symmetry_breaking=True, upper_bound_cut=size // 3)
+        model = build_milp(inst, build_graph(inst, matrix), options if strengthened else None)
+        text = export_lp(model)
+        assert_same_text(text, oracle_export_lp(model))
+        parsed = parse_lp(text)
+        assert_same_text(export_lp(parsed), oracle_export_lp(parsed))
+        assert_same_text(export_lp(parsed), text)
+
+    @pytest.mark.parametrize(
+        "obj, rows, bounds, binaries",
+        [
+            # no constraint rows
+            ("+1.0 x1 +2.5 x2", "", " t1 >= 0\n", " x1\n x2\n"),
+            # all-zero objective
+            ("+0 x1", " c1: +1.0 x1 -3.0 t1 <= 1.0\n", " t1 >= 0\n", " x1\n"),
+            # rhs -0.0 and 0.0 in one model, under every sense
+            (
+                "+1.0 x1",
+                " c1: +1.0 x1 <= -0.0\n c2: +1.0 t1 <= 0.0\n c3: -1.0 x1 >= 0.0\n"
+                " c4: +2.0 t1 = -0.0\n c5: +1.0 t1 >= -0.0\n c6: +1.0 x1 = 0.0\n",
+                " t1 >= 0\n",
+                " x1\n",
+            ),
+            # extreme coefficients
+            (
+                "+1e-300 x1",
+                " c1: +1e-300 x1 -1e+300 t1 <= 1e+300\n c2: -1e-300 t1 >= -1e-300\n",
+                " t1 >= 0\n",
+                " x1\n",
+            ),
+            # a row without terms, and empty variable sections
+            ("+1.0 x1", " c1: +0 x1 <= 1.0\n", "", " x1\n"),
+            ("+1.0 t1", " c1: +1.0 t1 <= 1.0\n", " t1 >= 0\n", ""),
+        ],
+    )
+    def test_hand_written_equals_oracle(self, obj, rows, bounds, binaries):
+        text = HAND_WRITTEN.format(obj=obj, rows=rows, bounds=bounds, binaries=binaries)
+        model = parse_lp(text)
+        assert_same_text(export_lp(model), oracle_export_lp(model))
 
 
 class TestNameCollisions:
