@@ -47,8 +47,6 @@ from .domain import (
 from .milp import (
     MilpModel,
     ModelOptions,
-    assignment_to_solution,
-    assignment_to_values,
     build_milp,
     evaluate_assignment,
     export_lp,
@@ -56,9 +54,9 @@ from .milp import (
     parse_lp,
     read_solution_values,
     route_operational_cost,
-    solution_to_assignment,
+    solution_to_values,
     time_windows,
-    values_to_assignment,
+    values_to_solution,
 )
 from .scheduling import ScheduleResult, schedule_route
 from .search import (

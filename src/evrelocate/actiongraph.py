@@ -25,10 +25,10 @@ the MILP uses: ``nodes`` is the depot, then the request ids sorted; arc
 and arcs are sorted by (from node, to node) in node order.
 :func:`build_graph` computes each arc class over a whole block of
 candidate pairs of the distance matrix at once.  The :class:`Arc` objects
-(``arcs``), the per-node ``out_arcs``/``in_arcs`` and the ``arc_index``
-behind :meth:`ActionGraph.arc` are views made from the arrays on first
-use, for the search and the scheduler; building and exporting the model
-reads the arrays alone.
+(``arcs``) and the ``arc_index`` behind :meth:`ActionGraph.arc` are views
+made from the arrays on first use, for the search and the scheduler;
+building and exporting the model and decoding its assignments read the
+arrays alone.
 """
 
 from __future__ import annotations
@@ -90,29 +90,11 @@ class ActionGraph:
         )
 
     @cached_property
-    def out_arcs(self) -> dict[str, tuple[Arc, ...]]:
-        return self._by_node(self.src)
-
-    @cached_property
-    def in_arcs(self) -> dict[str, tuple[Arc, ...]]:
-        return self._by_node(self.dst)
-
-    @cached_property
     def arc_index(self) -> dict[tuple[str, str], Arc]:
         return {(arc.from_node, arc.to_node): arc for arc in self.arcs}
 
-    def _by_node(self, ends: np.ndarray) -> dict[str, tuple[Arc, ...]]:
-        """The arcs at each node (an entry for every node), where ``ends`` says."""
-        groups: dict[str, list[Arc]] = {node: [] for node in self.nodes}
-        for end, arc in zip(ends.tolist(), self.arcs):
-            groups[self.nodes[end]].append(arc)
-        return {node: tuple(arcs) for node, arcs in groups.items()}
-
     def arc(self, from_node: str, to_node: str) -> Arc | None:
         return self.arc_index.get((from_node, to_node))
-
-    def ev_arcs(self) -> tuple[Arc, ...]:
-        return tuple(arc for arc in self.arcs if arc.kind is ArcKind.EV)
 
 
 def build_graph(instance: Instance, distances: DistanceMatrix) -> ActionGraph:

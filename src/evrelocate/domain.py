@@ -384,17 +384,35 @@ def solution_to_json(solution: Solution) -> str:
 
 
 def solution_from_json(text: str) -> Solution:
+    """Parse the canonical solution JSON format.
+
+    Raises ``ValueError`` naming the field for non-numeric times and worker
+    indices, and when ``served_count`` is not the number of distinct visits.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("solution JSON must be an object")
     version = doc.get("format_version")
     if version != SOLUTION_FORMAT_VERSION:
         raise ValueError(f"unsupported solution format_version {version!r}")
-    routes = tuple(
-        Route(
-            worker_index=r["worker_index"],
-            visits=tuple((v["request_id"], v["time_min"]) for v in r["visits"]),
-            depot_departure_min=r["depot_departure_min"],
-            depot_return_min=r["depot_return_min"],
+    routes = []
+    for i, r in enumerate(doc["routes"]):
+        where = f"routes[{i}]"
+        worker = _number(r["worker_index"], f"{where}.worker_index")
+        if not isinstance(worker, int):
+            raise ValueError(f"{where}.worker_index must be an integer, got {worker!r}")
+        visits = tuple(
+            (v["request_id"], _number(v["time_min"], f"{where}.visits[{j}].time_min"))
+            for j, v in enumerate(r["visits"])
         )
-        for r in doc["routes"]
-    )
-    return Solution(routes=routes, served_count=doc["served_count"])
+        depart = _number(r["depot_departure_min"], f"{where}.depot_departure_min")
+        back = _number(r["depot_return_min"], f"{where}.depot_return_min")
+        routes.append(Route(worker, visits, depart, back))
+    solution = Solution.from_routes(routes)  # served_count(...) of the routes
+    claimed = _number(doc["served_count"], "served_count")
+    if claimed != solution.served_count:
+        raise ValueError(
+            f"served_count is {claimed!r}, "
+            f"but the routes visit {solution.served_count} distinct requests"
+        )
+    return solution

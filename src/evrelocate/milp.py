@@ -32,7 +32,7 @@ With x = 1 these are the plain timing rows; with x = 0 they hold for any
 times inside the windows.  So every route set that the scheduler accepts
 satisfies every row once the nodes a worker does not visit take their
 earliest time e_i and an idle worker's depot time is 0
-(:func:`solution_to_assignment`): the model is a relaxation of the
+(:func:`solution_to_values`): the model is a relaxation of the
 problem, and its LP relaxation bounds the served count from above.
 
 Layout.  A :class:`MilpModel` is arrays: one sparse row-by-column matrix,
@@ -51,6 +51,14 @@ when enabled, 14 per worker pair and 15 once.  A node's LP name is its id
 reduced to letters and digits, with a numeric suffix where two ids reduce
 alike, so ``_`` separates the parts of every variable and row name
 unambiguously.
+
+Assignments.  A model assignment is one value per column, in the layout
+above: the binaries row by row as an (A, K) array, then the visit times as
+an (N, K) array, N the node count.  Absent columns are 0.
+:func:`read_solution_values` parses a solver's ``name value`` lines into
+it, :func:`values_to_solution` traces the routes out of it,
+:func:`solution_to_values` writes routes into it, and
+:func:`evaluate_assignment` checks it row by row.
 
 Export.  Binary domains and nonnegativity are the variable sections of the
 LP text.  Each row's nonzero terms are written in column order, each
@@ -562,169 +570,134 @@ def models_equivalent(a: MilpModel, b: MilpModel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Assignments: solver values <-> Solution objects
+# Assignments: one value per column <-> Solution objects
 # ---------------------------------------------------------------------------
 
 
-def read_solution_values(text: str) -> dict[str, float]:
-    """Parse ``name value`` lines (one variable per line, # comments)."""
-    values: dict[str, float] = {}
+def read_solution_values(model: MilpModel, text: str) -> np.ndarray:
+    """One value per column of ``model`` from ``name value`` lines (# comments).
+
+    Absent columns are 0.  Raises ``ValueError`` naming the line for a
+    malformed line, a non-finite value, a name that is not a column of the
+    model, or a name given twice.
+    """
+    column = {name: c for c, name in enumerate(model.columns)}
+    values = np.zeros(len(model.columns))
+    first_line: dict[int, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'name value', got {line!r}")
-        values[parts[0]] = float(parts[1])
+        try:
+            name, text_value = line.split()
+            value = float(text_value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'name value', got {line!r}") from None
+        c = column.get(name)
+        if c is None:
+            raise ValueError(f"line {lineno}: {name!r} is not a column of the model")
+        if c in first_line:
+            raise ValueError(f"line {lineno}: {name!r} given again (first on line {first_line[c]})")
+        if not np.isfinite(value):
+            raise ValueError(f"line {lineno}: {name} = {value} is not finite")
+        first_line[c] = lineno
+        values[c] = value
     return values
 
 
-def _arc_keys(model: MilpModel) -> list[tuple[str, str]]:
-    """``(from, to)`` node ids of the model's arcs, in column order."""
-    nodes = model.nodes
-    return [(nodes[i], nodes[j]) for i, j in zip(model.arc_src.tolist(), model.arc_dst.tolist())]
+def values_to_solution(model: MilpModel, graph: ActionGraph, values: np.ndarray) -> Solution:
+    """Trace per-worker depot cycles out of one value per column of ``model``.
 
-
-def values_to_assignment(
-    model: MilpModel, values: dict[str, float]
-) -> tuple[dict[tuple[str, str, int], float], dict[tuple[str, int], float]]:
-    """Map name-keyed values back to (i, j, k) / (i, k) keyed dictionaries."""
-    k_total, n_arcs = model.workers, len(model.arc_src)
-    x_vals = {
-        (i, j, k): values.get(model.columns[_x_column(a, k, k_total)], 0.0)
-        for a, (i, j) in enumerate(_arc_keys(model))
-        for k in range(1, k_total + 1)
-    }
-    t_vals = {
-        (node, k): values.get(model.columns[_t_column(n, k, n_arcs, k_total)], 0.0)
-        for n, node in enumerate(model.nodes)
-        for k in range(1, k_total + 1)
-    }
-    return x_vals, t_vals
-
-
-def assignment_to_solution(
-    instance: Instance,
-    graph: ActionGraph,
-    x_values: dict[tuple[str, str, int], float],
-    t_values: dict[tuple[str, int], float],
-) -> Solution:
-    """Trace per-worker depot cycles out of a binary arc assignment.
-
-    Raises ``ValueError`` for non-binary values, broken flow, cycles that
-    do not pass through the depot, or a used arc of a worker outside the
-    instance's 1..K.
+    ``graph`` is the graph the model was built from; it gives the return
+    leg's time.  Raises ``ValueError`` for non-binary values, two outgoing
+    arcs at a node, a cycle that misses the depot, broken flow, or an
+    isolated cycle next to a worker's route.
     """
-    k_total = instance.parameters.workers
+    k_total, n_arcs, nodes = model.workers, len(model.arc_src), model.nodes
+    x = values[: n_arcs * k_total].reshape(n_arcs, k_total)
+    t = values[n_arcs * k_total :].reshape(len(nodes), k_total)
     tol = 1e-6  # distance of a binary value from 0 or 1
-    outside = sorted(
-        key for key, value in x_values.items() if value >= tol and not 1 <= key[2] <= k_total
-    )
-    if outside:
-        raise ValueError(f"arcs {outside} belong to workers outside 1..{k_total}")
+    used = np.abs(x - 1.0) <= tol
+    fractional = np.argwhere(~(used | (np.abs(x) <= tol)))  # NaN included
+    if len(fractional):
+        a, k = fractional[0].tolist()
+        i, j = nodes[model.arc_src[a]], nodes[model.arc_dst[a]]
+        raise ValueError(f"x[{i},{j},{k + 1}] = {x[a, k]} is not binary within tolerance")
     routes: list[Route] = []
-    for k in range(1, k_total + 1):
-        succ: dict[str, str] = {}
-        for (i, j, kk), value in x_values.items():
-            if kk != k:
-                continue
-            if value < tol:
-                continue
-            if abs(value - 1.0) > tol:
-                raise ValueError(f"x[{i},{j},{k}] = {value} is not binary within tolerance")
-            if i in succ:
-                raise ValueError(f"node {i!r} has two outgoing arcs for worker {k}")
-            succ[i] = j
-        if not succ:
+    for k in range(k_total):
+        arcs = np.flatnonzero(used[:, k])
+        if not len(arcs):
             continue
-        if DEPOT_NODE not in succ:
+        succ = dict(zip(model.arc_src[arcs].tolist(), arcs.tolist()))  # node -> used arc
+        if len(succ) < len(arcs):
+            ends, counts = np.unique(model.arc_src[arcs], return_counts=True)
+            node = nodes[ends[counts > 1][0]]
+            raise ValueError(f"node {node!r} has two outgoing arcs for worker {k + 1}")
+        if 0 not in succ:
+            pairs = sorted((nodes[model.arc_src[a]], nodes[model.arc_dst[a]]) for a in arcs)
             raise ValueError(
-                f"worker {k} uses arcs {sorted(succ.items())} forming a cycle "
+                f"worker {k + 1} uses arcs {pairs} forming a cycle "
                 "that does not pass through the depot"
             )
         visits: list[tuple[str, float]] = []
-        node = succ.pop(DEPOT_NODE)
-        while node != DEPOT_NODE:
-            if (node, k) not in t_values:
-                raise ValueError(f"missing visit time t[{node},{k}]")
-            visits.append((node, t_values[(node, k)]))
+        arc = succ.pop(0)
+        node = int(model.arc_dst[arc])
+        while node != 0:
+            visits.append((nodes[node], float(t[node, k])))
             if node not in succ:
-                raise ValueError(f"flow conservation violated at {node!r} for worker {k}")
-            node = succ.pop(node)
+                raise ValueError(
+                    f"flow conservation violated at {nodes[node]!r} for worker {k + 1}"
+                )
+            arc = succ.pop(node)
+            node = int(model.arc_dst[arc])
         if succ:
             raise ValueError(
-                f"worker {k} has isolated cycle through {sorted(succ)} "
+                f"worker {k + 1} has isolated cycle through {sorted(nodes[i] for i in succ)} "
                 "not connected to the depot"
             )
-        last = visits[-1][0]
-        return_arc = graph.arc(last, DEPOT_NODE)
-        if return_arc is None:
-            raise ValueError(f"no return arc {last!r} -> depot in graph")
         routes.append(
             Route(
-                worker_index=k - 1,
+                worker_index=k,
                 visits=tuple(visits),
-                depot_departure_min=t_values.get((DEPOT_NODE, k), 0.0),
-                depot_return_min=visits[-1][1] + return_arc.op_time_min,
+                depot_departure_min=float(t[0, k]),
+                depot_return_min=visits[-1][1] + float(graph.op_time_min[arc]),
             )
         )
     return Solution.from_routes(routes)
 
 
-def solution_to_assignment(
-    instance: Instance,
-    graph: ActionGraph,
-    solution: Solution,
-) -> tuple[dict[tuple[str, str, int], float], dict[tuple[str, int], float]]:
-    """Expand a Solution into model variable values ``(x, t)``.
+def solution_to_values(model: MilpModel, graph: ActionGraph, solution: Solution) -> np.ndarray:
+    """One value per column of ``model`` (built on ``graph``) for a Solution's routes.
 
     A node a worker does not visit takes the earliest time of its window,
     so an idle worker's depot time is 0.  For routes the scheduler accepts
     this satisfies every row of :func:`build_milp` (see the module notes).
+    Raises ``ValueError`` for a route on a worker or an arc the model lacks.
     """
-    k_total = instance.parameters.workers
-    windows = time_windows(instance, graph)
-    x_vals: dict[tuple[str, str, int], float] = {}
-    t_vals = {
-        (node, k): early for k in range(1, k_total + 1) for node, (early, _) in windows.items()
-    }
+    k_total, n_arcs, n = model.workers, len(model.arc_src), len(model.nodes)
+    tau = np.array([0.0] + [graph.instance.request(node).time_min for node in model.nodes[1:]])
+    t = np.tile(_window_arrays(graph, tau)[0][:, np.newaxis], k_total)
+    x = np.zeros((n_arcs, k_total))
+    # arcs are in (from, to) order, so their keys are sorted; the end key n*n
+    # exceeds them all, so every searchsorted position indexes ``keys``
+    keys = np.r_[model.arc_src * n + model.arc_dst, n * n]
+    index = {node: i for i, node in enumerate(model.nodes)}
     for route in solution.routes:
-        k = route.worker_index + 1
-        seq = [DEPOT_NODE] + [rid for rid, _ in route.visits] + [DEPOT_NODE]
-        for a, b in zip(seq, seq[1:]):
-            x_vals[(a, b, k)] = 1.0
-        t_vals[(DEPOT_NODE, k)] = route.depot_departure_min
-        t_vals.update(((rid, k), t) for rid, t in route.visits)
-    return x_vals, t_vals
-
-
-def assignment_to_values(
-    model: MilpModel,
-    x_values: dict[tuple[str, str, int], float],
-    t_values: dict[tuple[str, int], float],
-) -> np.ndarray:
-    """One value per column of ``model`` for row evaluation (absent x means 0)."""
-    k_total, n_arcs = model.workers, len(model.arc_src)
-    arc_pos = {key: a for a, key in enumerate(_arc_keys(model))}
-    node_pos = {node: n for n, node in enumerate(model.nodes)}
-    values = np.zeros(len(model.columns))
-    for (i, j, k), value in x_values.items():
-        if (i, j) in arc_pos and 1 <= k <= k_total:
-            values[_x_column(arc_pos[(i, j)], k, k_total)] = value
-        elif value >= 0.5:
-            raise ValueError(f"assignment uses arc {(i, j, k)} absent from the model")
-    for (node, k), value in t_values.items():
-        if node not in node_pos or not 1 <= k <= k_total:
-            raise ValueError(f"assignment sets t[{node},{k}], absent from the model")
-        values[_t_column(node_pos[node], k, n_arcs, k_total)] = value
-    return values
+        k = route.worker_index
+        seq = np.array([0] + [index.get(rid, -1) for rid in route.request_ids] + [0])
+        want = seq[:-1] * n + seq[1:]
+        arcs = np.searchsorted(keys, want)
+        if not 0 <= k < k_total or (seq < 0).any() or (keys[arcs] != want).any():
+            raise ValueError(f"route {route.request_ids} of worker {k + 1} is not in the model")
+        x[arcs, k] = 1.0
+        t[seq[:-1], k] = [route.depot_departure_min] + [time for _, time in route.visits]
+    return np.r_[x.ravel(), t.ravel()]
 
 
 def evaluate_assignment(model: MilpModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, whether it holds and its slack (the satisfied margin, negative = violated).
 
-    ``values`` has one entry per column (:func:`assignment_to_values`).
+    ``values`` has one entry per column (see the module notes).
     """
     lhs = model.matrix @ values
     slack = np.where(

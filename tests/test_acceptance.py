@@ -238,8 +238,8 @@ def test_criterion_7_model_fidelity():
         model = build_milp(inst, graph, ModelOptions(symmetry_breaking=True, upper_bound_cut=6))
         n_req = len(inst.requests)
         n_arcs = len(graph.arcs)
-        n_in0 = len(graph.in_arcs["0"])
-        n_ev = len(graph.ev_arcs())
+        n_in0 = np.count_nonzero(graph.dst == 0)
+        n_ev = np.count_nonzero(graph.is_ev)
         expected = {
             2: k,
             3: n_req,

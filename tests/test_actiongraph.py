@@ -172,10 +172,12 @@ class TestGraphShape:
     def test_ev_arc_respects_time_separation(self):
         inst, matrix = tiny(tau_p=480.0, tau_d=700.0)
         graph = build_graph(inst, matrix)
-        for arc in graph.ev_arcs():
-            p = inst.request(arc.from_node)
-            d = inst.request(arc.to_node)
-            assert d.time_min - p.time_min >= arc.op_time_min - 1e-9
+        ev = graph.is_ev
+        assert ev.any()
+        for i, j, cost in zip(graph.src[ev], graph.dst[ev], graph.op_time_min[ev]):
+            p = inst.request(graph.nodes[i])
+            d = inst.request(graph.nodes[j])
+            assert d.time_min - p.time_min >= cost - 1e-9
 
     def test_same_location_requests_are_distinct_nodes(self):
         inst = make_instance(
@@ -218,9 +220,6 @@ def test_arcs_equal_pair_by_pair_oracle(kind, size, seed):
     assert arcs == oracle_arcs(inst, matrix)
     assert graph.nodes == (DEPOT_NODE,) + tuple(sorted(r.id for r in inst.requests))
     assert graph.arc_index == {(a.from_node, a.to_node): a for a in graph.arcs}
-    for node in graph.nodes:
-        assert graph.out_arcs[node] == tuple(a for a in graph.arcs if a.from_node == node)
-        assert graph.in_arcs[node] == tuple(a for a in graph.arcs if a.to_node == node)
 
 
 class TestDot:

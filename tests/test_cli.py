@@ -125,6 +125,30 @@ class TestSolveAndCheck:
         assert code == 2
         assert "family" in out
 
+    def test_malformed_solution_exits_2(self, tmp_path, capsys, instance_file):
+        sol_path = tmp_path / "sol.json"
+        run(capsys, "solve", "--instance", str(instance_file), "--out", str(sol_path))
+        good = json.loads(sol_path.read_text())
+        assert good["routes"]
+        text_time = json.loads(json.dumps(good))
+        text_time["routes"][0]["visits"][0]["time_min"] = "480"
+        overclaimed = json.loads(json.dumps(good))
+        overclaimed["served_count"] = 40
+        cases = (
+            ([good], "must be an object"),
+            (text_time, "routes[0].visits[0].time_min must be a number"),
+            (overclaimed, f"served_count is 40, but the routes visit {good['served_count']}"),
+        )
+        for doc, message in cases:
+            sol_path.write_text(json.dumps(doc))
+            code, out, err = run(
+                capsys, "check", "--instance", str(instance_file), "--solution", str(sol_path)
+            )
+            assert code == 2
+            assert err.startswith("error: ") and message in err, err
+            assert "Traceback" not in err
+            assert out == ""
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -179,6 +179,33 @@ class TestJsonRoundTrip:
         text = solution_to_json(sol)
         assert solution_from_json(text) == sol
 
+    def test_malformed_solution_named(self):
+        good = json.loads(
+            solution_to_json(Solution.from_routes([route(0, [("p1", 480.0), ("d1", 520.5)])]))
+        )
+        cases = [
+            (("routes", 0, "visits", 0, "time_min"), "480", r"routes\[0\]\.visits\[0\]\.time_min"),
+            (("routes", 0, "depot_return_min"), None, r"routes\[0\]\.depot_return_min"),
+            (("routes", 0, "worker_index"), 0.5, r"routes\[0\]\.worker_index must be an integer"),
+            (("served_count",), 40, "served_count is 40, but the routes visit 2 distinct"),
+            (("served_count",), True, "served_count must be a number"),
+        ]
+        for path, value, message in cases:
+            doc = json.loads(json.dumps(good))
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            with pytest.raises(ValueError, match=message):
+                solution_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="object"):
+            solution_from_json("[]")
+        doc = json.loads(json.dumps(good))
+        doc["routes"][0]["visits"].append({"request_id": "p1", "time_min": 530.0})
+        doc["served_count"] = 3
+        with pytest.raises(ValueError, match="'p1' served more than once"):
+            solution_from_json(json.dumps(doc))
+
     def test_kind_strings_are_canonical(self):
         inst = make_instance([pickup("p1", "a", 0.25, 480.0)])
         assert '"kind": "pickup"' in instance_to_json(inst)

@@ -13,8 +13,6 @@ from evrelocate import (
     ModelOptions,
     Solution,
     SolveOptions,
-    assignment_to_solution,
-    assignment_to_values,
     brute_force,
     build_graph,
     build_milp,
@@ -28,9 +26,9 @@ from evrelocate import (
     read_solution_values,
     route_operational_cost,
     solve_branch_and_bound,
-    solution_to_assignment,
+    solution_to_values,
     time_windows,
-    values_to_assignment,
+    values_to_solution,
 )
 from evrelocate.milp import _safe_names
 from conftest import (
@@ -68,9 +66,8 @@ def oracle_windows(instance, graph):
             tau_p, tau_d = instance.request(p).time_min, instance.request(d).time_min
             windows[p] = (windows[p][0], max(windows[p][1], tau_d - c))
             windows[d] = (min(windows[d][0], tau_p + c), windows[d][1])
-    latest_departure = max(
-        [0.0] + [windows[a.to_node][1] - a.op_time_min for a in graph.out_arcs[DEPOT_NODE]]
-    )
+    leave = [a for a in graph.arcs if a.from_node == DEPOT_NODE]
+    latest_departure = max([0.0] + [windows[a.to_node][1] - a.op_time_min for a in leave])
     windows[DEPOT_NODE] = (0.0, latest_departure)
     return windows
 
@@ -130,9 +127,9 @@ def row(model, name):
     return coeffs, model.senses[i], model.rhs[i]
 
 
-def violations(model, x, t):
-    """(row name, slack) of every row the assignment violates."""
-    ok, slack = evaluate_assignment(model, assignment_to_values(model, x, t))
+def violations(model, values):
+    """(row name, slack) of every row the assignment (one value per column) violates."""
+    ok, slack = evaluate_assignment(model, values)
     return [(model.row_names[i], slack[i]) for i in np.flatnonzero(~ok)]
 
 
@@ -198,8 +195,8 @@ class TestModelShape:
             n_requests = len(inst.requests)
             n_pick = len(inst.pickups)
             n_arcs = len(graph.arcs)
-            n_into_depot = len(graph.in_arcs[DEPOT_NODE])
-            n_ev = len(graph.ev_arcs())
+            n_into_depot = np.count_nonzero(graph.dst == 0)
+            n_ev = np.count_nonzero(graph.is_ev)
             counts = family_counts(model)
             assert len(model.binaries) == k * n_arcs
             assert len(model.continuous) == k * (n_requests + 1)
@@ -303,7 +300,7 @@ class TestLpExport:
         inst, matrix = oracle_case("generated", 24, 1)
         graph = build_graph(inst, matrix)
         export_lp(build_milp(inst, graph))
-        assert not {"arcs", "out_arcs", "in_arcs", "arc_index"} & set(vars(graph))
+        assert not {"arcs", "arc_index"} & set(vars(graph))
 
     def test_export_400_bytes_pinned(self):
         # the benchmark's export-400 instance: its first run's (seed 1) first instance
@@ -334,9 +331,10 @@ class TestLpExport:
         parsed = parse_lp(text)
         assert models_equivalent(model, parsed)
         assert row(parsed, "f5_d1_p2_k1") == (coeffs, sense, rhs)
-        x = {("d1", "p2", 1): 1.0}
-        assert ("f5_d1_p2_k1", -10.0) in violations(model, x, {("d1", 1): 510.0, ("p2", 1): 500.0})
-        assert "f5_d1_p2_k1" not in dict(violations(model, x, {("d1", 1): 500.0, ("p2", 1): 520.0}))
+        late = read_solution_values(model, "x_d1_p2_1 1\nt_d1_1 510\nt_p2_1 500\n")
+        assert ("f5_d1_p2_k1", -10.0) in violations(model, late)
+        on_time = read_solution_values(model, "x_d1_p2_1 1\nt_d1_1 500\nt_p2_1 520\n")
+        assert "f5_d1_p2_k1" not in dict(violations(model, on_time))
 
 
 def assert_same_text(got, want):
@@ -439,91 +437,129 @@ class TestNameCollisions:
         assert names == {"0": "0", "a_b": "ab", "ab": "ab2", "ab2": "ab22", "a-b": "ab3", "__": "n"}
 
 
+def decode(inst, graph, text):
+    """The routes of a ``name value`` text, through the model of ``inst`` on ``graph``."""
+    model = build_milp(inst, graph)
+    return values_to_solution(model, graph, read_solution_values(model, text))
+
+
+def two_pairs(workers=1):
+    """p1, p2 at a and d1, d2 at b: four EV arcs, no bike arc."""
+    inst = make_instance(
+        [
+            pickup("p1", "a", 1.0, 480.0),
+            delivery("d1", "b", 0.0, 700.0),
+            pickup("p2", "a", 1.0, 480.0),
+            delivery("d2", "b", 0.0, 700.0),
+        ],
+        params=dataclasses.replace(BASE_PARAMS, workers=workers),
+    )
+    return inst, build_graph(inst, make_matrix(["depot", "a", "b"], {}, default=5.0))
+
+
+ONE_CYCLE = "x_0_p1_1 1\nx_p1_d1_1 1\nx_d1_0_1 1\nt_0_1 460\nt_p1_1 480\nt_d1_1 494\n"
+
+
 class TestAssignments:
     def test_single_cycle_decodes(self, one_pair):
         inst, matrix = one_pair
         graph = build_graph(inst, matrix)
-        x = {("0", "p1", 1): 1.0, ("p1", "d1", 1): 1.0, ("d1", "0", 1): 1.0}
-        t = {("0", 1): 460.0, ("p1", 1): 480.0, ("d1", 1): 494.0}
-        solution = assignment_to_solution(inst, graph, x, t)
+        solution = decode(inst, graph, ONE_CYCLE)
         assert solution.served_count == 2
         assert solution.routes[0].request_ids == ("p1", "d1")
+        assert solution.routes[0].visits == (("p1", 480.0), ("d1", 494.0))
         assert solution.routes[0].depot_departure_min == 460.0
+        assert solution.routes[0].depot_return_min == 494.0 + graph.arc("d1", "0").op_time_min
 
     def test_all_zero_is_empty(self, one_pair):
         inst, matrix = one_pair
         graph = build_graph(inst, matrix)
-        solution = assignment_to_solution(inst, graph, {}, {})
-        assert solution.served_count == 0
+        assert decode(inst, graph, "") == Solution.empty()
 
     def test_two_disjoint_cycles(self):
-        inst = make_instance(
-            [
-                pickup("p1", "a", 1.0, 480.0),
-                delivery("d1", "b", 0.0, 700.0),
-                pickup("p2", "a", 1.0, 480.0),
-                delivery("d2", "b", 0.0, 700.0),
-            ],
-        )
-        inst = dataclasses.replace(
-            inst, parameters=dataclasses.replace(inst.parameters, workers=2)
-        )
-        matrix = make_matrix(["depot", "a", "b"], {}, default=5.0)
-        graph = build_graph(inst, matrix)
-        x = {
-            ("0", "p1", 1): 1.0,
-            ("p1", "d1", 1): 1.0,
-            ("d1", "0", 1): 1.0,
-            ("0", "p2", 2): 1.0,
-            ("p2", "d2", 2): 1.0,
-            ("d2", "0", 2): 1.0,
-        }
-        t = {
-            ("0", 1): 460.0,
-            ("p1", 1): 480.0,
-            ("d1", 1): 494.0,
-            ("0", 2): 465.0,
-            ("p2", 2): 485.0,
-            ("d2", 2): 499.0,
-        }
-        solution = assignment_to_solution(inst, graph, x, t)
+        inst, graph = two_pairs(workers=2)
+        text = ONE_CYCLE + "x_0_p2_2 1\nx_p2_d2_2 1\nx_d2_0_2 1\n"
+        text += "t_0_2 465\nt_p2_2 485\nt_d2_2 499\n"
+        solution = decode(inst, graph, text)
         assert solution.served_count == 4
-        assert len(solution.routes) == 2
+        assert [r.request_ids for r in solution.routes] == [("p1", "d1"), ("p2", "d2")]
+        assert [r.worker_index for r in solution.routes] == [0, 1]
 
     def test_worker_outside_instance_rejected(self, one_pair):
         inst, matrix = one_pair  # K = 1
         graph = build_graph(inst, matrix)
-        x = {("0", "p1", 2): 1.0, ("p1", "d1", 2): 1.0, ("d1", "0", 2): 1.0}
-        t = {("0", 2): 460.0, ("p1", 2): 480.0, ("d1", 2): 494.0}
-        with pytest.raises(ValueError, match="outside"):
-            assignment_to_solution(inst, graph, x, t)
-        decoded = assignment_to_solution(with_workers(inst, 2), graph, x, t)
-        assert decoded.served_count == 2
+        text = ONE_CYCLE.replace("_1 ", "_2 ")
+        with pytest.raises(ValueError, match="line 1: 'x_0_p1_2' is not a column of the model"):
+            decode(inst, graph, text)
+        assert decode(with_workers(inst, 2), graph, text).served_count == 2
 
-    def test_isolated_cycle_rejected(self, one_pair):
+    def test_repeated_name_rejected(self, one_pair):
+        # the last value would leave d1 without a way back: "broken flow", not the cause
         inst, matrix = one_pair
         graph = build_graph(inst, matrix)
-        x = {("p1", "d1", 1): 1.0, ("d1", "p1", 1): 1.0}
-        t = {("p1", 1): 480.0, ("d1", 1): 494.0}
-        with pytest.raises(ValueError, match="depot"):
-            assignment_to_solution(inst, graph, x, t)
+        message = r"line 7: 'x_d1_0_1' given again \(first on line 3\)"
+        with pytest.raises(ValueError, match=message):
+            decode(inst, graph, ONE_CYCLE + "x_d1_0_1 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x_0_p1_1 1 1\n", "x_0_p1_1\n", "x_0_p1_1 one\n", "x_0_p1_1 nan\n", "t_p1_1 inf\n"],
+    )
+    def test_malformed_line_rejected(self, one_pair, text):
+        inst, matrix = one_pair
+        graph = build_graph(inst, matrix)
+        with pytest.raises(ValueError, match="line 2: "):
+            decode(inst, graph, "# solver output\n" + text)
+
+    def test_isolated_cycle_rejected(self):
+        inst, graph = two_pairs()
+        with pytest.raises(ValueError, match="does not pass through the depot"):
+            decode(inst, graph, "x_p1_d1_1 1\n")
+        with pytest.raises(ValueError, match=r"isolated cycle through \['p2'\]"):
+            decode(inst, graph, ONE_CYCLE + "x_p2_d2_1 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x_0_p1_1 1\nx_0_p2_1 1\n", "node '0' has two outgoing arcs for worker 1"),
+            ("x_0_p1_1 1\nx_p1_d1_1 1\n", "flow conservation violated at 'd1' for worker 1"),
+        ],
+    )
+    def test_broken_flow_rejected(self, text, message):
+        inst, graph = two_pairs()
+        with pytest.raises(ValueError, match=message):
+            decode(inst, graph, text)
 
     def test_fractional_value_rejected(self, one_pair):
         inst, matrix = one_pair
         graph = build_graph(inst, matrix)
-        x = {("0", "p1", 1): 0.5, ("p1", "d1", 1): 1.0, ("d1", "0", 1): 1.0}
-        with pytest.raises(ValueError, match="not binary"):
-            assignment_to_solution(inst, graph, x, {})
+        with pytest.raises(ValueError, match=r"x\[0,p1,1\] = 0.5 is not binary"):
+            decode(inst, graph, ONE_CYCLE.replace("x_0_p1_1 1", "x_0_p1_1 0.5"))
 
     def test_solution_file_round_trip(self, one_pair):
         inst, matrix = one_pair
         graph = build_graph(inst, matrix)
         model = build_milp(inst, graph)
-        text = "# solver output\nx_0_p1_1 1\nx_p1_d1_1 1\nx_d1_0_1 1\nt_0_1 460\nt_p1_1 480\nt_d1_1 494\n"
-        values = read_solution_values(text)
-        x, t = values_to_assignment(model, values)
-        solution = assignment_to_solution(inst, graph, x, t)
+        solution = decode(inst, graph, "# solver output\n" + ONE_CYCLE)
         assert solution.served_count == 2
+        values = solution_to_values(model, graph, solution)
+        text = "".join(f"{name} {v!r}\n" for name, v in zip(model.columns, values.tolist()))
+        assert np.array_equal(read_solution_values(model, text), values)
+        assert decode(inst, graph, text) == solution
+
+    def test_route_outside_model_rejected(self, one_pair):
+        inst, matrix = one_pair
+        graph = build_graph(inst, matrix)
+        model = build_milp(inst, graph)
+        route = decode(inst, graph, ONE_CYCLE).routes[0]
+        for bad in (
+            dataclasses.replace(route, worker_index=1),
+            dataclasses.replace(route, worker_index=-1),
+            dataclasses.replace(route, visits=(("p1", 480.0), ("dx", 494.0))),
+            dataclasses.replace(route, visits=(("d1", 480.0), ("p1", 494.0))),
+        ):
+            with pytest.raises(ValueError, match="is not in the model"):
+                solution_to_values(model, graph, Solution.from_routes([bad]))
 
 
 class TestCrossValidation:
@@ -537,8 +573,7 @@ class TestCrossValidation:
             graph = build_graph(inst, matrix)
             solution = solve_branch_and_bound(inst, graph).solution
             model = build_milp(inst, graph)
-            x, t = solution_to_assignment(inst, graph, solution)
-            bad = violations(model, x, t)
+            bad = violations(model, solution_to_values(model, graph, solution))
             assert not bad, (seed, bad[:5])
 
     def test_strengthened_model_admits_reordered_optimum(self):
@@ -567,6 +602,5 @@ class TestCrossValidation:
                 graph,
                 ModelOptions(symmetry_breaking=True, upper_bound_cut=bound),
             )
-            x, t = solution_to_assignment(inst, graph, reordered)
-            bad = violations(model, x, t)
+            bad = violations(model, solution_to_values(model, graph, reordered))
             assert not bad, (seed, bad[:5])

@@ -17,7 +17,6 @@ from evrelocate import (
     Request,
     RequestKind,
     SolveOptions,
-    assignment_to_values,
     brute_force,
     build_graph,
     build_milp,
@@ -27,8 +26,10 @@ from evrelocate import (
     generate_instance,
     heuristic_sequential,
     matrix_for_instance,
-    solution_to_assignment,
+    schedule_route,
+    solution_to_values,
     solve_branch_and_bound,
+    values_to_solution,
 )
 from conftest import delivery, make_instance, make_matrix, pickup
 
@@ -94,8 +95,7 @@ def far_delivery_case():
 def violated_rows(inst, graph, solution):
     """Rows of the model that the solution's completed assignment violates."""
     model = build_milp(inst, graph)
-    x, t = solution_to_assignment(inst, graph, solution)
-    ok, slack = evaluate_assignment(model, assignment_to_values(model, x, t))
+    ok, slack = evaluate_assignment(model, solution_to_values(model, graph, solution))
     return [(model.row_names[i], slack[i]) for i in np.flatnonzero(~ok)]
 
 
@@ -421,9 +421,8 @@ class TestStoppingRule:
                 assert result.solution.served_count <= optimum, (cell, limit)
 
 
-def highs_optimum(inst, graph):
-    """Integer optimum of the model through HiGHS, independent of the search."""
-    model = build_milp(inst, graph)
+def highs_optimum(model):
+    """Integer optimum of the model through HiGHS, independent of the search, and its values."""
     integrality = np.r_[np.ones(len(model.binaries)), np.zeros(len(model.continuous))]
     result = milp(
         -model.objective,
@@ -438,7 +437,7 @@ def highs_optimum(inst, graph):
         bounds=Bounds(np.zeros_like(model.upper), model.upper),
     )
     assert result.status == 0, result.message
-    return round(-result.fun)
+    return round(-result.fun), result.x
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -456,4 +455,13 @@ def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size,
     result = solve_branch_and_bound(inst, graph)
     assert result.optimal
     assert result.solution.served_count == optimum
-    assert highs_optimum(inst, graph) == optimum
+    model = build_milp(inst, graph)
+    served, values = highs_optimum(model)
+    assert served == optimum
+    # the solver's binaries decode to routes; its times may miss TIME_TOL, so each
+    # decoded pair order is re-timed by the scheduler instead of checked as it stands
+    decoded = values_to_solution(model, graph, values)
+    assert decoded.served_count == optimum
+    for route in decoded.routes:
+        ids = route.request_ids
+        assert schedule_route(inst, graph, list(zip(ids[0::2], ids[1::2]))).feasible, ids
