@@ -12,7 +12,6 @@ from evrelocate import (
     Parameters,
     Request,
     RequestKind,
-    arc_count_bound_check,
     build_graph,
     euclidean_matrix,
     to_dot,
@@ -53,8 +52,7 @@ matrix = euclidean_matrix(
 )
 graph = build_graph(instance, matrix)
 
-print(f"{graph.node_count} nodes, {len(graph.arcs)} arcs "
-      f"(strictly below |N|^2: {arc_count_bound_check(graph)})")
+print(f"{graph.node_count} nodes, {len(graph.arcs)} arcs")
 for arc in graph.arcs:
     print(f"  {arc.from_node:>5} -> {arc.to_node:<5} {arc.kind.value:4} "
           f"{arc.distance_km:5.2f} km  {arc.op_time_min:5.1f} min")

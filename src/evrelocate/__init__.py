@@ -7,7 +7,7 @@ constraints, solves the served-requests maximization exactly, and exports
 the underlying mixed-integer model in LP format.
 """
 
-from .actiongraph import ActionGraph, Arc, ArcKind, arc_count_bound_check, build_graph, to_dot
+from .actiongraph import ActionGraph, Arc, ArcKind, build_graph, to_dot
 from .bench import (
     DEFAULT_PARAMETERS,
     DEFAULT_STATIONS,
@@ -53,9 +53,7 @@ from .milp import (
     models_equivalent,
     parse_lp,
     read_solution_values,
-    route_operational_cost,
     solution_to_values,
-    time_windows,
     values_to_solution,
 )
 from .scheduling import ScheduleResult, schedule_route

@@ -24,15 +24,17 @@ the MILP uses: ``nodes`` is the depot, then the request ids sorted; arc
 ``nodes``) with ``is_ev[a]``, ``distance_km[a]`` and ``op_time_min[a]``,
 and arcs are sorted by (from node, to node) in node order.
 :func:`build_graph` computes each arc class over a whole block of
-candidate pairs of the distance matrix at once.  The :class:`Arc` objects
-(``arcs``) and the ``arc_index`` behind :meth:`ActionGraph.arc` are views
-made from the arrays on first use, for the search and the scheduler;
-building and exporting the model and decoding its assignments read the
-arrays alone.
+candidate pairs of the distance matrix at once.  :meth:`ActionGraph.arc_position`
+finds an arc by its end nodes with a binary search over the sorted
+(from, to) keys.  The :class:`Arc` objects (``arcs``) are views made from
+the arrays on first use, for inspection (:meth:`ActionGraph.arc`,
+:func:`to_dot`) and the brute-force oracle; the search, the scheduler and
+the model read the arrays alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -89,12 +91,25 @@ class ActionGraph:
             for i, j, ev, km, cost in zip(*(column.tolist() for column in columns))
         )
 
-    @cached_property
-    def arc_index(self) -> dict[tuple[str, str], Arc]:
-        return {(arc.from_node, arc.to_node): arc for arc in self.arcs}
-
     def arc(self, from_node: str, to_node: str) -> Arc | None:
-        return self.arc_index.get((from_node, to_node))
+        a = self.arc_position(from_node, to_node)
+        return self.arcs[a] if a >= 0 else None
+
+    @cached_property
+    def _node_index(self) -> dict[str, int]:
+        return {node: n for n, node in enumerate(self.nodes)}
+
+    @cached_property
+    def _keys(self) -> memoryview:
+        # sorted, as arcs are in (from, to) order; a memoryview, unlike a list, copies no element
+        return memoryview(self.src * self.node_count + self.dst)
+
+    def arc_position(self, from_node: str, to_node: str) -> int:
+        """Index of the arc between two node ids in the arrays, or -1 where there is none."""
+        i, j = self._node_index.get(from_node, -1), self._node_index.get(to_node, -1)
+        keys, key = self._keys, i * len(self.nodes) + j
+        a = bisect_left(keys, key)
+        return a if min(i, j) >= 0 and a < len(keys) and keys[a] == key else -1
 
 
 def build_graph(instance: Instance, distances: DistanceMatrix) -> ActionGraph:
@@ -155,11 +170,6 @@ def build_graph(instance: Instance, distances: DistanceMatrix) -> ActionGraph:
         distance_km=dist[order],
         op_time_min=cost[order],
     )
-
-
-def arc_count_bound_check(graph: ActionGraph) -> bool:
-    """True iff the arc count is strictly below the squared node count."""
-    return len(graph.src) < graph.node_count**2
 
 
 def to_dot(graph: ActionGraph) -> str:

@@ -322,6 +322,19 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _object(value: Any, field: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an object, got {value!r}")
+    return value
+
+
+def _entries(value: Any, field: str) -> list[tuple[str, dict[str, Any]]]:
+    """``(name, entry)`` of each entry of a JSON list of objects."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return [(f"{field}[{i}]", _object(entry, f"{field}[{i}]")) for i, entry in enumerate(value)]
+
+
 def _number(value: Any, field: str) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {value!r}")
@@ -332,15 +345,14 @@ def instance_from_json(text: str) -> Instance:
     """Parse the canonical instance JSON format.
 
     Raises ``ValueError`` naming the field for unknown or missing parameter
-    keys and for non-numeric parameters, charges and times.
+    keys, for non-numeric parameters, charges and times, and for a list, a
+    list entry or an object of another JSON type.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("instance JSON must be an object")
+    doc = _object(json.loads(text), "instance JSON")
     version = doc.get("format_version")
     if version != INSTANCE_FORMAT_VERSION:
         raise ValueError(f"unsupported instance format_version {version!r}")
-    raw = doc["parameters"]
+    raw = _object(doc["parameters"], "parameters")
     names = [f.name for f in fields(Parameters)]
     if set(raw) != set(names):
         unknown, missing = sorted(set(raw) - set(names)), sorted(set(names) - set(raw))
@@ -350,15 +362,15 @@ def instance_from_json(text: str) -> Instance:
         Request(
             id=r["id"],
             kind=RequestKind(r["kind"]),
-            location=_location_from_dict(r["location"]),
-            charge=_number(r["charge"], f"requests[{i}].charge"),
-            time_min=_number(r["time_min"], f"requests[{i}].time_min"),
+            location=_location_from_dict(_object(r["location"], f"{where}.location")),
+            charge=_number(r["charge"], f"{where}.charge"),
+            time_min=_number(r["time_min"], f"{where}.time_min"),
         )
-        for i, r in enumerate(doc["requests"])
+        for where, r in _entries(doc["requests"], "requests")
     )
     return Instance(
         parameters=params,
-        depot=_location_from_dict(doc["depot"]),
+        depot=_location_from_dict(_object(doc["depot"], "depot")),
         requests=requests,
         distance_source=doc["distance_source"],
     )
@@ -387,23 +399,21 @@ def solution_from_json(text: str) -> Solution:
     """Parse the canonical solution JSON format.
 
     Raises ``ValueError`` naming the field for non-numeric times and worker
-    indices, and when ``served_count`` is not the number of distinct visits.
+    indices, for a list, a list entry or an object of another JSON type,
+    and when ``served_count`` is not the number of distinct visits.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("solution JSON must be an object")
+    doc = _object(json.loads(text), "solution JSON")
     version = doc.get("format_version")
     if version != SOLUTION_FORMAT_VERSION:
         raise ValueError(f"unsupported solution format_version {version!r}")
     routes = []
-    for i, r in enumerate(doc["routes"]):
-        where = f"routes[{i}]"
+    for where, r in _entries(doc["routes"], "routes"):
         worker = _number(r["worker_index"], f"{where}.worker_index")
         if not isinstance(worker, int):
             raise ValueError(f"{where}.worker_index must be an integer, got {worker!r}")
         visits = tuple(
-            (v["request_id"], _number(v["time_min"], f"{where}.visits[{j}].time_min"))
-            for j, v in enumerate(r["visits"])
+            (v["request_id"], _number(v["time_min"], f"{name}.time_min"))
+            for name, v in _entries(r["visits"], f"{where}.visits")
         )
         depart = _number(r["depot_departure_min"], f"{where}.depot_departure_min")
         back = _number(r["depot_return_min"], f"{where}.depot_return_min")

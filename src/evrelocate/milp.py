@@ -19,7 +19,7 @@ tagged by family id:
 * 15  optional global cap on served requests
 
 The big-M values of families 5 and 6 come from per-node time windows
-[e_i, l_i] (see :func:`time_windows`) that contain every visit time any
+[e_i, l_i] (see :func:`_window_arrays`) that contain every visit time any
 schedulable route can give node i, with T the shift limit and c_ij the
 operational time of arc i->j:
 
@@ -141,9 +141,6 @@ class MilpModel:
         """Column upper bounds: 1 for binaries, ``inf`` for visit times."""
         return np.r_[np.ones(self.binary_count), np.full(len(self.continuous), np.inf)]
 
-    def variable_count(self) -> int:
-        return len(self.columns)
-
 
 def _x_column(arc, k, workers: int):
     return arc * workers + k - 1
@@ -161,21 +158,14 @@ def _sparse(rows, cols, values, shape: tuple[int, int]) -> csr_matrix:
     return matrix
 
 
-def time_windows(instance: Instance, graph: ActionGraph) -> dict[str, tuple[float, float]]:
-    """Earliest and latest visit time ``(e_i, l_i)`` of every graph node.
+def _window_arrays(graph: ActionGraph, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Earliest and latest visit times ``(e_i, l_i)`` in node order, from the request times ``tau``.
 
     A pickup is served no earlier than tau_p and, being followed by an EV
     arc (p, d), no later than tau_d - c_pd; a delivery no later than tau_d
-    and no earlier than tau_p + c_pd.  The depot time is a departure, at or
-    after 0 and no later than l_p - c_0p for the first pickup.
+    and no earlier than tau_p + c_pd.  The depot time (``tau[0]`` is 0) is
+    a departure, at or after 0 and no later than l_p - c_0p for the first pickup.
     """
-    tau = np.array([0.0] + [instance.request(n).time_min for n in graph.nodes[1:]])
-    early, late = _window_arrays(graph, tau)
-    return dict(zip(graph.nodes, zip(early.tolist(), late.tolist())))
-
-
-def _window_arrays(graph: ActionGraph, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`time_windows` as ``(early, late)`` in node order; ``tau[0]`` is the depot's 0."""
     early, late = tau.copy(), tau.copy()
     ev = graph.is_ev
     p, d, cost = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
@@ -610,8 +600,8 @@ def values_to_solution(model: MilpModel, graph: ActionGraph, values: np.ndarray)
 
     ``graph`` is the graph the model was built from; it gives the return
     leg's time.  Raises ``ValueError`` for non-binary values, two outgoing
-    arcs at a node, a cycle that misses the depot, broken flow, or an
-    isolated cycle next to a worker's route.
+    arcs at a node, used arcs that miss the depot (an open path), broken
+    flow, or used arcs that a worker's route does not reach.
     """
     k_total, n_arcs, nodes = model.workers, len(model.arc_src), model.nodes
     x = values[: n_arcs * k_total].reshape(n_arcs, k_total)
@@ -636,7 +626,7 @@ def values_to_solution(model: MilpModel, graph: ActionGraph, values: np.ndarray)
         if 0 not in succ:
             pairs = sorted((nodes[model.arc_src[a]], nodes[model.arc_dst[a]]) for a in arcs)
             raise ValueError(
-                f"worker {k + 1} uses arcs {pairs} forming a cycle "
+                f"worker {k + 1} uses arcs {pairs} forming an open path "
                 "that does not pass through the depot"
             )
         visits: list[tuple[str, float]] = []
@@ -652,7 +642,7 @@ def values_to_solution(model: MilpModel, graph: ActionGraph, values: np.ndarray)
             node = int(model.arc_dst[arc])
         if succ:
             raise ValueError(
-                f"worker {k + 1} has isolated cycle through {sorted(nodes[i] for i in succ)} "
+                f"worker {k + 1} has an open path through {sorted(nodes[i] for i in succ)} "
                 "not connected to the depot"
             )
         routes.append(
@@ -674,23 +664,17 @@ def solution_to_values(model: MilpModel, graph: ActionGraph, solution: Solution)
     this satisfies every row of :func:`build_milp` (see the module notes).
     Raises ``ValueError`` for a route on a worker or an arc the model lacks.
     """
-    k_total, n_arcs, n = model.workers, len(model.arc_src), len(model.nodes)
+    k_total, n_arcs = model.workers, len(model.arc_src)
     tau = np.array([0.0] + [graph.instance.request(node).time_min for node in model.nodes[1:]])
     t = np.tile(_window_arrays(graph, tau)[0][:, np.newaxis], k_total)
     x = np.zeros((n_arcs, k_total))
-    # arcs are in (from, to) order, so their keys are sorted; the end key n*n
-    # exceeds them all, so every searchsorted position indexes ``keys``
-    keys = np.r_[model.arc_src * n + model.arc_dst, n * n]
-    index = {node: i for i, node in enumerate(model.nodes)}
-    for route in solution.routes:
-        k = route.worker_index
-        seq = np.array([0] + [index.get(rid, -1) for rid in route.request_ids] + [0])
-        want = seq[:-1] * n + seq[1:]
-        arcs = np.searchsorted(keys, want)
-        if not 0 <= k < k_total or (seq < 0).any() or (keys[arcs] != want).any():
+    for route in solution.routes:  # the model's nodes and arcs are the graph's
+        k, seq = route.worker_index, (DEPOT_NODE,) + route.request_ids + (DEPOT_NODE,)
+        arcs = [graph.arc_position(i, j) for i, j in zip(seq, seq[1:])]
+        if not 0 <= k < k_total or -1 in arcs:
             raise ValueError(f"route {route.request_ids} of worker {k + 1} is not in the model")
         x[arcs, k] = 1.0
-        t[seq[:-1], k] = [route.depot_departure_min] + [time for _, time in route.visits]
+        t[graph.src[arcs], k] = [route.depot_departure_min] + [time for _, time in route.visits]
     return np.r_[x.ravel(), t.ravel()]
 
 
@@ -707,17 +691,3 @@ def evaluate_assignment(model: MilpModel, values: np.ndarray) -> tuple[np.ndarra
     )
     tol = np.where(np.isin(model.families, _LOOSE_FAMILIES), 1e-6, 1e-9)
     return slack >= -tol, slack
-
-
-def route_operational_cost(graph: ActionGraph, route: Route) -> float:
-    """Total arc cost of a route, excluding the depot-outgoing arc."""
-    seq = [DEPOT_NODE] + [rid for rid, _ in route.visits] + [DEPOT_NODE]
-    total = 0.0
-    for a, b in zip(seq, seq[1:]):
-        if a == DEPOT_NODE:
-            continue
-        arc = graph.arc(a, b)
-        if arc is None:
-            raise ValueError(f"route uses arc {a!r}->{b!r} absent from the graph")
-        total += arc.op_time_min
-    return total

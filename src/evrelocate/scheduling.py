@@ -1,4 +1,4 @@
-"""Charge-aware scheduling of a single worker's route.
+"""Charge-aware scheduling of a single worker's route, one pair at a time.
 
 Given an ordered list of (pickup, delivery) pairs, decide whether visit
 times exist satisfying every timing and battery condition, and produce the
@@ -22,30 +22,42 @@ Per leg with pickup p (charge rho_p, earliest time tau_p), delivery d
   ``rho_p - dist/L + (tau_d - tau_p - c)/Gamma >= rho_d``  and
   ``t_p <= tau_d - c + Gamma * (1 - dist/L - rho_d)``.
 
-All per-leg conditions are therefore intervals on the pickup service time
-plus chain constraints, so one forward pass computes earliest times.  The
+So every leg is an interval ``[low, up]`` on its pickup service time plus
+a charge-margin verdict, constants of its EV arc (:func:`leg_bounds`).  The
 route duration counts from depot departure (derived: the latest departure
 reaching the first pickup on time), so when the earliest schedule is too
 long the whole start is delayed as far as the per-leg upper bounds allow,
 which can only shrink the span.  A 1-minute grid search over service times
 is the reference oracle for this logic in the test suite.
 
-Two verdicts come out of one pass.  The *open route* ends at its last
-delivery: per-leg windows and charge, the pickup chain, and the shift limit
-measured to the last delivery.  Once violated these stay violated as pairs
-are appended, so a search may prune a prefix on them (``extendable``).  The
-*closed route* rides back to the depot: it needs that arc and must fit the
-shift with that leg charged (``feasible``).  One more pair can end a route
-nearer the depot, so the return leg never decides a prefix.
+The step.  :func:`extend` appends a ride and a leg to a route prefix
+(:data:`Prefix`) in O(1) by forward time slack (Savelsbergh 1992): the new
+pickup's earliest service is the larger of its ``low`` and the last one's
+plus the travel between them, and the start-delay cap shrinks to the new
+leg's room.  :func:`start_delay` tests the shift in O(1).  Two verdicts
+come out.  The *open route* ends at its last delivery: per-leg windows and
+charge, the pickup chain, and the shift limit measured to the last
+delivery.  Once violated these stay violated as pairs are appended, so a
+search may prune a prefix on them (``extendable``).  The *closed route*
+rides back to the depot: it needs that arc and must fit the shift with
+that leg charged (``feasible``).  One more pair can end a route nearer the
+depot, so the return leg never decides a prefix.  :func:`schedule_route`
+validates a whole pair list, folds :func:`extend` over it and writes the
+times, so a search that carries prefixes gets its verdicts bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .actiongraph import ActionGraph, ArcKind
+import numpy as np
+
+from .actiongraph import ActionGraph
 from .domain import CHARGE_TOL, DEPOT_NODE, Instance, RequestKind, TIME_TOL
+
+#: (earliest first service, earliest last service, chain total, start-delay
+#: cap, shift left after the ride from the depot, last drive), all minutes.
+Prefix = tuple[float, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,63 @@ class ScheduleResult:
     charge_trace: tuple[tuple[float, float], ...]
     reason: str | None = None
 
-    @property
-    def duration_min(self) -> float:
-        return self.depot_return_min - self.depot_departure_min
-
 
 def _infeasible(reason: str, extendable: bool) -> ScheduleResult:
     return ScheduleResult(False, extendable, {}, 0.0, 0.0, (), reason)
+
+
+def leg_bounds(params, p_time, p_charge, d_time, d_charge, km, op):
+    """Per EV leg, the pickup window ``(low, up)`` and whether the charge margin holds.
+
+    Per leg: pickup and delivery time and charge, km and operational time;
+    arrays of legs or the floats of one.
+    """
+    gamma = params.recharge_time_min
+    need = km / params.max_range_km
+    low = np.maximum(p_time, p_time + gamma * (need - p_charge))  # release, battery coverage
+    deadline = d_time - op
+    up = np.minimum(deadline, deadline + gamma * (1.0 - need - d_charge))  # deadline, saturation
+    margin = p_charge - need + (d_time - p_time - op) / gamma
+    return low, up, margin >= d_charge - CHARGE_TOL  # inputs are finite, so never NaN
+
+
+def extend(
+    prefix: Prefix | None, low: float, up: float, op: float, ride: float, shift_limit: float
+) -> Prefix | None:
+    """``prefix`` followed by a ride of ``ride`` minutes and the leg ``(low, up, op)``.
+
+    With ``prefix`` None the leg opens a route and the ride is from the
+    depot.  Returns None when the leg's earliest service passes ``up``.
+    """
+    if prefix is None:
+        first = max(low, ride)  # depot departure at or after 0
+        if first > up + TIME_TOL:
+            return None
+        return (first, first, 0.0, up - first, shift_limit - ride, op)
+    first, last, chain, cap, budget, last_op = prefix
+    travel = last_op + ride  # from the last pickup's service to this pickup's arrival
+    earliest = max(low, last + travel)
+    if earliest > up + TIME_TOL:
+        return None
+    chain += travel
+    return (first, earliest, chain, min(cap, up - first - chain), budget, op)
+
+
+def start_delay(prefix: Prefix, ride_home: float = 0.0) -> float | None:
+    """Least delay of the whole start that fits the shift; None if none does.
+
+    The shift runs from depot departure to the last delivery plus ``ride_home``.
+    """
+    first, last, chain, cap, budget, op = prefix
+    span = budget - op - ride_home
+    if chain > span + TIME_TOL:
+        return None
+    excess = (last - first) - span
+    if excess <= TIME_TOL:
+        return 0.0
+    if excess > cap + TIME_TOL:
+        return None
+    return min(excess, cap)
 
 
 def schedule_route(
@@ -91,124 +153,65 @@ def schedule_route(
     """
     if not pairs:
         raise ValueError("route must contain at least one pickup/delivery pair")
-
     params = instance.parameters
-    big_t = params.shift_limit_min
-    gamma = params.recharge_time_min
-    cap_km = params.max_range_km
-
-    arc = graph.arc_index.get  # one attribute read per call, not per leg
-    seen: set[str] = set()
-    legs = []
-    for p_id, d_id in pairs:
-        p = instance.request(p_id)
-        d = instance.request(d_id)
+    requests = [instance.request(rid) for pair in pairs for rid in pair]
+    ids = [r.id for r in requests]
+    legs = list(zip(requests[0::2], requests[1::2]))
+    for p, d in legs:
         if p.kind is not RequestKind.PICKUP or d.kind is not RequestKind.DELIVERY:
-            raise ValueError(f"pair ({p_id}, {d_id}) does not alternate pickup/delivery")
-        for rid in (p_id, d_id):
-            if rid in seen:
-                raise ValueError(f"request {rid!r} repeated in route")
-            seen.add(rid)
-        ev = arc((p_id, d_id))
-        if ev is None or ev.kind is not ArcKind.EV:
-            raise ValueError(f"no EV arc {p_id} -> {d_id} in graph")
-        legs.append((p, d, ev))
+            raise ValueError(f"pair ({p.id}, {d.id}) does not alternate pickup/delivery")
+    repeated = [rid for k, rid in enumerate(ids) if rid in ids[:k]]
+    if repeated:
+        raise ValueError(f"request {repeated[0]!r} repeated in route")
 
-    first_bike = arc((DEPOT_NODE, pairs[0][0]))
-    if first_bike is None:
-        raise ValueError(f"no depot arc to {pairs[0][0]} in graph")
-    connectors = []
-    for (_, d_prev, _), (p_next, _, _) in zip(legs, legs[1:]):
-        bike = arc((d_prev.id, p_next.id))
-        if bike is None or bike.kind is not ArcKind.BIKE:
-            raise ValueError(f"no bike arc {d_prev.id} -> {p_next.id} in graph")
-        connectors.append(bike)
-
-    m = len(legs)
-    lows = []
-    ups = []
-    for k, (p, d, ev) in enumerate(legs):
-        need = ev.distance_km / cap_km
-        low = max(p.time_min, p.time_min + gamma * (need - p.charge))  # release, battery coverage
-        if k == 0:
-            low = max(low, first_bike.op_time_min)  # depot departure at or after 0
-        deadline = d.time_min - ev.op_time_min
-        up = min(deadline, deadline + gamma * (1.0 - need - d.charge))  # deadline, saturation
-        margin = p.charge - need + (d.time_min - p.time_min - ev.op_time_min) / gamma
-        if margin < d.charge - CHARGE_TOL:
+    # arcs in route order: ride to the first pickup, leg, ride, ..., leg, ride home
+    stops = [DEPOT_NODE] + ids + [DEPOT_NODE]
+    arcs = []
+    for a, (i, j) in enumerate(zip(stops, stops[1:])):
+        arcs.append(graph.arc_position(i, j))
+        if arcs[-1] < 0 and a < len(ids):  # only the ride home may be missing
+            raise ValueError(f"no {'EV' if a % 2 else 'bike'} arc {i} -> {j} in graph")
+    minutes = graph.op_time_min[arcs[:-1]].tolist()  # ride, leg, ride, ..., leg
+    rides, op = minutes[0::2], minutes[1::2]
+    km = graph.distance_km[arcs[1:-1:2]].tolist()
+    prefix = None
+    earliest = []
+    for k, (p, d) in enumerate(legs):
+        low, up, fits = leg_bounds(params, p.time_min, p.charge, d.time_min, d.charge, km[k], op[k])
+        if not fits:
             return _infeasible(
                 f"leg {p.id}->{d.id}: delivered charge cannot reach {d.charge:g} by {d.time_min:g}",
                 extendable=False,
             )
-        lows.append(low)
-        ups.append(up)
-
-    deltas = [0.0]  # travel from previous pickup service to next pickup arrival
-    for bike, (_, _, ev_prev) in zip(connectors, legs):
-        deltas.append(ev_prev.op_time_min + bike.op_time_min)
-
-    earliest = [lows[0]]
-    for k in range(1, m):
-        earliest.append(max(lows[k], earliest[k - 1] + deltas[k]))
-    for k in range(m):
-        if earliest[k] > ups[k] + TIME_TOL:
-            p, d, _ = legs[k]
-            return _infeasible(
-                f"leg {p.id}->{d.id}: earliest service {earliest[k]:g} exceeds bound {ups[k]:g}",
-                extendable=False,
-            )
-
-    chain_total = sum(deltas)
-
-    def start_delay(span_max: float) -> float | None:
-        """Least start delay fitting the span in ``span_max``; None if none does."""
-        if chain_total > span_max + TIME_TOL:
-            return None
-        excess = (earliest[-1] - earliest[0]) - span_max
-        if excess <= TIME_TOL:
-            return 0.0
-        # Delay the whole start; forced chain positions must respect the
-        # per-leg upper bounds (the earliest positions already do).
-        delay_cap = math.inf
-        cum = 0.0
-        for k in range(m):
-            cum += deltas[k]
-            delay_cap = min(delay_cap, ups[k] - earliest[0] - cum)
-        if excess > delay_cap + TIME_TOL:
-            return None
-        return min(excess, delay_cap)
-
-    span_open = big_t - first_bike.op_time_min - legs[-1][2].op_time_min
-    if start_delay(span_open) is None:
+        prefix = extend(prefix, float(low), float(up), op[k], rides[k], params.shift_limit_min)
+        if prefix is None:
+            return _infeasible(f"leg {p.id}->{d.id}: earliest service exceeds {up:g}", False)
+        earliest.append(prefix[1])
+    if start_delay(prefix) is None:
         return _infeasible("shift limit exceeded by the last delivery", extendable=False)
-    last_bike = arc((pairs[-1][1], DEPOT_NODE))
-    if last_bike is None:
-        return _infeasible(f"no arc from {pairs[-1][1]} back to the depot", extendable=True)
-    delay = start_delay(span_open - last_bike.op_time_min)
+    if arcs[-1] < 0:
+        return _infeasible(f"no arc from {ids[-1]} back to the depot", extendable=True)
+    ride_home = float(graph.op_time_min[arcs[-1]])
+    delay = start_delay(prefix, ride_home)
     if delay is None:
         return _infeasible("route duration exceeds the shift limit", extendable=True)
 
-    times = [earliest[0] + delay]
-    for k in range(1, m):
-        times.append(max(earliest[k], times[k - 1] + deltas[k]))
-
+    t_p = earliest[0] + delay
+    departure = t_p - rides[0]
     visit_times: dict[str, float] = {}
     trace = []
-    for k, (p, d, ev) in enumerate(legs):
-        t_p = times[k]
-        t_d = t_p + ev.op_time_min
-        charge_at_pickup = min(1.0, p.charge + (t_p - p.time_min) / gamma)
+    for k, (p, d) in enumerate(legs):
+        if k:
+            t_p = max(earliest[k], t_p + (op[k - 1] + rides[k]))
+        charge_at_pickup = min(1.0, p.charge + (t_p - p.time_min) / params.recharge_time_min)
         visit_times[p.id] = t_p
-        visit_times[d.id] = t_d
-        trace.append((charge_at_pickup, charge_at_pickup - ev.distance_km / cap_km))
-
-    departure = times[0] - first_bike.op_time_min
-    arrival = visit_times[legs[-1][1].id] + last_bike.op_time_min
+        visit_times[d.id] = t_p + op[k]
+        trace.append((charge_at_pickup, charge_at_pickup - km[k] / params.max_range_km))
     return ScheduleResult(
         feasible=True,
         extendable=True,
         visit_times=visit_times,
         depot_departure_min=departure,
-        depot_return_min=arrival,
+        depot_return_min=visit_times[ids[-1]] + ride_home,
         charge_trace=tuple(trace),
     )

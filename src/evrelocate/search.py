@@ -1,31 +1,35 @@
 """Exact and heuristic solving over the action graph.
 
 ``solve_branch_and_bound`` runs a depth-first search that grows worker
-routes one (pickup, delivery) pair at a time along graph arcs, rescheduling
-the partial route after every extension and pruning on an admissible count
-bound.  A prefix is pruned only on conditions that no extension repairs,
-the open-route verdict of :func:`evrelocate.scheduling.schedule_route`
-(``ScheduleResult.extendable``: per-leg windows and charge, the pickup
-chain, the shift limit up to the last delivery).  The bike leg back to the
-depot is charged only when a route is recorded as an incumbent or closed to
-start the next worker (``ScheduleResult.feasible``): one more pair can end a
-route nearer the depot, so that leg must not prune a prefix.
+routes one (pickup, delivery) pair at a time, over successor lists read
+once per solve from the graph's arrays, and prunes on an admissible count
+bound.  Each node carries its route's prefix
+(:mod:`evrelocate.scheduling`), so a node costs O(1) scheduling: one
+``extend`` and one or two ``start_delay`` per candidate pair, which give
+the verdicts of ``schedule_route`` on the whole route bit for bit.  Only
+the routes the search returns are timed by ``schedule_route``.  A prefix
+is pruned only on conditions that no extension repairs, the open-route
+verdict (``extendable``: per-leg windows and charge, the pickup chain, the
+shift limit up to the last delivery).  The bike leg back to the depot is
+charged only when a route is recorded as an incumbent or closed to start
+the next worker (``feasible``): one more pair can end a route nearer the
+depot, so that leg must not prune a prefix.
 
 The count bound at a node is ``served + 2 * min(open pickups, open
 deliveries)`` over the EV arcs between unserved requests (:class:`CountBound`).
 It is kept up to date as pairs are marked served and unmarked on backtrack,
-touching only the pair's EV neighbours, so a node costs O(degree) besides
-its ``schedule_route`` call rather than a rescan of every EV arc.
+touching only the pair's EV neighbours, so a node costs O(degree) rather
+than a rescan of every EV arc.
 
 The search stops at its limits at once.  The node limit and the deadline
-are tested on entering a node and before each candidate's
-``schedule_route``; once either trips, no further node is visited and no
-further route scheduled, and every open level adds its own optimistic
-value to the frontier bound and returns without opening its next-worker
-branch.  ``best_bound`` stays a valid upper bound because the optimistic
-value never rises below a node: an extension serves two more requests but
-closes at least one open pickup and one open delivery, and a worker switch
-changes neither term.  ``nodes_explored`` is at most ``node_limit + 1``.
+are tested on entering a node and before each extension; once either
+trips, no further node is visited, and every open level adds its own
+optimistic value to the frontier bound and returns without opening its
+next-worker branch.  ``best_bound`` stays a valid upper bound because the
+optimistic value never rises below a node: an extension serves two more
+requests but closes at least one open pickup and one open delivery, and a
+worker switch changes neither term.  ``nodes_explored`` is at most
+``node_limit + 1``.
 
 ``brute_force`` is the desk-scale oracle: plain enumeration of all
 pairings, partitions and orderings, with no bounding logic shared with the
@@ -38,8 +42,9 @@ That bound is valid by construction, for any distance matrix: every route
 set the scheduler accepts satisfies every row of the model (its big-M
 values come from time windows that contain every schedulable visit time),
 so the model's optimum, and its LP relaxation above that, is at least the
-largest servable count.  Served counts are even, so the LP value is rounded
-down to an even number.
+largest servable count.  The workers are interchangeable, so the LP is
+solved on one worker copy (see :func:`compute_upper_bound`).  Served counts
+are even, so the LP value is rounded down to an even number.
 """
 
 from __future__ import annotations
@@ -50,14 +55,14 @@ from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import diags
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as highs
 
 # build_graph is unused here, but perfbench's traced run wraps evrelocate.search.build_graph.
-from .actiongraph import ActionGraph, ArcKind, build_graph  # noqa: F401
-from .domain import DEPOT_NODE, Instance, Route, Solution
+from .actiongraph import ActionGraph, build_graph  # noqa: F401
+from .domain import Instance, Route, Solution
 from . import milp
-from .scheduling import ScheduleResult, schedule_route
+from .scheduling import Prefix, extend, leg_bounds, schedule_route, start_delay
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ class SolveResult:
 @dataclass
 class _SearchState:
     best_count: int = -1
-    best_routes: tuple[tuple[tuple[tuple[str, str], ...], ScheduleResult], ...] = ()
+    best_routes: tuple[tuple[tuple[int, int], ...], ...] = ()  # node-index pairs per route
     nodes: int = 0
     aborted: bool = False
     frontier_bound: int = 0
@@ -114,73 +119,72 @@ class CountBound:
     two nodes' EV neighbours.
     """
 
-    def __init__(self, ev_next: dict[str, list[str]]) -> None:
-        self.served: set[str] = set()
-        # both directions of every EV arc; pickup and delivery ids are disjoint
-        self._neighbours: dict[str, list[str]] = {}
+    def __init__(self, ev_next: dict[int, list[int]]) -> None:
+        self.served: set[int] = set()
+        size = 1 + max([*ev_next, *(d for ds in ev_next.values() for d in ds)], default=-1)
+        # both directions of every EV arc, per node index
+        self._neighbours: list[list[int]] = [[] for _ in range(size)]
         for p, ds in ev_next.items():
-            self._neighbours.setdefault(p, []).extend(ds)
+            self._neighbours[p] += ds
             for d in ds:
-                self._neighbours.setdefault(d, []).append(p)
+                self._neighbours[d].append(p)
         # per node, its EV neighbours that are still unserved
-        self._degree = {n: len(ns) for n, ns in self._neighbours.items()}
+        self._degree = [len(ns) for ns in self._neighbours]
         # open pickups, open deliveries
         self._open = [
             sum(1 for p in ev_next if self._degree[p]),
-            sum(1 for n in self._neighbours if n not in ev_next),
+            sum(1 for n, ns in enumerate(self._neighbours) if ns and n not in ev_next),
         ]
 
-    def _close(self, node: str, side: int) -> None:
-        if self._degree[node]:
-            self._open[side] -= 1
-        self.served.add(node)
-        for other in self._neighbours[node]:
-            self._degree[other] -= 1
-            if not self._degree[other] and other not in self.served:
-                self._open[1 - side] -= 1
-
-    def _reopen(self, node: str, side: int) -> None:
-        for other in self._neighbours[node]:
-            if not self._degree[other] and other not in self.served:
-                self._open[1 - side] += 1
-            self._degree[other] += 1
-        self.served.discard(node)
-        if self._degree[node]:
-            self._open[side] += 1
-
-    def mark(self, pickup: str, delivery: str) -> None:
+    def mark(self, pickup: int, delivery: int) -> None:
         """Mark served an unserved pair joined by an EV arc."""
-        self._close(pickup, 0)
-        self._close(delivery, 1)
+        degree, served, opened = self._degree, self.served, self._open
+        for node, side in ((pickup, 0), (delivery, 1)):
+            if degree[node]:
+                opened[side] -= 1
+            served.add(node)
+            for other in self._neighbours[node]:
+                left = degree[other] = degree[other] - 1
+                if not left and other not in served:
+                    opened[1 - side] -= 1
 
-    def unmark(self, pickup: str, delivery: str) -> None:
+    def unmark(self, pickup: int, delivery: int) -> None:
         """Undo the latest ``mark`` not yet undone, which must be of this pair."""
-        self._reopen(delivery, 1)
-        self._reopen(pickup, 0)
+        degree, served, opened = self._degree, self.served, self._open
+        for node, side in ((delivery, 1), (pickup, 0)):
+            for other in self._neighbours[node]:
+                if not degree[other] and other not in served:
+                    opened[1 - side] += 1
+                degree[other] += 1
+            served.discard(node)
+            if degree[node]:
+                opened[side] += 1
 
     def value(self) -> int:
         """At most this many more requests can be served."""
         return 2 * min(self._open)
 
 
-def _routes_to_solution(
-    fixed: list[tuple[tuple[tuple[str, str], ...], ScheduleResult]],
-) -> Solution:
-    routes = []
-    for worker, (pairs, sched) in enumerate(fixed):
-        visits = []
-        for p_id, d_id in pairs:
-            visits.append((p_id, sched.visit_times[p_id]))
-            visits.append((d_id, sched.visit_times[d_id]))
-        routes.append(
-            Route(
-                worker_index=worker,
-                visits=tuple(visits),
-                depot_departure_min=sched.depot_departure_min,
-                depot_return_min=sched.depot_return_min,
-            )
-        )
-    return Solution.from_routes(routes)
+def _routes_to_solution(instance: Instance, graph: ActionGraph, routes) -> Solution:
+    """One route per worker, each (pickup, delivery) id pairs the scheduler accepts, timed by it."""
+    timed = []
+    for worker, pairs in enumerate(routes):
+        sched = schedule_route(instance, graph, list(pairs))
+        visits = tuple((rid, sched.visit_times[rid]) for pair in pairs for rid in pair)
+        timed.append(Route(worker, visits, sched.depot_departure_min, sched.depot_return_min))
+    return Solution.from_routes(timed)
+
+
+def _child(route, prefix, pair, leg, ride, ride_home, shift_limit):
+    """``(route, prefix, feasible)`` one pair below ``route``; None if it is not extendable.
+
+    ``leg`` is the pair's ``(low, up, op)``; ``ride_home`` is None without an arc home.
+    """
+    prefix = extend(prefix, *leg, ride, shift_limit)
+    if prefix is None or start_delay(prefix) is None:
+        return None
+    feasible = ride_home is not None and start_delay(prefix, ride_home) is not None
+    return route + (pair,), prefix, feasible
 
 
 def solve_branch_and_bound(
@@ -198,25 +202,37 @@ def solve_branch_and_bound(
     maximum optimistic value over the unexplored frontier).
     """
     options = options or SolveOptions()
-    k_total = instance.parameters.workers
+    params = instance.parameters
+    k_total = params.workers
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
 
+    # per node, in request-id order: EV legs whose charge margin holds, bike
+    # rides to usable pickups, the ride home; unusable requests are skipped
     allowed = available if available is not None else {r.id for r in instance.requests}
-
-    # pair adjacency in deterministic lexicographic order
-    ev_next: dict[str, list[str]] = {}
-    bike_next: dict[str, list[str]] = {}
-    for arc in graph.arcs:
-        if arc.kind is ArcKind.EV:
-            if arc.from_node in allowed and arc.to_node in allowed:
-                ev_next.setdefault(arc.from_node, []).append(arc.to_node)
-        elif arc.to_node != DEPOT_NODE and arc.to_node in allowed:
-            bike_next.setdefault(arc.from_node, []).append(arc.to_node)
-    for lst in ev_next.values():
-        lst.sort()
-    for lst in bike_next.values():
-        lst.sort()
+    nodes = graph.nodes
+    usable = [False] + [node in allowed for node in nodes[1:]]
+    requests = [instance.request(node) for node in nodes[1:]]
+    tau, charge = np.array([(0.0, 0.0)] + [(r.time_min, r.charge) for r in requests]).T
+    ev = graph.is_ev
+    pick, drop, drive = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
+    low, up, fits = leg_bounds(
+        params, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
+    )
+    ev_next: dict[int, list[int]] = {}  # every EV arc, for the count bound
+    legs = [[] for _ in nodes]
+    for p, d, lo, hi, op, fit in zip(*(c.tolist() for c in (pick, drop, low, up, drive, fits))):
+        if usable[p] and usable[d]:
+            ev_next.setdefault(p, []).append(d)
+            if fit:
+                legs[p].append((d, (lo, hi, op)))
+    rides = [[] for _ in nodes]
+    ride_home = [None] * len(nodes)
+    for i, j, op in zip(*(c[~ev].tolist() for c in (graph.src, graph.dst, graph.op_time_min))):
+        if j == 0:
+            ride_home[i] = op
+        elif usable[j]:
+            rides[i].append((j, op))
 
     state = _SearchState()
 
@@ -240,9 +256,12 @@ def solve_branch_and_bound(
         state.best_count = 0
     state.frontier_bound = state.best_count
 
-    fixed: list[tuple[tuple[tuple[str, str], ...], ScheduleResult]] = []
+    fixed: list[tuple[tuple[int, int], ...]] = []  # closed routes of the earlier workers
     count_bound = CountBound(ev_next)
     served = count_bound.served
+    mark, unmark = count_bound.mark, count_bound.unmark
+    symmetry = options.break_worker_symmetry
+    shift_limit = params.shift_limit_min
 
     def out_of_budget() -> bool:
         if not state.aborted:
@@ -251,60 +270,51 @@ def solve_branch_and_bound(
             state.aborted = over_nodes or over_time
         return state.aborted
 
-    def record(current: list[tuple[str, str]], sched: ScheduleResult | None) -> None:
-        if len(served) > state.best_count:
-            state.best_count = len(served)
-            snapshot = list(fixed)
-            if sched is not None:
-                snapshot.append((tuple(current), sched))
-            state.best_routes = tuple(snapshot)
-
-    def expand(current: list[tuple[str, str]], sched: ScheduleResult | None) -> None:
-        last = current[-1][1] if current else DEPOT_NODE
-        if not current and options.break_worker_symmetry and fixed:
-            floor = fixed[-1][0][0][0]  # first pickup of the previous route
-        else:
-            floor = None
-        for p in bike_next.get(last, ()):
-            if p in served or (floor is not None and p <= floor):
+    def expand(route: tuple, prefix: Prefix | None, feasible: bool) -> None:
+        last = route[-1][1] if route else 0
+        # routes in increasing order of their first pickup; node 0 is no pickup
+        floor = fixed[-1][0][0] if symmetry and fixed and not route else 0
+        for p, ride in rides[last]:
+            if p in served or p <= floor:
                 continue
-            for d in ev_next.get(p, ()):
+            for d, leg in legs[p]:
                 if d in served:
                     continue
                 if out_of_budget():
                     return
-                trial = current + [(p, d)]
-                result = schedule_route(instance, graph, trial)
-                if not result.extendable:
+                child = _child(route, prefix, (p, d), leg, ride, ride_home[d], shift_limit)
+                if child is None:
                     continue
-                count_bound.mark(p, d)
-                visit(trial, result)
-                count_bound.unmark(p, d)
-        if sched is not None and sched.feasible and len(fixed) + 1 < k_total and not out_of_budget():
-            fixed.append((tuple(current), sched))
-            visit([], None)
+                mark(p, d)
+                visit(*child)
+                unmark(p, d)
+        if feasible and len(fixed) + 1 < k_total and not out_of_budget():
+            fixed.append(route)
+            visit((), None, False)
             fixed.pop()
 
-    def visit(current: list[tuple[str, str]], sched: ScheduleResult | None) -> None:
-        # sched is None at a route's start; otherwise current may be an open
-        # route that cannot yet return to the depot (not sched.feasible)
+    def visit(route: tuple, prefix: Prefix | None, feasible: bool) -> None:
+        # prefix is None at a route's start; otherwise the route may be open,
+        # unable yet to return to the depot (not feasible)
         state.nodes += 1
-        if sched is None or sched.feasible:
-            record(current, sched)
+        if (prefix is None or feasible) and len(served) > state.best_count:
+            state.best_count = len(served)
+            state.best_routes = tuple(fixed) + ((route,) if route else ())
         optimistic = len(served) + count_bound.value()
         if bound_value is not None:
             optimistic = min(optimistic, bound_value)
         if not out_of_budget() and optimistic > state.best_count:
-            expand(current, sched)
+            expand(route, prefix, feasible)
         if state.aborted:
             # this level's unexplored branches can serve no more than optimistic
             state.frontier_bound = max(state.frontier_bound, optimistic)
 
-    visit([], None)
+    visit((), None, False)
 
     optimal = not state.aborted
     if state.best_routes:
-        solution = _routes_to_solution(list(state.best_routes))
+        named = [[(nodes[p], nodes[d]) for p, d in route] for route in state.best_routes]
+        solution = _routes_to_solution(instance, graph, named)  # only these routes are timed
     elif best_external is not None and best_external.served_count >= state.best_count:
         solution = best_external
     else:
@@ -331,29 +341,21 @@ def brute_force(instance: Instance, graph: ActionGraph) -> Solution:
     pickups = sorted(r.id for r in instance.pickups)
     deliveries = sorted(r.id for r in instance.deliveries)
 
-    def has_ev_arc(p: str, d: str) -> bool:
-        arc = graph.arc(p, d)
-        return arc is not None and arc.kind is ArcKind.EV
+    feasible_cache: dict[tuple[tuple[str, str], ...], bool] = {}
 
-    feasible_cache: dict[tuple[tuple[str, str], ...], ScheduleResult | None] = {}
-
-    def sequence_schedule(seq: tuple[tuple[str, str], ...]) -> ScheduleResult | None:
-        if seq in feasible_cache:
-            return feasible_cache[seq]
-        try:
-            result = schedule_route(instance, graph, list(seq))
-        except ValueError:
-            result = None
-        else:
-            result = result if result.feasible else None
-        feasible_cache[seq] = result
-        return result
+    def feasible(seq: tuple[tuple[str, str], ...]) -> bool:
+        if seq not in feasible_cache:
+            try:
+                feasible_cache[seq] = schedule_route(instance, graph, list(seq)).feasible
+            except ValueError:  # an arc of the open route is missing
+                feasible_cache[seq] = False
+        return feasible_cache[seq]
 
     for m in range(min(len(pickups), len(deliveries)), 0, -1):
         for p_sub in combinations(pickups, m):
             for d_perm in permutations(deliveries, m):
                 pairing = tuple(zip(p_sub, d_perm))
-                if not all(has_ev_arc(p, d) for p, d in pairing):
+                if any(graph.arc(p, d) is None for p, d in pairing):  # EV arcs, by their ends
                     continue
                 for assignment in product(range(k_total), repeat=m):
                     groups: list[list[tuple[str, str]]] = [[] for _ in range(k_total)]
@@ -361,14 +363,8 @@ def brute_force(instance: Instance, graph: ActionGraph) -> Solution:
                         groups[worker].append(pair)
                     nonempty = [g for g in groups if g]
                     for ordering in product(*(permutations(g) for g in nonempty)):
-                        schedules = [sequence_schedule(seq) for seq in ordering]
-                        if all(s is not None for s in schedules):
-                            fixed = [
-                                (seq, sched)
-                                for seq, sched in zip(ordering, schedules)
-                                if sched is not None
-                            ]
-                            return _routes_to_solution(fixed)
+                        if all(feasible(seq) for seq in ordering):
+                            return _routes_to_solution(instance, graph, ordering)
     return Solution.empty()
 
 
@@ -412,25 +408,32 @@ def heuristic_sequential(
 
 
 def compute_upper_bound(instance: Instance, graph: ActionGraph) -> int:
-    """LP relaxation of the K-worker model, rounded down to an even count.
+    """LP relaxation of the K-worker model, rounded down to an even count, from one worker copy.
+
+    Permuting the workers maps the model onto itself, and only family 3
+    (each request served at most once) sums over workers.  So averaging an
+    optimal LP solution over all K! permutations keeps the objective and
+    every row (a per-worker row of the average is a mean of rows that hold)
+    and gives each worker the same values y, with K y <= 1 in family 3.
+    Hence the K-worker LP is K times the one-worker LP with family 3's rhs
+    1/K, since K copies of any y feasible there are feasible for K workers
+    (orbit averaging, Margot 2010).
 
     Raises ``RuntimeError`` when the LP solver does not report an optimum.
     """
-    model = milp.build_milp(instance, graph)
-    sign = np.where(model.senses == ">=", -1.0, 1.0)  # ">=" rows enter A_ub negated
-    signed = diags(sign) @ model.matrix
-    eq = model.senses == "="
-    result = linprog(
-        -model.objective,
-        A_ub=signed[~eq],
-        b_ub=(sign * model.rhs)[~eq],
-        A_eq=model.matrix[eq],
-        b_eq=model.rhs[eq],
-        bounds=np.column_stack([np.zeros_like(model.upper), model.upper]),
-        method="highs",
+    k_total = instance.parameters.workers
+    single = replace(instance, parameters=replace(instance.parameters, workers=1))
+    model = milp.build_milp(single, graph)
+    rhs = np.where(model.families == 3, model.rhs / k_total, model.rhs)
+    rows = LinearConstraint(
+        model.matrix,
+        np.where(model.senses == "<=", -np.inf, rhs),
+        np.where(model.senses == ">=", np.inf, rhs),
     )
+    # scipy's milp entry with no integer column: HiGHS solves the LP with less overhead than linprog
+    result = highs(-model.objective, constraints=rows, bounds=Bounds(0.0, model.upper))
     if result.status != 0:
         raise RuntimeError(f"LP relaxation not solved: {result.message}")
     # the slack keeps solver round-off (e.g. 3.9999999) from losing a count
-    served = math.floor(-result.fun + 1e-6)
+    served = math.floor(-k_total * result.fun + 1e-6)
     return served - served % 2

@@ -134,8 +134,14 @@ class TestSolveAndCheck:
         text_time["routes"][0]["visits"][0]["time_min"] = "480"
         overclaimed = json.loads(json.dumps(good))
         overclaimed["served_count"] = 40
+        int_route = dict(good, routes=[5])
+        int_visit = json.loads(json.dumps(good))
+        int_visit["routes"][0]["visits"][1] = 7
         cases = (
             ([good], "must be an object"),
+            (int_route, "routes[0] must be an object, got 5"),
+            (int_visit, "routes[0].visits[1] must be an object, got 7"),
+            (dict(good, routes=5), "routes must be a list, got 5"),
             (text_time, "routes[0].visits[0].time_min must be a number"),
             (overclaimed, f"served_count is 40, but the routes visit {good['served_count']}"),
         )
@@ -168,6 +174,29 @@ class TestSolveAndCheck:
             code, _, err = run(capsys, "solve", "--instance", str(bad))
             assert code == 2
             assert field in err
+
+    def test_wrong_type_instance_entry_exits_2(self, tmp_path, capsys, instance_file):
+        good = json.loads(instance_file.read_text())
+        int_request = json.loads(json.dumps(good))
+        int_request["requests"][1] = 5
+        int_location = json.loads(json.dumps(good))
+        int_location["requests"][0]["location"] = 3
+        cases = (
+            (int_request, "requests[1] must be an object, got 5"),
+            (int_location, "requests[0].location must be an object, got 3"),
+            (dict(good, depot="depot"), "depot must be an object, got 'depot'"),
+            (dict(good, parameters=[]), "parameters must be an object, got []"),
+        )
+        sol_path = tmp_path / "sol.json"
+        run(capsys, "solve", "--instance", str(instance_file), "--out", str(sol_path))
+        for doc, message in cases:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "check", "--instance", str(bad), "--solution", str(sol_path))
+            assert code == 2
+            assert err.startswith("error: ") and message in err, err
+            assert "Traceback" not in err
+            assert out == ""
 
     @pytest.mark.parametrize("name", ["max_range_km", "shift_limit_min"])
     def test_infinite_parameter_exits_2(self, tmp_path, capsys, instance_file, name):

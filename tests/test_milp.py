@@ -24,13 +24,11 @@ from evrelocate import (
     models_equivalent,
     parse_lp,
     read_solution_values,
-    route_operational_cost,
     solve_branch_and_bound,
     solution_to_values,
-    time_windows,
     values_to_solution,
 )
-from evrelocate.milp import _safe_names
+from evrelocate.milp import _safe_names, _window_arrays
 from conftest import (
     BASE_PARAMS,
     ORACLE_CASES,
@@ -55,6 +53,19 @@ def three_node_model(workers=1, options=None):
     graph = build_graph(inst, matrix)
     model = build_milp(inst, graph, options)
     return inst, graph, model
+
+
+def time_windows(instance, graph):
+    """The model's time windows as {node: (early, late)}."""
+    tau = np.array([0.0] + [instance.request(n).time_min for n in graph.nodes[1:]])
+    early, late = _window_arrays(graph, tau)
+    return dict(zip(graph.nodes, zip(early.tolist(), late.tolist())))
+
+
+def route_operational_cost(graph, route):
+    """Total arc cost of a route, excluding the depot-outgoing arc (family 14's cost)."""
+    seq = route.request_ids + (DEPOT_NODE,)
+    return sum(graph.arc(a, b).op_time_min for a, b in zip(seq, seq[1:]))
 
 
 def oracle_windows(instance, graph):
@@ -513,9 +524,9 @@ class TestAssignments:
 
     def test_isolated_cycle_rejected(self):
         inst, graph = two_pairs()
-        with pytest.raises(ValueError, match="does not pass through the depot"):
+        with pytest.raises(ValueError, match="open path that does not pass through the depot"):
             decode(inst, graph, "x_p1_d1_1 1\n")
-        with pytest.raises(ValueError, match=r"isolated cycle through \['p2'\]"):
+        with pytest.raises(ValueError, match=r"open path through \['p2'\] not connected"):
             decode(inst, graph, ONE_CYCLE + "x_p2_d2_1 1\n")
 
     @pytest.mark.parametrize(

@@ -173,7 +173,7 @@ class TestScheduleBasics:
         )
         result = schedule_route(inst, graph, pairs)
         assert result.feasible
-        assert result.duration_min == pytest.approx(150.0)
+        assert result.depot_return_min - result.depot_departure_min == pytest.approx(150.0)
         assert result.visit_times["p1"] == pytest.approx(584.0)  # delayed start
 
     def test_malformed_sequences_raise(self):

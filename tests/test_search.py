@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, linprog, milp
+from scipy.sparse import diags
 
 import evrelocate.search
 from evrelocate import (
@@ -90,6 +91,26 @@ def far_delivery_case():
     params = dataclasses.replace(DEFAULT_PARAMETERS, workers=1)
     inst = Instance(params, depot, requests, {"type": "euclidean", "detour_factor": 1.0})
     return inst, build_graph(inst, matrix_for_instance(inst))
+
+
+def k_worker_lp_bound(instance, graph):
+    """The LP relaxation of the K-worker model itself, the reference of the one-copy bound."""
+    model = build_milp(instance, graph)
+    sign = np.where(model.senses == ">=", -1.0, 1.0)
+    signed = diags(sign) @ model.matrix
+    eq = model.senses == "="
+    result = linprog(
+        -model.objective,
+        A_ub=signed[~eq],
+        b_ub=(sign * model.rhs)[~eq],
+        A_eq=model.matrix[eq],
+        b_eq=model.rhs[eq],
+        bounds=np.column_stack([np.zeros_like(model.upper), model.upper]),
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    served = int(np.floor(-result.fun + 1e-6))
+    return served - served % 2
 
 
 def violated_rows(inst, graph, solution):
@@ -307,7 +328,9 @@ class TestUpperBound:
             seed = footprint * 1000 + stations * 100 + size * 10 + k
             inst, graph = spread_case(seed, size, float(footprint), stations, k, explicit)
             optimum = brute_force(inst, graph)
-            assert compute_upper_bound(inst, graph) >= optimum.served_count, cell
+            bound = compute_upper_bound(inst, graph)
+            assert bound == k_worker_lp_bound(inst, graph), cell
+            assert bound >= optimum.served_count, cell
             assert not violated_rows(inst, graph, optimum), cell
             result = solve_branch_and_bound(inst, graph)
             assert result.optimal, cell
@@ -324,11 +347,19 @@ class TestUpperBound:
         assert result.solution.served_count == 4
         assert check_solution(inst, graph, result.solution).passed
 
+    @pytest.mark.parametrize("size, seed", [(24, 1), (24, 2), (60, 1)])
+    def test_one_copy_bound_equals_k_worker_lp(self, size, seed):
+        inst = generate_instance(GeneratorConfig(request_total=size, seed=seed))
+        graph = build_graph(inst, matrix_for_instance(inst))
+        for k in (1, 2, 3):
+            inst_k = with_workers(inst, k)
+            assert compute_upper_bound(inst_k, graph) == k_worker_lp_bound(inst_k, graph), k
+
     def test_solver_failure_raises(self, monkeypatch, one_pair):
         inst, matrix = one_pair
         graph = build_graph(inst, matrix)
         failed = OptimizeResult(status=4, message="numerical difficulties", fun=None)
-        monkeypatch.setattr(evrelocate.search, "linprog", lambda *a, **kw: failed)
+        monkeypatch.setattr(evrelocate.search, "highs", lambda *a, **kw: failed)
         with pytest.raises(RuntimeError, match="numerical difficulties"):
             compute_upper_bound(inst, graph)
 
@@ -351,8 +382,8 @@ class TestCountBound:
     def test_matches_recount_under_random_marks(self):
         rng = random.Random(0)
         for _ in range(200):
-            pickups = [f"p{i}" for i in range(rng.randint(0, 8))]
-            deliveries = [f"d{i}" for i in range(rng.randint(0, 8))]
+            pickups = list(range(1, rng.randint(1, 9)))  # node indices, as the search has them
+            deliveries = list(range(10, rng.randint(10, 18)))
             density = rng.random()
             ev_next = {}
             for p in pickups:
@@ -385,6 +416,82 @@ def case_200():
     return inst, build_graph(inst, matrix_for_instance(inst))
 
 
+PAPER = dict(use_upper_bound=True, use_warm_start=True, break_worker_symmetry=True)
+
+
+class TestSearchUnchanged:
+    """The search tree of the whole-route scheduler it replaced, cell by cell."""
+
+    @pytest.mark.parametrize(
+        "seed, paper, k, expected",
+        [
+            # generator seed, configuration, K: (served, best_bound, optimal, nodes_explored)
+            (100000, True, 1, (6, 6, True, 160)),
+            (100000, True, 2, (10, 10, True, 6565)),
+            (100000, True, 3, (14, 14, True, 96476)),
+            (100000, False, 1, (6, 6, True, 160)),
+            (100000, False, 2, (10, 10, True, 12811)),
+            (100000, False, 3, (12, 18, False, 20001)),
+            (100001, True, 1, (6, 6, True, 1)),
+            (100001, True, 2, (12, 12, True, 1)),
+            (100001, False, 1, (6, 6, True, 436)),
+            (100001, False, 2, (12, 22, False, 20001)),
+            (100001, False, 3, (14, 22, False, 20001)),
+            (100002, True, 1, (6, 6, True, 366)),
+            (100002, True, 2, (10, 10, True, 13424)),
+            (100002, False, 1, (6, 6, True, 366)),
+            (100002, False, 2, (10, 20, False, 20001)),
+            (100002, False, 3, (12, 20, False, 20001)),
+            (100003, True, 1, (6, 6, True, 264)),
+            (100003, True, 2, (10, 10, True, 8025)),
+            (100003, True, 3, (14, 14, True, 12767)),
+            (100003, False, 1, (6, 6, True, 264)),
+            (100003, False, 2, (10, 10, True, 15043)),
+            (100003, False, 3, (12, 18, False, 20001)),
+        ],
+    )
+    def test_node_limited_cells_pinned(self, seed, paper, k, expected):
+        # paper: the speedups with a 100 000-node limit; default: a 20 000-node limit
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=24, seed=seed)), k)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        options = SolveOptions(node_limit=100_000, **PAPER) if paper else SolveOptions(node_limit=20_000)
+        result = solve_branch_and_bound(inst, graph, options)
+        got = (result.solution.served_count, result.best_bound, result.optimal, result.nodes_explored)
+        assert got == expected
+        assert check_solution(inst, graph, result.solution).passed
+
+    def test_carried_verdicts_equal_schedule_route(self, monkeypatch):
+        # every child the search makes, extendable or not, against a fresh
+        # schedule of its whole route: a prefix gone stale on backtrack or at
+        # a worker switch shows as a verdict that differs
+        child = evrelocate.search._child
+        calls = []
+
+        def spy(route, prefix, pair, *args):
+            made = child(route, prefix, pair, *args)
+            calls.append((route + (pair,), made))
+            return made
+
+        verdicts = set()
+        for size, seed, k, paper in ((24, 3, 3, True), (40, 3, 2, True), (60, 1, 2, False)):
+            inst = with_workers(generate_instance(GeneratorConfig(request_total=size, seed=seed)), k)
+            graph = build_graph(inst, matrix_for_instance(inst))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(evrelocate.search, "_child", spy)
+                options = SolveOptions(node_limit=3000, **(PAPER if paper else {}))
+                solve_branch_and_bound(inst, graph, options)
+            assert len(calls) > 3000
+            for route, made in calls:
+                pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
+                fresh = schedule_route(inst, graph, pairs)
+                carried = (made is not None, made is not None and made[2])
+                assert carried == (fresh.extendable, fresh.feasible), (size, seed, k, pairs)
+                assert made is None or made[0] == route
+                verdicts.add(carried)
+        assert verdicts == {(False, False), (True, False), (True, True)}
+
+
 class TestStoppingRule:
     def test_node_limit_overshoots_by_at_most_one(self):
         inst, graph = random_case(1, size=24)
@@ -406,6 +513,13 @@ class TestStoppingRule:
         # the warm start's single-worker searches split the budget, so each finds a route
         assert len(result.solution.routes) == k
         assert check_solution(with_workers(inst, k), graph, result.solution).passed
+
+    def test_solve_makes_no_arc_objects(self):
+        inst = generate_instance(GeneratorConfig(request_total=200, seed=1))
+        graph = build_graph(inst, matrix_for_instance(inst))
+        result = solve_branch_and_bound(inst, graph, SolveOptions(time_limit_s=0.2))
+        assert result.solution.served_count > 0
+        assert not {"arcs", "arc_index"} & set(vars(graph))
 
     def test_frontier_bound_valid_when_stopped_early(self):
         # the spread cells of test_bound_valid_and_optimum_completes_on_spread_instances
