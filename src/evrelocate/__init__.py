@@ -65,6 +65,6 @@ from .search import (
     heuristic_sequential,
     solve_branch_and_bound,
 )
-from .validate import FAMILY_LABELS, RowResult, ValidationReport, check_solution
+from .validate import RowResult, ValidationReport, check_solution
 
 __version__ = "0.1.0"

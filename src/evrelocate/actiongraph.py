@@ -19,17 +19,21 @@ Every route is then an elementary cycle through the depot, alternating
 bike and EV arcs, even when several requests share one parking location.
 
 Layout.  An :class:`ActionGraph` is arrays in one canonical order, the one
-the MILP uses: ``nodes`` is the depot, then the request ids sorted; arc
-``a`` runs from node ``src[a]`` to node ``dst[a]`` (indices into
-``nodes``) with ``is_ev[a]``, ``distance_km[a]`` and ``op_time_min[a]``,
-and arcs are sorted by (from node, to node) in node order.
+the MILP uses: ``nodes`` is the depot, then the request ids sorted.  Node
+``n`` has the request's time ``tau[n]``, charge ``charge[n]`` and kind
+``is_pickup[n]``; the depot has 0, 0 and False.  Arc ``a`` runs from node
+``src[a]`` to node ``dst[a]`` (indices into ``nodes``) with ``is_ev[a]``,
+``distance_km[a]`` and ``op_time_min[a]``, and arcs are sorted by (from
+node, to node) in node order.  These arrays are the one table of request
+facts past the graph build: the search, the scheduler and the model read
+them, not the instance, so a graph serves every worker count K.
 :func:`build_graph` computes each arc class over a whole block of
 candidate pairs of the distance matrix at once.  :meth:`ActionGraph.arc_position`
 finds an arc by its end nodes with a binary search over the sorted
 (from, to) keys.  The :class:`Arc` objects (``arcs``) are views made from
 the arrays on first use, for inspection (:meth:`ActionGraph.arc`,
-:func:`to_dot`) and the brute-force oracle; the search, the scheduler and
-the model read the arrays alone.
+:func:`to_dot`); the search, the scheduler and the model read the arrays
+alone.
 """
 
 from __future__ import annotations
@@ -63,11 +67,13 @@ class Arc:
 
 @dataclass(frozen=True, eq=False)
 class ActionGraph:
-    """Immutable arc arrays in canonical order, plus the distance matrix they used."""
+    """Immutable node and arc arrays in canonical order, plus the distance matrix they used."""
 
-    instance: Instance
     distances: DistanceMatrix
     nodes: tuple[str, ...]
+    tau: np.ndarray
+    charge: np.ndarray
+    is_pickup: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     is_ev: np.ndarray
@@ -75,8 +81,9 @@ class ActionGraph:
     op_time_min: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in (self.src, self.dst, self.is_ev, self.distance_km, self.op_time_min):
-            column.setflags(write=False)  # the cached views must not go stale
+        for column in vars(self).values():
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)  # the cached views must not go stale
 
     @property
     def node_count(self) -> int:
@@ -96,7 +103,8 @@ class ActionGraph:
         return self.arcs[a] if a >= 0 else None
 
     @cached_property
-    def _node_index(self) -> dict[str, int]:
+    def node_index(self) -> dict[str, int]:
+        """Position of each node id in ``nodes``."""
         return {node: n for n, node in enumerate(self.nodes)}
 
     @cached_property
@@ -106,7 +114,7 @@ class ActionGraph:
 
     def arc_position(self, from_node: str, to_node: str) -> int:
         """Index of the arc between two node ids in the arrays, or -1 where there is none."""
-        i, j = self._node_index.get(from_node, -1), self._node_index.get(to_node, -1)
+        i, j = self.node_index.get(from_node, -1), self.node_index.get(to_node, -1)
         keys, key = self._keys, i * len(self.nodes) + j
         a = bisect_left(keys, key)
         return a if min(i, j) >= 0 and a < len(keys) and keys[a] == key else -1
@@ -129,8 +137,10 @@ def build_graph(instance: Instance, distances: DistanceMatrix) -> ActionGraph:
             raise ValueError(f"distance matrix does not cover location {location!r} of {owner}")
         row[n] = distances.index[location]
     tau = np.array([0.0] + [r.time_min for r in requests])
-    pickups = 1 + np.flatnonzero([r.kind is RequestKind.PICKUP for r in requests])
-    deliveries = 1 + np.flatnonzero([r.kind is RequestKind.DELIVERY for r in requests])
+    charge = np.array([0.0] + [r.charge for r in requests])
+    is_pickup = np.array([False] + [r.kind is RequestKind.PICKUP for r in requests])
+    pickups = np.flatnonzero(is_pickup)
+    deliveries = 1 + np.flatnonzero(~is_pickup[1:])
     depot = np.zeros(1, dtype=np.int64)
 
     def finite_pairs(sources: np.ndarray, targets: np.ndarray):
@@ -161,9 +171,11 @@ def build_graph(instance: Instance, distances: DistanceMatrix) -> ActionGraph:
     is_ev = np.arange(len(src)) < len(ev[0])  # the EV arcs were concatenated first
     order = np.argsort(src * len(nodes) + dst, kind="stable")
     return ActionGraph(
-        instance=instance,
         distances=distances,
         nodes=nodes,
+        tau=tau,
+        charge=charge,
+        is_pickup=is_pickup,
         src=src[order],
         dst=dst[order],
         is_ev=is_ev[order],
@@ -176,11 +188,10 @@ def to_dot(graph: ActionGraph) -> str:
     """Render the graph in DOT format for inspection."""
     lines = ["digraph actions {"]
     lines.append(f'  "{DEPOT_NODE}" [label="depot", shape=box];')
-    for req in graph.instance.requests:
-        lines.append(
-            f'  "{req.id}" [label="{req.id}\\n{req.kind.value}\\n'
-            f"t={req.time_min:g} c={req.charge:g}\"];"
-        )
+    for n, node in enumerate(graph.nodes[1:], start=1):
+        kind = RequestKind.PICKUP if graph.is_pickup[n] else RequestKind.DELIVERY
+        label = f"{node}\\n{kind.value}\\nt={graph.tau[n]:g} c={graph.charge[n]:g}"
+        lines.append(f'  "{node}" [label="{label}"];')
     for arc in graph.arcs:
         style = "solid" if arc.kind is ArcKind.EV else "dashed"
         lines.append(

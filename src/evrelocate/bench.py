@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -54,6 +54,14 @@ DEFAULT_STATIONS = (
 
 DEFAULT_DEPOT = Location("depot", coordinates=(5.0, 4.8))
 
+#: Request times, pickup charges and delivery charges are drawn uniformly from these ranges.
+REQUEST_WINDOW_MIN = (480.0, 900.0)
+PICKUP_CHARGE = (0.1, 1.0)
+DELIVERY_CHARGE = (0.2, 0.9)
+
+#: Euclidean distances between stations are scaled by this factor.
+DETOUR_FACTOR = 1.3
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -63,18 +71,11 @@ class GeneratorConfig:
     seed: int = 0
     stations: tuple[Location, ...] = DEFAULT_STATIONS
     depot: Location = DEFAULT_DEPOT
-    window_min: tuple[float, float] = (480.0, 900.0)
-    pickup_charge: tuple[float, float] = (0.1, 1.0)
-    delivery_charge: tuple[float, float] = (0.2, 0.9)
-    detour_factor: float = 1.3
     parameters: Parameters = DEFAULT_PARAMETERS
 
     def __post_init__(self) -> None:
         if self.request_total % 2 != 0 or self.request_total < 0:
             raise ValueError("request_total must be even and nonnegative")
-        lo, hi = self.window_min
-        if not (0 <= lo <= hi <= 24 * 60):
-            raise ValueError("time window bounds must lie within one day")
         if not self.stations:
             raise ValueError("need at least one station")
 
@@ -84,15 +85,15 @@ def generate_instance(config: GeneratorConfig) -> Instance:
 
     Stations are sampled with replacement per request; pickup charges,
     delivery required charges and request times are uniform within the
-    configured bounds.
+    module's ranges.
     """
     rng = np.random.default_rng(config.seed)
     half = config.request_total // 2
-    lo, hi = config.window_min
+    lo, hi = REQUEST_WINDOW_MIN
 
     def sample(kind: RequestKind, index: int) -> Request:
         station = config.stations[int(rng.integers(len(config.stations)))]
-        bounds = config.pickup_charge if kind is RequestKind.PICKUP else config.delivery_charge
+        bounds = PICKUP_CHARGE if kind is RequestKind.PICKUP else DELIVERY_CHARGE
         charge = round(float(rng.uniform(*bounds)), 4)
         time_min = round(float(rng.uniform(lo, hi)), 1)
         prefix = "p" if kind is RequestKind.PICKUP else "d"
@@ -106,7 +107,7 @@ def generate_instance(config: GeneratorConfig) -> Instance:
         parameters=config.parameters,
         depot=config.depot,
         requests=tuple(requests),
-        distance_source={"type": "euclidean", "detour_factor": config.detour_factor},
+        distance_source={"type": "euclidean", "detour_factor": DETOUR_FACTOR},
     )
 
 
@@ -202,19 +203,8 @@ def run_experiment(
 # Reporting
 # ---------------------------------------------------------------------------
 
-_CSV_FIELDS = [
-    "instance_name",
-    "request_count",
-    "workers",
-    "served_pct",
-    "objective",
-    "cpu1_s",
-    "cpu2_s",
-    "improv_pct",
-    "optimal_baseline",
-    "optimal_speedup",
-    "objective_baseline",
-]
+#: Reads a CSV cell back by its field's annotation in :class:`ExperimentRecord`.
+_FROM_CSV = {"str": str, "int": int, "float": float, "bool": lambda text: text == "True"}
 
 
 def emit_report(records: list[ExperimentRecord], fmt: str = "text") -> str:
@@ -223,18 +213,14 @@ def emit_report(records: list[ExperimentRecord], fmt: str = "text") -> str:
         raise ValueError("no records to report")
     if fmt == "csv":
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=_CSV_FIELDS)
+        writer = csv.DictWriter(out, fieldnames=[f.name for f in fields(ExperimentRecord)])
         writer.writeheader()
         for rec in records:
-            row = {name: getattr(rec, name) for name in _CSV_FIELDS}
-            for key, value in row.items():
-                if isinstance(value, float):
-                    row[key] = repr(value)
-            writer.writerow(row)
+            row = asdict(rec)
+            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
         return out.getvalue()
     if fmt == "json":
-        docs = [{name: getattr(rec, name) for name in _CSV_FIELDS} for rec in records]
-        return json.dumps(docs, indent=2) + "\n"
+        return json.dumps([asdict(rec) for rec in records], indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
 
@@ -290,21 +276,8 @@ def emit_report(records: list[ExperimentRecord], fmt: str = "text") -> str:
 
 def parse_report_csv(text: str) -> list[ExperimentRecord]:
     """Inverse of ``emit_report(..., fmt='csv')``."""
-    records = []
-    for row in csv.DictReader(io.StringIO(text)):
-        records.append(
-            ExperimentRecord(
-                instance_name=row["instance_name"],
-                request_count=int(row["request_count"]),
-                workers=int(row["workers"]),
-                served_pct=float(row["served_pct"]),
-                objective=int(row["objective"]),
-                cpu1_s=float(row["cpu1_s"]),
-                cpu2_s=float(row["cpu2_s"]),
-                improv_pct=float(row["improv_pct"]),
-                optimal_baseline=row["optimal_baseline"] == "True",
-                optimal_speedup=row["optimal_speedup"] == "True",
-                objective_baseline=int(row["objective_baseline"]),
-            )
-        )
-    return records
+    readers = {f.name: _FROM_CSV[f.type] for f in fields(ExperimentRecord)}
+    return [
+        ExperimentRecord(**{name: read(row[name]) for name, read in readers.items()})
+        for row in csv.DictReader(io.StringIO(text))
+    ]

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .domain import Instance, Location
+from .domain import Instance, Location, _list, _number, _object
 
 MATRIX_FORMAT_VERSION = 1
 
@@ -33,14 +33,6 @@ class RoadNetwork:
 
     nodes: dict[str, tuple[float, float]]
     links: tuple[tuple[str, str, float], ...]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def link_count(self) -> int:
-        return len(self.links)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,22 +64,46 @@ class DistanceMatrix:
             raise KeyError(f"location {exc.args[0]!r} not covered by matrix") from None
 
 
-def load_nodes(source: io.TextIOBase | str) -> dict[str, tuple[float, float]]:
-    """Parse ``id,x,y`` node records from a CSV stream.
+def _records(source: io.TextIOBase | str, kind: str, header: str):
+    """``(name, fields)`` of each CSV record, its fields stripped.
 
-    Blank lines, ``#`` comments and an ``id`` header row are skipped.
+    ``header`` names the three fields, as in ``id,x,y``.  Blank lines, ``#``
+    comments and rows whose first field is the header's are skipped.  The
+    name is ``<kind> record <line>``; raises ``ValueError`` naming it for a
+    record with another number of fields.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    nodes: dict[str, tuple[float, float]] = {}
     for lineno, row in enumerate(csv.reader(source), start=1):
-        if not row or row[0].strip().startswith("#"):
+        row = [cell.strip() for cell in row]
+        if not row or row[0].startswith("#") or row[0] == header.split(",")[0]:
             continue
-        if row[0].strip() == "id":  # header
-            continue
+        name = f"{kind} record {lineno}"
         if len(row) != 3:
-            raise ValueError(f"node record {lineno}: expected id,x,y got {row!r}")
-        nodes[row[0].strip()] = (float(row[1]), float(row[2]))
+            raise ValueError(f"{name}: expected {header} got {row!r}")
+        yield name, row
+
+
+def _finite(text: str, name: str) -> float:
+    """The number in ``text``; ``ValueError`` naming the record unless it is finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: {text!r} is not a finite number")
+    return value
+
+
+def load_nodes(source: io.TextIOBase | str) -> dict[str, tuple[float, float]]:
+    """Parse ``id,x,y`` node records from a CSV stream (see :func:`_records`).
+
+    Raises ``ValueError`` naming the record for a coordinate that is not a
+    finite number.
+    """
+    nodes: dict[str, tuple[float, float]] = {}
+    for name, (node, x, y) in _records(source, "node", "id,x,y"):
+        nodes[node] = (_finite(x, name), _finite(y, name))
     return nodes
 
 
@@ -95,31 +111,20 @@ def load_road_network(source: io.TextIOBase | str, links_source: io.TextIOBase |
     """Load a road network from two CSV streams.
 
     Node records are ``id,x,y`` (see :func:`load_nodes`); link records are
-    ``from,to,length_km`` (directed).  A link referencing a missing node is
-    a parse error naming the offending record.
+    ``from,to,length_km`` (directed).  A link referencing a missing node, or
+    with a negative or non-finite length, is a parse error naming the
+    offending record.
     """
     nodes = load_nodes(source)
-    if isinstance(links_source, str):
-        links_source = io.StringIO(links_source)
-
     links: list[tuple[str, str, float]] = []
-    for lineno, row in enumerate(csv.reader(links_source), start=1):
-        if not row or row[0].strip().startswith("#"):
-            continue
-        if row[0].strip() == "from":  # header
-            continue
-        if len(row) != 3:
-            raise ValueError(f"link record {lineno}: expected from,to,length_km got {row!r}")
-        u, v, length = row[0].strip(), row[1].strip(), float(row[2])
+    for name, (u, v, length) in _records(links_source, "link", "from,to,length_km"):
+        length = _finite(length, name)
         for endpoint in (u, v):
             if endpoint not in nodes:
-                raise ValueError(
-                    f"link record {lineno} ({u}->{v}) references unknown node {endpoint!r}"
-                )
+                raise ValueError(f"{name} ({u}->{v}) references unknown node {endpoint!r}")
         if length < 0:
-            raise ValueError(f"link record {lineno}: negative length {length}")
+            raise ValueError(f"{name}: negative length {length}")
         links.append((u, v, length))
-
     return RoadNetwork(nodes=nodes, links=tuple(links))
 
 
@@ -173,17 +178,29 @@ def matrix_to_json(matrix: DistanceMatrix) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _matrix_from_doc(doc: dict) -> DistanceMatrix:
-    """Matrix from a document's ``ids`` and row-major ``rows``; null is ``inf``."""
-    rows = [[math.inf if v is None else float(v) for v in row] for row in doc["rows"]]
-    return DistanceMatrix(ids=tuple(doc["ids"]), values=np.array(rows, dtype=float))
+def _matrix_from_doc(doc: dict, where: str) -> DistanceMatrix:
+    """Matrix from a document's ``ids`` and row-major ``rows``; null is ``inf``.
+
+    Raises ``ValueError`` naming the field (under ``where``) unless ``ids``
+    is a list of strings and ``rows`` a list of lists of numbers or nulls.
+    """
+    ids = _list(doc["ids"], f"{where}.ids")
+    for i, name in enumerate(ids):
+        if not isinstance(name, str):
+            raise ValueError(f"{where}.ids[{i}] must be a string, got {name!r}")
+    rows = []
+    for i, row in enumerate(_list(doc["rows"], f"{where}.rows")):
+        name = f"{where}.rows[{i}]"
+        cells = enumerate(_list(row, name))
+        rows.append([math.inf if v is None else _number(v, f"{name}[{j}]") for j, v in cells])
+    return DistanceMatrix(ids=tuple(ids), values=np.array(rows, dtype=float))
 
 
 def matrix_from_json(text: str) -> DistanceMatrix:
-    doc = json.loads(text)
+    doc = _object(json.loads(text), "matrix JSON")
     if doc.get("format_version") != MATRIX_FORMAT_VERSION:
         raise ValueError(f"unsupported matrix format_version {doc.get('format_version')!r}")
-    return _matrix_from_doc(doc)
+    return _matrix_from_doc(doc, "matrix")
 
 
 def instance_locations(instance: Instance) -> list[Location]:
@@ -208,18 +225,18 @@ def matrix_for_instance(instance: Instance, base_dir: str | None = None) -> Dist
     if kind == "euclidean":
         return euclidean_matrix(locations, float(source.get("detour_factor", 1.0)))
     if kind == "matrix":
-        full = _matrix_from_doc(source)
+        full = _matrix_from_doc(source, "distance_source")
         # restrict to the instance's locations, in canonical order
         idx = [full.index[loc.id] for loc in locations]
         sub = full.values[np.ix_(idx, idx)]
         return DistanceMatrix(ids=tuple(loc.id for loc in locations), values=np.array(sub))
     if kind == "road_network":
-        nodes_path = source["nodes_csv"]
-        links_path = source["links_csv"]
-        if base_dir is not None:
-            nodes_path = os.path.join(base_dir, nodes_path)
-            links_path = os.path.join(base_dir, links_path)
-        with open(nodes_path, newline="") as nf, open(links_path, newline="") as lf:
+        paths = []
+        for key in ("nodes_csv", "links_csv"):
+            if not isinstance(source[key], str):
+                raise ValueError(f"distance_source.{key} must be a path, got {source[key]!r}")
+            paths.append(os.path.join(base_dir or "", source[key]))
+        with open(paths[0], newline="") as nf, open(paths[1], newline="") as lf:
             network = load_road_network(nf, lf)
         return shortest_path_matrix(network, locations)
     raise ValueError(f"unknown distance source type {kind!r}")

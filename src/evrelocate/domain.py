@@ -103,14 +103,6 @@ class Parameters:
         """Total per-drive handling overhead (park+unload plus load+exit)."""
         return self.park_and_unload_min + self.load_and_exit_min
 
-    def driving_range_km(self, charge: float) -> float:
-        """Distance coverable at the given charge fraction."""
-        return charge * self.max_range_km
-
-    def recharged(self, charge: float, parked_min: float) -> float:
-        """Charge fraction after staying parked for ``parked_min`` minutes."""
-        return min(1.0, charge + parked_min / self.recharge_time_min)
-
 
 @dataclass(frozen=True, slots=True)
 class Location:
@@ -296,16 +288,7 @@ def instance_to_json(instance: Instance) -> str:
     """Serialize an instance to its canonical JSON text (version 1)."""
     doc = {
         "format_version": INSTANCE_FORMAT_VERSION,
-        "parameters": {
-            "max_range_km": instance.parameters.max_range_km,
-            "recharge_time_min": instance.parameters.recharge_time_min,
-            "shift_limit_min": instance.parameters.shift_limit_min,
-            "workers": instance.parameters.workers,
-            "ev_speed_kmh": instance.parameters.ev_speed_kmh,
-            "bike_speed_kmh": instance.parameters.bike_speed_kmh,
-            "park_and_unload_min": instance.parameters.park_and_unload_min,
-            "load_and_exit_min": instance.parameters.load_and_exit_min,
-        },
+        "parameters": {f.name: getattr(instance.parameters, f.name) for f in fields(Parameters)},
         "depot": _location_to_dict(instance.depot),
         "requests": [
             {
@@ -328,11 +311,16 @@ def _object(value: Any, field: str) -> dict[str, Any]:
     return value
 
 
-def _entries(value: Any, field: str) -> list[tuple[str, dict[str, Any]]]:
-    """``(name, entry)`` of each entry of a JSON list of objects."""
+def _list(value: Any, field: str) -> list[Any]:
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a list, got {value!r}")
-    return [(f"{field}[{i}]", _object(entry, f"{field}[{i}]")) for i, entry in enumerate(value)]
+    return value
+
+
+def _entries(value: Any, field: str) -> list[tuple[str, dict[str, Any]]]:
+    """``(name, entry)`` of each entry of a JSON list of objects."""
+    entries = enumerate(_list(value, field))
+    return [(f"{field}[{i}]", _object(entry, f"{field}[{i}]")) for i, entry in entries]
 
 
 def _number(value: Any, field: str) -> int | float:
@@ -345,8 +333,10 @@ def instance_from_json(text: str) -> Instance:
     """Parse the canonical instance JSON format.
 
     Raises ``ValueError`` naming the field for unknown or missing parameter
-    keys, for non-numeric parameters, charges and times, and for a list, a
-    list entry or an object of another JSON type.
+    keys, for non-numeric parameters, charges, times and detour factor, and
+    for a list, a list entry or an object of another JSON type.  An embedded
+    distance matrix is checked where it is read
+    (:func:`evrelocate.distances.matrix_for_instance`).
     """
     doc = _object(json.loads(text), "instance JSON")
     version = doc.get("format_version")
@@ -368,11 +358,14 @@ def instance_from_json(text: str) -> Instance:
         )
         for where, r in _entries(doc["requests"], "requests")
     )
+    source = _object(doc["distance_source"], "distance_source")
+    if "detour_factor" in source:
+        _number(source["detour_factor"], "distance_source.detour_factor")
     return Instance(
         parameters=params,
         depot=_location_from_dict(_object(doc["depot"], "depot")),
         requests=requests,
-        distance_source=doc["distance_source"],
+        distance_source=source,
     )
 
 

@@ -40,14 +40,15 @@ the objective vector, and per row its name, family, sense and right-hand
 side.  Nodes and arcs take the action graph's canonical order
 (:mod:`evrelocate.actiongraph`): the depot first, then by request id, and
 arcs by (from node, to node) in that order, so the model reads the graph's
-arrays as they are.  With A arcs and K workers, the column of
-``x`` on arc a for worker k is ``a*K + k - 1`` (all binaries come first)
-and the column of ``t`` at node n is ``(A + n)*K + k - 1``.  Rows come
-family by family in the order above: family 2 per worker, 3 per request,
-4 per (node, worker), 5 per (arc not entering the depot, worker), 6 per
-(arc entering the depot, worker), 7 per (pickup, worker), 8 per
-(delivery, worker), then 9, 10 and 11 interleaved per (EV arc, worker);
-when enabled, 14 per worker pair and 15 once.  A node's LP name is its id
+arrays as they are, node times, charges and kinds included, and keeps no
+copy of them.  With A arcs and K workers, the column of ``x`` on arc a
+for worker k is ``a*K + k - 1`` (all binaries come first) and the column
+of ``t`` at node n is ``(A + n)*K + k - 1``.  Rows come family by family
+in the order above: family 2 per worker, 3 per request, 4 per (node,
+worker), 5 per (arc not entering the depot, worker), 6 per (arc entering
+the depot, worker), 7 per (pickup, worker), 8 per (delivery, worker),
+then 9, 10 and 11 interleaved per (EV arc, worker); when enabled, 14 per
+worker pair and 15 once.  A node's LP name is its id
 reduced to letters and digits, with a numeric suffix where two ids reduce
 alike, so ``_`` separates the parts of every variable and row name
 unambiguously.
@@ -58,7 +59,9 @@ an (N, K) array, N the node count.  Absent columns are 0.
 :func:`read_solution_values` parses a solver's ``name value`` lines into
 it, :func:`values_to_solution` traces the routes out of it,
 :func:`solution_to_values` writes routes into it, and
-:func:`evaluate_assignment` checks it row by row.
+:func:`evaluate_assignment` checks it row by row.  The route decoders take
+the graph, and K as the visit-time column count over its node count, so a
+model read back by :func:`parse_lp` decodes as the built one does.
 
 Export.  Binary domains and nonnegativity are the variable sections of the
 LP text.  Each row's nonzero terms are written in column order, each
@@ -79,13 +82,13 @@ one-space indent.  A row without terms reads ``+0 <first column>``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .actiongraph import ActionGraph
-from .domain import DEPOT_NODE, Instance, RequestKind, Route, Solution
+from .domain import DEPOT_NODE, Instance, Route, Solution
 
 # rows on times and distances are checked to 1e-6, the counting rows to 1e-9
 _LOOSE_FAMILIES = (5, 6, 7, 8, 9, 14)
@@ -109,10 +112,10 @@ class MilpModel:
     """Maximize ``objective @ v`` subject to ``matrix @ v <sense> rhs`` per row.
 
     ``v`` runs over ``columns``: binaries first (``0 <= v <= 1``), then the
-    visit times (``v >= 0``).  A built model also keeps its node order, K,
-    and its arcs in column order as the graph's node-index arrays:
-    ``arc_src[a]`` and ``arc_dst[a]`` index ``nodes`` (see the module notes
-    for the layout).  A parsed model has none of these.
+    visit times (``v >= 0``), in the layout of the module notes.  The nodes
+    and arcs behind the columns are the graph's, and K is the ratio of
+    visit-time columns to nodes, so a built model and a parsed one are the
+    same kind of object.
     """
 
     matrix: csr_matrix  # sorted column indices per row, no stored zeros
@@ -123,10 +126,6 @@ class MilpModel:
     rhs: np.ndarray
     columns: tuple[str, ...]
     binary_count: int
-    nodes: tuple[str, ...] = ()
-    arc_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    arc_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    workers: int = 0
 
     @property
     def binaries(self) -> tuple[str, ...]:
@@ -158,14 +157,15 @@ def _sparse(rows, cols, values, shape: tuple[int, int]) -> csr_matrix:
     return matrix
 
 
-def _window_arrays(graph: ActionGraph, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Earliest and latest visit times ``(e_i, l_i)`` in node order, from the request times ``tau``.
+def _window_arrays(graph: ActionGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Earliest and latest visit times ``(e_i, l_i)`` in node order, from the request times.
 
     A pickup is served no earlier than tau_p and, being followed by an EV
     arc (p, d), no later than tau_d - c_pd; a delivery no later than tau_d
     and no earlier than tau_p + c_pd.  The depot time (``tau[0]`` is 0) is
     a departure, at or after 0 and no later than l_p - c_0p for the first pickup.
     """
+    tau = graph.tau
     early, late = tau.copy(), tau.copy()
     ev = graph.is_ev
     p, d, cost = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
@@ -231,12 +231,10 @@ def build_milp(
     nodes = graph.nodes
     safe = _safe_names(list(nodes))
     lp_name = [safe[n] for n in nodes]
-    requests = [instance.request(n) for n in nodes[1:]]
-    tau = np.array([0.0] + [r.time_min for r in requests])
-    charge = np.array([0.0] + [r.charge for r in requests])
-    pickups = 1 + np.flatnonzero([r.kind is RequestKind.PICKUP for r in requests])
-    deliveries = 1 + np.flatnonzero([r.kind is RequestKind.DELIVERY for r in requests])
-    early, late = _window_arrays(graph, tau)
+    tau, charge = graph.tau, graph.charge
+    pickups = np.flatnonzero(graph.is_pickup)
+    deliveries = 1 + np.flatnonzero(~graph.is_pickup[1:])
+    early, late = _window_arrays(graph)
 
     src, dst = graph.src, graph.dst
     cost, dist = graph.op_time_min, graph.distance_km
@@ -382,10 +380,6 @@ def build_milp(
         rhs=np.concatenate(rows.rhs).astype(float),
         columns=tuple(columns),
         binary_count=n_arcs * k_total,
-        nodes=nodes,
-        arc_src=src,
-        arc_dst=dst,
-        workers=k_total,
     )
 
 
@@ -595,43 +589,57 @@ def read_solution_values(model: MilpModel, text: str) -> np.ndarray:
     return values
 
 
+def _worker_count(model: MilpModel, graph: ActionGraph) -> int:
+    """K of a model whose columns are laid out on ``graph``; ``ValueError`` if they are not."""
+    n_nodes, n_arcs, n_times = len(graph.nodes), len(graph.src), len(model.continuous)
+    k_total = n_times // n_nodes
+    if not k_total or n_times != k_total * n_nodes or model.binary_count != k_total * n_arcs:
+        raise ValueError(
+            f"model has {model.binary_count} arc and {n_times} time columns, "
+            f"not K times the graph's {n_arcs} arcs and {n_nodes} nodes"
+        )
+    return k_total
+
+
 def values_to_solution(model: MilpModel, graph: ActionGraph, values: np.ndarray) -> Solution:
     """Trace per-worker depot cycles out of one value per column of ``model``.
 
-    ``graph`` is the graph the model was built from; it gives the return
-    leg's time.  Raises ``ValueError`` for non-binary values, two outgoing
-    arcs at a node, used arcs that miss the depot (an open path), broken
-    flow, or used arcs that a worker's route does not reach.
+    ``graph`` is the graph the model was built from, or the one a parsed
+    model was exported on: it gives the nodes and arcs of the columns and
+    the return leg's time.  Raises ``ValueError`` for a model whose column
+    counts do not match the graph, non-binary values, two outgoing arcs at
+    a node, used arcs that miss the depot (an open path), broken flow, or
+    used arcs that a worker's route does not reach.
     """
-    k_total, n_arcs, nodes = model.workers, len(model.arc_src), model.nodes
-    x = values[: n_arcs * k_total].reshape(n_arcs, k_total)
-    t = values[n_arcs * k_total :].reshape(len(nodes), k_total)
+    k_total, nodes, src, dst = _worker_count(model, graph), graph.nodes, graph.src, graph.dst
+    x = values[: model.binary_count].reshape(len(src), k_total)
+    t = values[model.binary_count :].reshape(len(nodes), k_total)
     tol = 1e-6  # distance of a binary value from 0 or 1
     used = np.abs(x - 1.0) <= tol
     fractional = np.argwhere(~(used | (np.abs(x) <= tol)))  # NaN included
     if len(fractional):
         a, k = fractional[0].tolist()
-        i, j = nodes[model.arc_src[a]], nodes[model.arc_dst[a]]
+        i, j = nodes[src[a]], nodes[dst[a]]
         raise ValueError(f"x[{i},{j},{k + 1}] = {x[a, k]} is not binary within tolerance")
     routes: list[Route] = []
     for k in range(k_total):
         arcs = np.flatnonzero(used[:, k])
         if not len(arcs):
             continue
-        succ = dict(zip(model.arc_src[arcs].tolist(), arcs.tolist()))  # node -> used arc
+        succ = dict(zip(src[arcs].tolist(), arcs.tolist()))  # node -> used arc
         if len(succ) < len(arcs):
-            ends, counts = np.unique(model.arc_src[arcs], return_counts=True)
+            ends, counts = np.unique(src[arcs], return_counts=True)
             node = nodes[ends[counts > 1][0]]
             raise ValueError(f"node {node!r} has two outgoing arcs for worker {k + 1}")
         if 0 not in succ:
-            pairs = sorted((nodes[model.arc_src[a]], nodes[model.arc_dst[a]]) for a in arcs)
+            pairs = sorted((nodes[src[a]], nodes[dst[a]]) for a in arcs)
             raise ValueError(
                 f"worker {k + 1} uses arcs {pairs} forming an open path "
                 "that does not pass through the depot"
             )
         visits: list[tuple[str, float]] = []
         arc = succ.pop(0)
-        node = int(model.arc_dst[arc])
+        node = int(dst[arc])
         while node != 0:
             visits.append((nodes[node], float(t[node, k])))
             if node not in succ:
@@ -639,7 +647,7 @@ def values_to_solution(model: MilpModel, graph: ActionGraph, values: np.ndarray)
                     f"flow conservation violated at {nodes[node]!r} for worker {k + 1}"
                 )
             arc = succ.pop(node)
-            node = int(model.arc_dst[arc])
+            node = int(dst[arc])
         if succ:
             raise ValueError(
                 f"worker {k + 1} has an open path through {sorted(nodes[i] for i in succ)} "
@@ -657,17 +665,17 @@ def values_to_solution(model: MilpModel, graph: ActionGraph, values: np.ndarray)
 
 
 def solution_to_values(model: MilpModel, graph: ActionGraph, solution: Solution) -> np.ndarray:
-    """One value per column of ``model`` (built on ``graph``) for a Solution's routes.
+    """One value per column of ``model`` (laid out on ``graph``) for a Solution's routes.
 
     A node a worker does not visit takes the earliest time of its window,
     so an idle worker's depot time is 0.  For routes the scheduler accepts
     this satisfies every row of :func:`build_milp` (see the module notes).
-    Raises ``ValueError`` for a route on a worker or an arc the model lacks.
+    Raises ``ValueError`` for a model whose column counts do not match the
+    graph, and for a route on a worker or an arc the model lacks.
     """
-    k_total, n_arcs = model.workers, len(model.arc_src)
-    tau = np.array([0.0] + [graph.instance.request(node).time_min for node in model.nodes[1:]])
-    t = np.tile(_window_arrays(graph, tau)[0][:, np.newaxis], k_total)
-    x = np.zeros((n_arcs, k_total))
+    k_total = _worker_count(model, graph)
+    t = np.tile(_window_arrays(graph)[0][:, np.newaxis], k_total)
+    x = np.zeros((len(graph.src), k_total))
     for route in solution.routes:  # the model's nodes and arcs are the graph's
         k, seq = route.worker_index, (DEPOT_NODE,) + route.request_ids + (DEPOT_NODE,)
         arcs = [graph.arc_position(i, j) for i, j in zip(seq, seq[1:])]

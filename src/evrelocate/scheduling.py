@@ -44,6 +44,9 @@ that leg charged (``feasible``).  One more pair can end a route nearer the
 depot, so the return leg never decides a prefix.  :func:`schedule_route`
 validates a whole pair list, folds :func:`extend` over it and writes the
 times, so a search that carries prefixes gets its verdicts bit for bit.
+It resolves request ids through the graph's node index and reads each
+request's time, charge and kind from the graph's node arrays, the same
+arrays the search reads; the instance gives only the parameters.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actiongraph import ActionGraph
-from .domain import CHARGE_TOL, DEPOT_NODE, Instance, RequestKind, TIME_TOL
+from .domain import CHARGE_TOL, DEPOT_NODE, Instance, TIME_TOL
 
 #: (earliest first service, earliest last service, chain total, start-delay
 #: cap, shift left after the ride from the depot, last drive), all minutes.
@@ -154,12 +157,14 @@ def schedule_route(
     if not pairs:
         raise ValueError("route must contain at least one pickup/delivery pair")
     params = instance.parameters
-    requests = [instance.request(rid) for pair in pairs for rid in pair]
-    ids = [r.id for r in requests]
-    legs = list(zip(requests[0::2], requests[1::2]))
-    for p, d in legs:
-        if p.kind is not RequestKind.PICKUP or d.kind is not RequestKind.DELIVERY:
-            raise ValueError(f"pair ({p.id}, {d.id}) does not alternate pickup/delivery")
+    ids = [rid for pair in pairs for rid in pair]
+    nodes = [graph.node_index.get(rid, 0) for rid in ids]  # node 0, the depot, is no request
+    if 0 in nodes:
+        raise KeyError(f"unknown request id {ids[nodes.index(0)]!r}")
+    tau, charge, pickup = (c[nodes].tolist() for c in (graph.tau, graph.charge, graph.is_pickup))
+    for k in range(0, len(ids), 2):
+        if not pickup[k] or pickup[k + 1]:
+            raise ValueError(f"pair ({ids[k]}, {ids[k + 1]}) does not alternate pickup/delivery")
     repeated = [rid for k, rid in enumerate(ids) if rid in ids[:k]]
     if repeated:
         raise ValueError(f"request {repeated[0]!r} repeated in route")
@@ -176,16 +181,15 @@ def schedule_route(
     km = graph.distance_km[arcs[1:-1:2]].tolist()
     prefix = None
     earliest = []
-    for k, (p, d) in enumerate(legs):
-        low, up, fits = leg_bounds(params, p.time_min, p.charge, d.time_min, d.charge, km[k], op[k])
+    for k in range(len(pairs)):
+        p, d = 2 * k, 2 * k + 1
+        low, up, fits = leg_bounds(params, tau[p], charge[p], tau[d], charge[d], km[k], op[k])
         if not fits:
-            return _infeasible(
-                f"leg {p.id}->{d.id}: delivered charge cannot reach {d.charge:g} by {d.time_min:g}",
-                extendable=False,
-            )
+            reach = f"delivered charge cannot reach {charge[d]:g} by {tau[d]:g}"
+            return _infeasible(f"leg {ids[p]}->{ids[d]}: {reach}", extendable=False)
         prefix = extend(prefix, float(low), float(up), op[k], rides[k], params.shift_limit_min)
         if prefix is None:
-            return _infeasible(f"leg {p.id}->{d.id}: earliest service exceeds {up:g}", False)
+            return _infeasible(f"leg {ids[p]}->{ids[d]}: earliest service exceeds {up:g}", False)
         earliest.append(prefix[1])
     if start_delay(prefix) is None:
         return _infeasible("shift limit exceeded by the last delivery", extendable=False)
@@ -200,12 +204,13 @@ def schedule_route(
     departure = t_p - rides[0]
     visit_times: dict[str, float] = {}
     trace = []
-    for k, (p, d) in enumerate(legs):
+    for k in range(len(pairs)):
+        p, d = 2 * k, 2 * k + 1
         if k:
             t_p = max(earliest[k], t_p + (op[k - 1] + rides[k]))
-        charge_at_pickup = min(1.0, p.charge + (t_p - p.time_min) / params.recharge_time_min)
-        visit_times[p.id] = t_p
-        visit_times[d.id] = t_p + op[k]
+        charge_at_pickup = min(1.0, charge[p] + (t_p - tau[p]) / params.recharge_time_min)
+        visit_times[ids[p]] = t_p
+        visit_times[ids[d]] = t_p + op[k]
         trace.append((charge_at_pickup, charge_at_pickup - km[k] / params.max_range_km))
     return ScheduleResult(
         feasible=True,

@@ -210,10 +210,8 @@ def solve_branch_and_bound(
     # per node, in request-id order: EV legs whose charge margin holds, bike
     # rides to usable pickups, the ride home; unusable requests are skipped
     allowed = available if available is not None else {r.id for r in instance.requests}
-    nodes = graph.nodes
+    nodes, tau, charge = graph.nodes, graph.tau, graph.charge
     usable = [False] + [node in allowed for node in nodes[1:]]
-    requests = [instance.request(node) for node in nodes[1:]]
-    tau, charge = np.array([(0.0, 0.0)] + [(r.time_min, r.charge) for r in requests]).T
     ev = graph.is_ev
     pick, drop, drive = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
     low, up, fits = leg_bounds(
@@ -355,7 +353,7 @@ def brute_force(instance: Instance, graph: ActionGraph) -> Solution:
         for p_sub in combinations(pickups, m):
             for d_perm in permutations(deliveries, m):
                 pairing = tuple(zip(p_sub, d_perm))
-                if any(graph.arc(p, d) is None for p, d in pairing):  # EV arcs, by their ends
+                if any(graph.arc_position(p, d) < 0 for p, d in pairing):  # no EV arc
                     continue
                 for assignment in product(range(k_total), repeat=m):
                     groups: list[list[tuple[str, str]]] = [[] for _ in range(k_total)]

@@ -39,19 +39,6 @@ from .domain import (
 
 DIST_TOL = 1e-6  # km
 
-FAMILY_LABELS = {
-    2: "one depot departure per worker",
-    3: "request served at most once",
-    4: "flow conservation",
-    5: "visit-time propagation",
-    6: "route duration limit",
-    7: "pickup earliest time",
-    8: "delivery deadline",
-    9: "drive within charged range",
-    10: "handover charge reaches requirement",
-    11: "full-battery handover bound",
-}
-
 
 @dataclass(frozen=True, slots=True)
 class RowResult:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from evrelocate import DEPOT_NODE, ArcKind, build_graph, minutes_of, to_dot
+from evrelocate import DEPOT_NODE, ArcKind, RequestKind, build_graph, minutes_of, to_dot
 from evrelocate.domain import TIME_TOL
 from conftest import ORACLE_CASES, delivery, make_instance, make_matrix, oracle_case, pickup
 
@@ -144,6 +144,16 @@ class TestGraphShape:
         assert graph.node_count == 3
         assert len(graph.arcs) == 3  # EV, depot out, depot return
         assert len(graph.arcs) < graph.node_count**2
+
+    def test_node_arrays_replace_the_instance(self):
+        inst, matrix = oracle_case("generated", 12, 2)
+        graph = build_graph(inst, matrix)
+        assert "instance" not in vars(graph)
+        requests = [inst.request(n) for n in graph.nodes[1:]]
+        assert graph.tau.tolist() == [0.0] + [r.time_min for r in requests]
+        assert graph.charge.tolist() == [0.0] + [r.charge for r in requests]
+        kinds = [r.kind is RequestKind.PICKUP for r in requests]
+        assert graph.is_pickup.tolist() == [False] + kinds
 
     def test_empty_request_set(self):
         inst = make_instance([])

@@ -271,6 +271,47 @@ class TestInstanceFiles:
         assert "Maximize" in (elsewhere / "model.lp").read_text()
 
 
+MATRIX_SOURCE = {
+    "type": "matrix",
+    "ids": ["depot", "a", "b"],
+    "rows": [[0.0, 5.0, 5.0], [5.0, 0.0, 5.0], [5.0, 5.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (["matrix"], "distance_source must be an object, got ['matrix']"),
+        ("euclidean", "distance_source must be an object, got 'euclidean'"),
+        (
+            {"type": "euclidean", "detour_factor": {"x": 1}},
+            "distance_source.detour_factor must be a number, got {'x': 1}",
+        ),
+        (dict(MATRIX_SOURCE, rows=3), "distance_source.rows must be a list, got 3"),
+        (dict(MATRIX_SOURCE, ids=3), "distance_source.ids must be a list, got 3"),
+        (
+            dict(MATRIX_SOURCE, rows=[[0.0, 5.0, 5.0], [5.0, {}, 5.0], [5.0, 5.0, 0.0]]),
+            "distance_source.rows[1][1] must be a number, got {}",
+        ),
+        (
+            {"type": "road_network", "nodes_csv": 5, "links_csv": "links.csv"},
+            "distance_source.nodes_csv must be a path, got 5",
+        ),
+    ],
+    ids=["list", "string", "detour-object", "rows-int", "ids-int", "cell-object", "path-int"],
+)
+def test_malformed_distance_source_exits_2(tmp_path, capsys, source, message):
+    doc = json.loads(instance_to_json(two_station_instance(MATRIX_SOURCE)))
+    doc["distance_source"] = source
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--instance", str(bad))
+    assert code == 2
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 class TestExportLp:
     def test_export_and_reparse(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

@@ -22,11 +22,6 @@ def locs(*ids):
 
 
 class TestLoadRoadNetwork:
-    def test_counts(self):
-        net = load_road_network("a,0,0\nb,5,0\n", "a,b,5\n")
-        assert net.node_count == 2
-        assert net.link_count == 1
-
     def test_empty_edge_list(self):
         net = load_road_network("a,0,0\nb,5,0\n", "")
         matrix = shortest_path_matrix(net, locs("a", "b"))
@@ -37,9 +32,22 @@ class TestLoadRoadNetwork:
         with pytest.raises(ValueError, match="ghost"):
             load_road_network("a,0,0\n", "a,ghost,2\n")
 
+    @pytest.mark.parametrize("length", ["nan", "inf", "-inf", "five"])
+    def test_non_finite_link_length_named(self, length):
+        with pytest.raises(ValueError, match=f"link record 2: '{length}' is not a finite number"):
+            load_road_network("a,0,0\nb,5,0\n", f"a,b,5\nb,a,{length}\n")
+
+    @pytest.mark.parametrize(
+        "record, bad", [("b,nan,0", "nan"), ("b,0,inf", "inf"), ("b,-inf,1", "-inf")]
+    )
+    def test_non_finite_coordinate_named(self, record, bad):
+        with pytest.raises(ValueError, match=f"node record 3: '{bad}' is not a finite number"):
+            load_road_network(f"id,x,y\na,0,0\n{record}\n", "")
+
     def test_header_rows_skipped(self):
         net = load_road_network("id,x,y\na,0,0\nb,1,1\n", "from,to,length_km\na,b,3\n")
-        assert net.link_count == 1
+        assert net.nodes == {"a": (0.0, 0.0), "b": (1.0, 1.0)}
+        assert net.links == (("a", "b", 3.0),)
 
 
 class TestShortestPaths:

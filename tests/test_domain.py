@@ -70,18 +70,6 @@ class TestMinutesOf:
             minutes_of(-3.0, 1.0)
 
 
-class TestChargeLaws:
-    def test_range_scales_linearly(self):
-        assert BASE_PARAMS.driving_range_km(0.5) == pytest.approx(75.0)
-        assert BASE_PARAMS.driving_range_km(1.0) == pytest.approx(150.0)
-
-    def test_recharge_linear_phase(self):
-        assert BASE_PARAMS.recharged(0.5, 60.0) == pytest.approx(0.75)
-
-    def test_recharge_caps_at_full(self):
-        assert BASE_PARAMS.recharged(0.9, 240.0) == 1.0
-
-
 class TestValidation:
     def test_parameters_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -55,10 +55,9 @@ def three_node_model(workers=1, options=None):
     return inst, graph, model
 
 
-def time_windows(instance, graph):
+def time_windows(graph):
     """The model's time windows as {node: (early, late)}."""
-    tau = np.array([0.0] + [instance.request(n).time_min for n in graph.nodes[1:]])
-    early, late = _window_arrays(graph, tau)
+    early, late = _window_arrays(graph)
     return dict(zip(graph.nodes, zip(early.tolist(), late.tolist())))
 
 
@@ -190,7 +189,7 @@ class TestModelShape:
     def test_time_windows_equal_per_arc_oracle(self, kind, size, seed):
         inst, matrix = oracle_case(kind, size, seed)
         graph = build_graph(inst, matrix)
-        assert time_windows(inst, graph) == oracle_windows(inst, graph)
+        assert time_windows(graph) == oracle_windows(inst, graph)
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
@@ -571,6 +570,27 @@ class TestAssignments:
         ):
             with pytest.raises(ValueError, match="is not in the model"):
                 solution_to_values(model, graph, Solution.from_routes([bad]))
+
+    def test_parsed_model_decodes_as_built(self):
+        # the LP text carries no graph: both decoders take it from the caller
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=8, seed=3)), 2)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        solution = solve_branch_and_bound(inst, graph).solution
+        built = build_milp(inst, graph)
+        parsed = parse_lp(export_lp(built))
+        values = solution_to_values(built, graph, solution)
+        assert np.array_equal(solution_to_values(parsed, graph, solution), values)
+        assert values_to_solution(built, graph, values) == solution
+        assert values_to_solution(parsed, graph, values) == solution
+
+    def test_model_of_another_graph_rejected(self, one_pair):
+        inst, matrix = one_pair
+        graph = build_graph(inst, matrix)
+        model = build_milp(*two_pairs())
+        with pytest.raises(ValueError, match="not K times the graph's 3 arcs and 3 nodes"):
+            values_to_solution(model, graph, np.zeros(len(model.columns)))
+        with pytest.raises(ValueError, match="not K times the graph's"):
+            solution_to_values(model, graph, Solution.empty())
 
 
 class TestCrossValidation:

@@ -187,6 +187,15 @@ class TestScheduleBasics:
         with pytest.raises(ValueError, match="repeated"):
             schedule_route(inst, graph, [("p1", "d1"), ("p1", "d1")])
 
+    def test_unknown_id_raises_key_error(self):
+        inst, graph, _, _ = build_route_instance(
+            taus=(480.0, 600.0), rhos=(1.0, 0.0), dists=(2.5, 10.0, 2.5)
+        )
+        with pytest.raises(KeyError, match="unknown request id 'px'"):
+            schedule_route(inst, graph, [("px", "d1")])
+        with pytest.raises(KeyError, match="unknown request id '0'"):  # the depot is no request
+            schedule_route(inst, graph, [("p1", "0")])
+
     def test_missing_return_arc_leaves_route_extendable(self):
         inst, graph, pairs, _ = build_route_instance(
             taus=(480.0, 600.0), rhos=(1.0, 0.0), dists=(2.5, 10.0, math.inf)
