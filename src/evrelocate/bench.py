@@ -5,9 +5,9 @@ stations (nine synthetic stations by default, Euclidean distances with a
 detour factor) with random charge levels and random time bounds between
 8:00 and 15:00.  Experiments solve each instance for several worker counts
 twice: a baseline search and a speedup configuration (symmetry breaking,
-the LP-relaxation upper bound and heuristic warm start, their computation
-time included in the reported wall time; the bound's LP takes tens of
-milliseconds at 20 requests), then report per-instance rows and per-size
+the route packing bound and warm start, their computation time included
+in the reported wall time; enumerating the routes and solving their LP
+take milliseconds at 20 requests), then report per-instance rows and per-size
 averages with the relative CPU improvement.  Each K is solved on a copy of
 the instance that carries it, under one per-solve ``time_limit_s``.
 """

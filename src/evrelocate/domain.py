@@ -275,12 +275,16 @@ def _location_to_dict(loc: Location) -> dict[str, Any]:
     return out
 
 
-def _location_from_dict(data: dict[str, Any]) -> Location:
-    coords = data.get("coordinates")
+def _location_from_dict(value: Any, field: str) -> Location:
+    data = _object(value, field)
+    node, coords = data.get("network_node"), data.get("coordinates")
+    if coords is not None:
+        where = f"{field}.coordinates"
+        coords = tuple(_number(c, where) for c in _list(coords, where))
     return Location(
-        id=data["id"],
-        network_node=data.get("network_node"),
-        coordinates=tuple(coords) if coords is not None else None,
+        id=_string(data["id"], f"{field}.id"),
+        network_node=_string(node, f"{field}.network_node") if node is not None else None,
+        coordinates=coords,
     )
 
 
@@ -323,6 +327,12 @@ def _entries(value: Any, field: str) -> list[tuple[str, dict[str, Any]]]:
     return [(f"{field}[{i}]", _object(entry, f"{field}[{i}]")) for i, entry in entries]
 
 
+def _string(value: Any, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def _number(value: Any, field: str) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {value!r}")
@@ -333,8 +343,9 @@ def instance_from_json(text: str) -> Instance:
     """Parse the canonical instance JSON format.
 
     Raises ``ValueError`` naming the field for unknown or missing parameter
-    keys, for non-numeric parameters, charges, times and detour factor, and
-    for a list, a list entry or an object of another JSON type.  An embedded
+    keys, for non-numeric parameters, charges, times, coordinates and detour
+    factor, for non-string request, location and network node ids, and for
+    a list, a list entry or an object of another JSON type.  An embedded
     distance matrix is checked where it is read
     (:func:`evrelocate.distances.matrix_for_instance`).
     """
@@ -350,9 +361,9 @@ def instance_from_json(text: str) -> Instance:
     params = Parameters(**{name: _number(raw[name], f"parameters.{name}") for name in names})
     requests = tuple(
         Request(
-            id=r["id"],
+            id=_string(r["id"], f"{where}.id"),
             kind=RequestKind(r["kind"]),
-            location=_location_from_dict(_object(r["location"], f"{where}.location")),
+            location=_location_from_dict(r["location"], f"{where}.location"),
             charge=_number(r["charge"], f"{where}.charge"),
             time_min=_number(r["time_min"], f"{where}.time_min"),
         )
@@ -363,7 +374,7 @@ def instance_from_json(text: str) -> Instance:
         _number(source["detour_factor"], "distance_source.detour_factor")
     return Instance(
         parameters=params,
-        depot=_location_from_dict(_object(doc["depot"], "depot")),
+        depot=_location_from_dict(doc["depot"], "depot"),
         requests=requests,
         distance_source=source,
     )

@@ -22,14 +22,35 @@ touching only the pair's EV neighbours, so a node costs O(degree) rather
 than a rescan of every EV arc.
 
 The search stops at its limits at once.  The node limit and the deadline
-are tested on entering a node and before each extension; once either
-trips, no further node is visited, and every open level adds its own
+are tested on entering a node that could beat the incumbent and before
+each extension, so an incumbent that meets the bound at the root is
+proved even when the bound took the whole budget; once either trips, no
+further node is visited, and every open level adds its own
 optimistic value to the frontier bound and returns without opening its
 next-worker branch.  ``best_bound`` stays a valid upper bound because the
 optimistic value never rises below a node: an extension serves two more
 requests but closes at least one open pickup and one open delivery, and a
 worker switch changes neither term.  ``nodes_explored`` is at most
 ``node_limit + 1``.
+
+The route bound.  Under ``use_upper_bound`` or ``use_warm_start`` a solve
+first enumerates every schedulable single-worker route once
+(:func:`_route_columns`), depth first over the search's own successor
+lists and ``extend``/``start_delay`` verdicts, keeping one route per
+distinct request set.  It prunes only prefixes that are not extendable,
+which no schedulable route starts with, so the enumeration is complete.
+Every K-worker answer is a packing of at most K schedulable routes with
+disjoint request sets, so the LP that packs at most K columns, each
+request in at most one, maximising the requests served, is at least the
+optimum; rounded down to an even count it is the bound
+(:func:`_route_packing`).  At K=1 its value is the largest column.  From a
+fractional optimum the LP dives (fixes a column to 1 and solves again)
+while its value keeps the bound.  The routes of an integral optimum so
+found, timed by ``schedule_route``, are a solution of the bound's value,
+and the root visit proves it.  Where a dive falls short the solve keeps
+the bound and takes the warm start from ``heuristic_sequential``; past
+``ROUTE_CAP`` request sets the enumeration gives up and the solve falls
+back to ``compute_upper_bound`` as well.
 
 ``brute_force`` is the desk-scale oracle: plain enumeration of all
 pairings, partitions and orderings, with no bounding logic shared with the
@@ -57,10 +78,11 @@ from itertools import combinations, permutations, product
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as highs
+from scipy.sparse import csc_array
 
 # build_graph is unused here, but perfbench's traced run wraps evrelocate.search.build_graph.
 from .actiongraph import ActionGraph, build_graph  # noqa: F401
-from .domain import Instance, Route, Solution
+from .domain import DEPOT_NODE, Instance, Route, Solution
 from . import milp
 from .scheduling import Prefix, extend, leg_bounds, schedule_route, start_delay
 
@@ -69,8 +91,12 @@ from .scheduling import Prefix, extend, leg_bounds, schedule_route, start_delay
 class SolveOptions:
     """Knobs for the branch-and-bound search.
 
-    ``use_upper_bound`` computes the LP-relaxation bound up front and
-    prunes with it.  ``use_warm_start`` seeds the incumbent with the sequential heuristic.
+    ``use_upper_bound`` prunes with the route packing bound, computed up
+    front (see the module docstring), or past the route cap with
+    :func:`compute_upper_bound`.  ``use_warm_start`` seeds the incumbent
+    with the routes of an integral optimum of that packing LP, found
+    directly or by diving, else with :func:`heuristic_sequential`, except
+    at K=1, where that heuristic would repeat the search.
     ``break_worker_symmetry`` explores each route *set* once (routes in
     increasing order of their first pickup) instead of every assignment of
     routes to interchangeable workers; it changes search effort, never the
@@ -187,6 +213,124 @@ def _child(route, prefix, pair, leg, ride, ride_home, shift_limit):
     return route + (pair,), prefix, feasible
 
 
+def _successors(instance: Instance, graph: ActionGraph, allowed: set[str]):
+    """``(legs, rides, ride_home, ev_next)`` per node index, over the ``allowed`` requests.
+
+    In request-id order: ``legs[p]`` is ``(delivery, (low, up, op))`` of
+    each EV leg whose charge margin holds, ``rides[n]`` is ``(pickup,
+    minutes)`` of each bike ride, ``ride_home[d]`` the minutes of the ride
+    to the depot (None without that arc), and ``ev_next`` every EV arc, for
+    the count bound.
+    """
+    # schedule_route's lookups, built now rather than when a deadline has passed
+    graph.arc_position(DEPOT_NODE, DEPOT_NODE)
+    params, nodes, tau, charge = instance.parameters, graph.nodes, graph.tau, graph.charge
+    usable = [False] + [node in allowed for node in nodes[1:]]
+    ev = graph.is_ev
+    pick, drop, drive = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
+    low, up, fits = leg_bounds(
+        params, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
+    )
+    ev_next: dict[int, list[int]] = {}
+    legs = [[] for _ in nodes]
+    for p, d, lo, hi, op, fit in zip(*(c.tolist() for c in (pick, drop, low, up, drive, fits))):
+        if usable[p] and usable[d]:
+            ev_next.setdefault(p, []).append(d)
+            if fit:
+                legs[p].append((d, (lo, hi, op)))
+    rides = [[] for _ in nodes]
+    ride_home = [None] * len(nodes)
+    for i, j, op in zip(*(c[~ev].tolist() for c in (graph.src, graph.dst, graph.op_time_min))):
+        if j == 0:
+            ride_home[i] = op
+        elif usable[j]:
+            rides[i].append((j, op))
+    return legs, rides, ride_home, ev_next
+
+
+def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
+    """Routes of node-index pairs as request-id pairs."""
+    return [[(nodes[p], nodes[d]) for p, d in route] for route in routes]
+
+
+#: The route enumeration gives up past this many distinct request sets.
+ROUTE_CAP = 20_000
+
+
+def _route_columns(legs, rides, ride_home, shift_limit: float) -> dict[int, tuple] | None:
+    """One schedulable single-worker route per distinct request set; None past ``ROUTE_CAP`` sets.
+
+    Keys are bit masks of node indices; each value is the first route, as
+    node-index pairs, found with that set.
+    """
+    columns: dict[int, tuple] = {}
+
+    def grow(route: tuple, prefix: Prefix | None, used: int, last: int) -> bool:
+        for p, ride in rides[last]:
+            if used >> p & 1:
+                continue
+            for d, leg in legs[p]:
+                if used >> d & 1:
+                    continue
+                child = _child(route, prefix, (p, d), leg, ride, ride_home[d], shift_limit)
+                if child is None:
+                    continue
+                mask = used | 1 << p | 1 << d
+                if child[2] and mask not in columns:
+                    columns[mask] = child[0]
+                    if len(columns) > ROUTE_CAP:
+                        return False
+                if not grow(child[0], child[1], mask, d):
+                    return False
+        return True
+
+    return columns if grow((), None, 0, 0) else None
+
+
+def _route_packing(columns: dict[int, tuple], k_total: int, node_count: int):
+    """``(bound, routes)`` of the packing LP over the route columns.
+
+    The LP maximises the requests served by at most ``k_total`` columns,
+    each request in at most one; ``bound`` is its value rounded down to an
+    even count.  ``routes`` are the columns of an integral optimum, found by
+    diving: while the optimum is fractional, the fractional column of
+    largest value is fixed to 1 and the LP solved again, at most
+    ``k_total`` times.  ``routes`` is None when a dive's value falls below
+    ``bound``.  Raises ``RuntimeError`` when the LP solver does not report
+    an optimum.
+    """
+    routes = list(columns.values())
+    if k_total == 1 or not routes:  # at most one column: the largest one
+        best = max(routes, key=len, default=None)
+        return (2 * len(best), [best]) if best else (0, [])
+    # row 0, the depot's, counts the columns: each holds the depot once and its requests once
+    members = [[0, *(n for pair in route for n in pair)] for route in routes]
+    indptr = np.cumsum([0] + [len(m) for m in members])
+    matrix = csc_array(
+        (np.ones(indptr[-1]), np.concatenate(members), indptr), shape=(node_count, len(routes))
+    )
+    upper = np.ones(node_count)
+    upper[0] = k_total
+    rows = LinearConstraint(matrix, -np.inf, upper)
+    served = -2.0 * np.array([len(route) for route in routes])
+    fixed = np.zeros(len(routes))
+    bound = None
+    while True:
+        result = highs(served, constraints=rows, bounds=Bounds(fixed, 1.0))
+        if result.status != 0:
+            raise RuntimeError(f"route packing LP not solved: {result.message}")
+        value = math.floor(-result.fun + 1e-6)  # the slack absorbs solver round-off
+        if bound is None:
+            bound = value - value % 2
+        elif value < bound:
+            return bound, None
+        y = result.x
+        fractional = np.flatnonzero(np.minimum(y, 1.0 - y) >= 1e-6)
+        if not len(fractional):
+            return bound, [routes[c] for c in np.flatnonzero(y > 0.5)]
+        fixed[fractional[np.argmax(y[fractional])]] = 1.0
+
+
 def solve_branch_and_bound(
     instance: Instance,
     graph: ActionGraph,
@@ -207,43 +351,33 @@ def solve_branch_and_bound(
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
 
-    # per node, in request-id order: EV legs whose charge margin holds, bike
-    # rides to usable pickups, the ride home; unusable requests are skipped
     allowed = available if available is not None else {r.id for r in instance.requests}
-    nodes, tau, charge = graph.nodes, graph.tau, graph.charge
-    usable = [False] + [node in allowed for node in nodes[1:]]
-    ev = graph.is_ev
-    pick, drop, drive = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
-    low, up, fits = leg_bounds(
-        params, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
-    )
-    ev_next: dict[int, list[int]] = {}  # every EV arc, for the count bound
-    legs = [[] for _ in nodes]
-    for p, d, lo, hi, op, fit in zip(*(c.tolist() for c in (pick, drop, low, up, drive, fits))):
-        if usable[p] and usable[d]:
-            ev_next.setdefault(p, []).append(d)
-            if fit:
-                legs[p].append((d, (lo, hi, op)))
-    rides = [[] for _ in nodes]
-    ride_home = [None] * len(nodes)
-    for i, j, op in zip(*(c[~ev].tolist() for c in (graph.src, graph.dst, graph.op_time_min))):
-        if j == 0:
-            ride_home[i] = op
-        elif usable[j]:
-            rides[i].append((j, op))
+    nodes = graph.nodes
+    legs, rides, ride_home, ev_next = _successors(instance, graph, allowed)
 
     state = _SearchState()
 
-    bound_value = compute_upper_bound(instance, graph) if options.use_upper_bound else None
+    bound_value: int | None = None
     warm: Solution | None = None
-    if options.use_warm_start:
-        warm = heuristic_sequential(
-            instance,
-            graph,
-            available=allowed,
-            node_limit=options.node_limit,
-            time_limit_s=options.time_limit_s,
-        )
+    if options.use_upper_bound or options.use_warm_start:
+        columns = _route_columns(legs, rides, ride_home, params.shift_limit_min)
+        if columns is not None:
+            bound_value, packed = _route_packing(columns, k_total, len(nodes))
+            if packed is not None and options.use_warm_start:
+                warm = _routes_to_solution(instance, graph, _named(nodes, packed))
+        if options.use_warm_start and warm is None and k_total > 1:
+            # at K=1 the heuristic is the very single-worker search that follows
+            warm = heuristic_sequential(
+                instance,
+                graph,
+                available=allowed,
+                node_limit=options.node_limit,
+                time_limit_s=options.time_limit_s,
+            )
+        if not options.use_upper_bound:
+            bound_value = None
+        elif bound_value is None:  # past the route cap
+            bound_value = compute_upper_bound(instance, graph)
 
     best_external: Solution | None = None
     for candidate in (warm, incumbent):
@@ -301,7 +435,7 @@ def solve_branch_and_bound(
         optimistic = len(served) + count_bound.value()
         if bound_value is not None:
             optimistic = min(optimistic, bound_value)
-        if not out_of_budget() and optimistic > state.best_count:
+        if optimistic > state.best_count and not out_of_budget():
             expand(route, prefix, feasible)
         if state.aborted:
             # this level's unexplored branches can serve no more than optimistic
@@ -311,8 +445,8 @@ def solve_branch_and_bound(
 
     optimal = not state.aborted
     if state.best_routes:
-        named = [[(nodes[p], nodes[d]) for p, d in route] for route in state.best_routes]
-        solution = _routes_to_solution(instance, graph, named)  # only these routes are timed
+        # only these routes are timed
+        solution = _routes_to_solution(instance, graph, _named(nodes, state.best_routes))
     elif best_external is not None and best_external.served_count >= state.best_count:
         solution = best_external
     else:

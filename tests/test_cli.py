@@ -210,6 +210,31 @@ class TestSolveAndCheck:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("requests", 0, "id"), 5, "requests[0].id must be a string, got 5"),
+            (("depot", "coordinates"), 5, "depot.coordinates must be a list, got 5"),
+            (("requests", 1, "location", "id"), ["s1"], "requests[1].location.id must be a string"),
+        ],
+        ids=["request-id", "coordinates", "location-id"],
+    )
+    def test_wrong_type_id_or_coordinates_exits_2(
+        self, tmp_path, capsys, instance_file, path, value, message
+    ):
+        doc = json.loads(instance_file.read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--instance", str(bad))
+        assert code == 2
+        assert err.startswith("error: ") and message in err, err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 def two_station_instance(distance_source, network_nodes=False):
     """p1@a -> d1@b, then p2@b -> d2@a: one worker serves all four requests."""

@@ -149,6 +149,32 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="object"):
             instance_from_json("[]")
 
+    def test_wrong_type_ids_and_coordinates_named(self):
+        inst = make_instance([pickup("p1", "a", 0.25, 480.0)])
+        good = json.loads(instance_to_json(inst))
+        good["depot"]["coordinates"] = [0.0, 0.0]
+        cases = [
+            (("requests", 0, "id"), 7, r"requests\[0\]\.id must be a string, got 7"),
+            (
+                ("requests", 0, "location", "id"),
+                ["a"],
+                r"requests\[0\]\.location\.id must be a string",
+            ),
+            (("depot", "id"), None, r"depot\.id must be a string"),
+            (("depot", "network_node"), 3, r"depot\.network_node must be a string"),
+            (("depot", "coordinates"), 5, r"depot\.coordinates must be a list, got 5"),
+            (("depot", "coordinates"), ["0", 0.0], r"depot\.coordinates must be a number, got '0'"),
+        ]
+        for path, value, message in cases:
+            doc = json.loads(json.dumps(good))
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            with pytest.raises(ValueError, match=message):
+                instance_from_json(json.dumps(doc))
+        assert instance_from_json(json.dumps(good)).depot.coordinates == (0.0, 0.0)
+
     def test_nan_time_in_json_rejected(self):
         text = instance_to_json(make_instance([pickup("p1", "a", 0.25, 480.0)]))
         with pytest.raises(ValueError, match="finite"):

@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -39,6 +39,9 @@ def with_workers(instance, k):
     return dataclasses.replace(
         instance, parameters=dataclasses.replace(instance.parameters, workers=k)
     )
+
+
+PAPER = dict(use_upper_bound=True, use_warm_start=True, break_worker_symmetry=True)
 
 
 def random_case(seed, size=8):
@@ -364,6 +367,159 @@ class TestUpperBound:
             compute_upper_bound(inst, graph)
 
 
+def spread_cells(sizes=(6, 8, 10)):
+    """``(cell, (instance, graph))`` of the spread family's 162 cells, those of ``sizes`` only."""
+    for cell in product((False, True), (10, 30, 60), (1, 3, 9), (6, 8, 10), (1, 2, 3)):
+        explicit, footprint, stations, size, k = cell
+        if size in sizes:
+            seed = footprint * 1000 + stations * 100 + size * 10 + k
+            yield cell, spread_case(seed, size, float(footprint), stations, k, explicit)
+
+
+def route_columns(inst, graph):
+    legs, rides, home, _ = evrelocate.search._successors(inst, graph, {r.id for r in inst.requests})
+    return evrelocate.search._route_columns(legs, rides, home, inst.parameters.shift_limit_min)
+
+
+def schedulable_request_sets(inst, graph):
+    """Request sets of every pair order that ``schedule_route`` accepts, by plain permutation."""
+    pickups = sorted(r.id for r in inst.pickups)
+    deliveries = sorted(r.id for r in inst.deliveries)
+    sets = set()
+    for m in range(1, min(len(pickups), len(deliveries)) + 1):
+        for ps in permutations(pickups, m):
+            for ds in permutations(deliveries, m):
+                try:
+                    feasible = schedule_route(inst, graph, list(zip(ps, ds))).feasible
+                except ValueError:  # an arc of the open route is missing
+                    feasible = False
+                if feasible:
+                    sets.add(frozenset(ps + ds))
+    return sets
+
+
+def counted_calls(monkeypatch, name):
+    """Replace ``evrelocate.search.<name>`` by a wrapper; returns the list of its calls' K."""
+    original, calls = getattr(evrelocate.search, name), []
+
+    def spy(instance, *args, **kwargs):
+        calls.append(instance.parameters.workers)
+        return original(instance, *args, **kwargs)
+
+    monkeypatch.setattr(evrelocate.search, name, spy)
+    return calls
+
+
+class TestRouteBound:
+    """The packing LP over every schedulable single-worker route."""
+
+    def test_columns_equal_permutation_oracle(self):
+        for cell, (inst, graph) in spread_cells(sizes=(6, 8)):
+            columns = route_columns(inst, graph)
+            got = {frozenset(graph.nodes[n] for pair in r for n in pair) for r in columns.values()}
+            assert got == schedulable_request_sets(inst, graph), cell
+            for mask, route in columns.items():
+                assert mask == sum(1 << n for pair in route for n in pair), cell
+                pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
+                assert schedule_route(inst, graph, pairs).feasible, (cell, pairs)
+
+    def test_between_optimum_and_compact_bound_on_spread_instances(self):
+        for cell, (inst, graph) in spread_cells():
+            optimum = brute_force(inst, graph).served_count
+            k, nodes = inst.parameters.workers, len(graph.nodes)
+            bound, routes = evrelocate.search._route_packing(route_columns(inst, graph), k, nodes)
+            assert optimum <= bound <= compute_upper_bound(inst, graph), cell
+            if routes is not None:  # an integral packing is a solution, so it is optimal
+                assert len(routes) <= k and 2 * sum(map(len, routes)) == bound == optimum, cell
+
+    @pytest.mark.parametrize(
+        "seed, lp_solves, warm_starts_k", [(1, 4, []), (2, 2, []), (3, 3, [2]), (100007, 4, [])]
+    )
+    def test_paper_configuration_proves_at_the_root(
+        self, monkeypatch, seed, lp_solves, warm_starts_k
+    ):
+        inst = generate_instance(GeneratorConfig(request_total=24, seed=seed))
+        graph = build_graph(inst, matrix_for_instance(inst))
+        bounds = counted_calls(monkeypatch, "compute_upper_bound")
+        warm_starts = counted_calls(monkeypatch, "heuristic_sequential")
+        solver, solves = evrelocate.search.highs, []
+
+        def counted_solver(*args, **kwargs):
+            solves.append(1)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(evrelocate.search, "highs", counted_solver)
+        for k in (1, 2, 3):
+            inst_k = with_workers(inst, k)
+            paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
+            default = solve_branch_and_bound(inst_k, graph, SolveOptions(node_limit=20_000))
+            assert paper.optimal and paper.nodes_explored == 1, k
+            assert paper.best_bound == paper.solution.served_count >= default.solution.served_count
+            assert check_solution(inst_k, graph, paper.solution).passed, k
+        assert bounds == []
+        # one LP at K=2 and at K=3, and one more per step of a dive from a fractional
+        # optimum; the sequential warm start runs only where a dive falls short
+        assert len(solves) == lp_solves
+        assert warm_starts == warm_starts_k
+
+    def test_dive_on_a_fractional_optimum(self):
+        # three two-pair routes, any two sharing a pair, and one single pair: at
+        # K=2 the LP takes each at one half, 7 served, rounded down to 6; one
+        # dive step fixes a two-pair route and reaches 6 with the single pair
+        triangle = (((1, 2), (3, 4)), ((3, 4), (5, 6)), ((1, 2), (5, 6)))
+        single = ((7, 8),)
+        packing = evrelocate.search._route_packing
+        columns = {sum(1 << n for pair in r for n in pair): r for r in (*triangle, single)}
+        bound, routes = packing(columns, 2, 9)
+        assert bound == 6 and len(routes) == 2 and single in routes
+        assert len({n for route in routes for pair in route for n in pair}) == 6
+        # without the single pair the LP's 6 cannot be reached: the dive gives up
+        assert packing(dict(list(columns.items())[:3]), 2, 9) == (6, None)
+        assert packing(columns, 1, 9) == (4, [triangle[0]])
+
+    def test_prefix_that_cannot_return_is_extended(self):
+        # (p1, d1) cannot ride home within the shift; (p1, d1, p2, d2) can
+        inst, graph = far_delivery_case()
+        columns = route_columns(inst, graph).values()
+        sets = {frozenset(graph.nodes[n] for pair in r for n in pair) for r in columns}
+        assert frozenset(["p1", "d1", "p2", "d2"]) in sets
+        assert sets == schedulable_request_sets(inst, graph)
+        result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
+        assert result.optimal and result.solution.served_count == 4
+
+    def test_root_proof_survives_a_spent_budget(self):
+        # the bound and its incumbent outlast the limit; their match is still a proof
+        inst, graph = random_case(1, size=24)
+        for k in (2, 3):
+            options = SolveOptions(time_limit_s=1e-4, **PAPER)
+            result = solve_branch_and_bound(with_workers(inst, k), graph, options)
+            assert result.optimal and result.nodes_explored == 1, k
+            assert result.solution.served_count == result.best_bound, k
+
+    def test_past_the_cap_falls_back(self, monkeypatch):
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
+        bounds = counted_calls(monkeypatch, "compute_upper_bound")
+        warm_starts = counted_calls(monkeypatch, "heuristic_sequential")
+        for seed in range(6):
+            inst, graph = random_case(seed)
+            for k in (1, 2):
+                inst_k = with_workers(inst, k)
+                paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
+                default = solve_branch_and_bound(inst_k, graph)
+                assert paper.optimal and default.optimal, (seed, k)
+                assert paper.solution.served_count == default.solution.served_count, (seed, k)
+        assert bounds == [1, 2] * 6
+        # at K=1 the warm start would be the very single-worker search that follows
+        assert warm_starts == [2] * 6
+
+    def test_k1_packing_is_the_largest_column(self):
+        inst, graph = random_case(4, size=24)
+        columns = route_columns(inst, graph)
+        bound, routes = evrelocate.search._route_packing(columns, 1, len(graph.nodes))
+        assert bound == 2 * max(map(len, columns.values())) == 2 * len(routes[0])
+        assert evrelocate.search._route_packing({}, 2, len(graph.nodes)) == (0, [])
+
+
 def recount(ev_next, served):
     """The count bound from scratch: a rescan of every EV arc."""
     open_pickups = 0
@@ -416,19 +572,21 @@ def case_200():
     return inst, build_graph(inst, matrix_for_instance(inst))
 
 
-PAPER = dict(use_upper_bound=True, use_warm_start=True, break_worker_symmetry=True)
-
 
 class TestSearchUnchanged:
-    """The search tree of the whole-route scheduler it replaced, cell by cell."""
+    """The search tree of the whole-route scheduler it replaced, cell by cell.
+
+    The paper configuration's cells are proved at the root by the route
+    packing bound and its incumbent, so they pin one node each.
+    """
 
     @pytest.mark.parametrize(
         "seed, paper, k, expected",
         [
             # generator seed, configuration, K: (served, best_bound, optimal, nodes_explored)
-            (100000, True, 1, (6, 6, True, 160)),
-            (100000, True, 2, (10, 10, True, 6565)),
-            (100000, True, 3, (14, 14, True, 96476)),
+            (100000, True, 1, (6, 6, True, 1)),
+            (100000, True, 2, (10, 10, True, 1)),
+            (100000, True, 3, (14, 14, True, 1)),
             (100000, False, 1, (6, 6, True, 160)),
             (100000, False, 2, (10, 10, True, 12811)),
             (100000, False, 3, (12, 18, False, 20001)),
@@ -437,14 +595,14 @@ class TestSearchUnchanged:
             (100001, False, 1, (6, 6, True, 436)),
             (100001, False, 2, (12, 22, False, 20001)),
             (100001, False, 3, (14, 22, False, 20001)),
-            (100002, True, 1, (6, 6, True, 366)),
-            (100002, True, 2, (10, 10, True, 13424)),
+            (100002, True, 1, (6, 6, True, 1)),
+            (100002, True, 2, (10, 10, True, 1)),
             (100002, False, 1, (6, 6, True, 366)),
             (100002, False, 2, (10, 20, False, 20001)),
             (100002, False, 3, (12, 20, False, 20001)),
-            (100003, True, 1, (6, 6, True, 264)),
-            (100003, True, 2, (10, 10, True, 8025)),
-            (100003, True, 3, (14, 14, True, 12767)),
+            (100003, True, 1, (6, 6, True, 1)),
+            (100003, True, 2, (10, 10, True, 1)),
+            (100003, True, 3, (14, 14, True, 1)),
             (100003, False, 1, (6, 6, True, 264)),
             (100003, False, 2, (10, 10, True, 15043)),
             (100003, False, 3, (12, 18, False, 20001)),
@@ -479,6 +637,9 @@ class TestSearchUnchanged:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(evrelocate.search, "_child", spy)
+                # past the route cap the paper configuration still searches: the
+                # compact LP bound, the sequential warm start and worker switches
+                patch.setattr(evrelocate.search, "ROUTE_CAP", 0)
                 options = SolveOptions(node_limit=3000, **(PAPER if paper else {}))
                 solve_branch_and_bound(inst, graph, options)
             assert len(calls) > 3000
@@ -520,6 +681,20 @@ class TestStoppingRule:
         result = solve_branch_and_bound(inst, graph, SolveOptions(time_limit_s=0.2))
         assert result.solution.served_count > 0
         assert not {"arcs", "arc_index"} & set(vars(graph))
+
+    def test_scheduler_lookups_built_before_search(self, monkeypatch):
+        # the returned routes are timed after the deadline, so their lookups must exist by then
+        inst, graph = random_case(1, size=24)
+        timed = evrelocate.search._routes_to_solution
+        built = []
+
+        def spy(instance, graph, routes):
+            built.append({"node_index", "_keys"} <= set(vars(graph)))
+            return timed(instance, graph, routes)
+
+        monkeypatch.setattr(evrelocate.search, "_routes_to_solution", spy)
+        solve_branch_and_bound(inst, graph, SolveOptions(node_limit=200))
+        assert built == [True]
 
     def test_frontier_bound_valid_when_stopped_early(self):
         # the spread cells of test_bound_valid_and_optimum_completes_on_spread_instances
@@ -569,6 +744,10 @@ def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size,
     result = solve_branch_and_bound(inst, graph)
     assert result.optimal
     assert result.solution.served_count == optimum
+    paper = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
+    assert paper.optimal
+    assert paper.solution.served_count == paper.best_bound == optimum
+    assert check_solution(inst, graph, paper.solution).passed
     model = build_milp(inst, graph)
     served, values = highs_optimum(model)
     assert served == optimum
