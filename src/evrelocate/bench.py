@@ -6,10 +6,11 @@ detour factor) with random charge levels and random time bounds between
 8:00 and 15:00.  Experiments solve each instance for several worker counts
 twice: a baseline search and a speedup configuration (symmetry breaking,
 the route packing bound and warm start, their computation time included
-in the reported wall time; enumerating the routes and solving their LP
-take milliseconds at 20 requests), then report per-instance rows and per-size
-averages with the relative CPU improvement.  Each K is solved on a copy of
-the instance that carries it, under one per-solve ``time_limit_s``.
+in the reported wall time; at 20 requests enumerating the routes and
+packing them, mostly by an exact search with no LP, take milliseconds),
+then report per-instance rows and per-size averages with the relative CPU
+improvement.  Each K is solved on a copy of the instance that carries it,
+under one per-solve ``time_limit_s``.
 """
 
 from __future__ import annotations

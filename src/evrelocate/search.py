@@ -40,17 +40,28 @@ lists and ``extend``/``start_delay`` verdicts, keeping one route per
 distinct request set.  It prunes only prefixes that are not extendable,
 which no schedulable route starts with, so the enumeration is complete.
 Every K-worker answer is a packing of at most K schedulable routes with
-disjoint request sets, so the LP that packs at most K columns, each
-request in at most one, maximising the requests served, is at least the
-optimum; rounded down to an even count it is the bound
-(:func:`_route_packing`).  At K=1 its value is the largest column.  From a
-fractional optimum the LP dives (fixes a column to 1 and solves again)
-while its value keeps the bound.  The routes of an integral optimum so
-found, timed by ``schedule_route``, are a solution of the bound's value,
-and the root visit proves it.  Where a dive falls short the solve keeps
-the bound and takes the warm start from ``heuristic_sequential``; past
-``ROUTE_CAP`` request sets the enumeration gives up and the solve falls
-back to ``compute_upper_bound`` as well.
+disjoint request sets, and every such packing is a K-worker answer, so
+the largest packing is the optimum (:func:`_route_packing`).  An exact
+search finds it first: depth first over the routes, largest first, with
+the routes still disjoint from the chosen ones as one bit set, it cuts a
+branch once the free slots times the size of its largest candidate
+cannot beat the best packing; every later candidate is no larger, so the
+cut loses nothing and a search that ends has proved its best packing.
+Those routes, timed by ``schedule_route``, are the warm start and their
+count the bound, and the root visit proves them.  K=1 takes one step,
+and most cells at K=2-3 end within ``PACKING_STEPS`` branches.  Past
+that cap the LP that packs at most K routes, each request in at most
+one, maximising the requests served, bounds the optimum instead; rounded
+down to an even count it is the bound.  The search's best packing is the
+warm start where it meets that bound; else, from a fractional optimum,
+the LP dives (fixes a column to 1 and solves again) while its value
+keeps the bound.  Where a dive falls short the solve keeps the bound and
+takes the warm start from ``heuristic_sequential``; past ``ROUTE_CAP``
+request sets the enumeration gives up and the solve falls back to
+``compute_upper_bound`` as well.  Every HiGHS solve gets only the time
+left before the deadline and none starts without it; an LP that runs out
+of time gives no bound, and the search prunes with the count bound alone.
+The enumeration itself does not watch the clock.
 
 ``brute_force`` is the desk-scale oracle: plain enumeration of all
 pairings, partitions and orderings, with no bounding logic shared with the
@@ -74,6 +85,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint
@@ -92,11 +104,14 @@ class SolveOptions:
     """Knobs for the branch-and-bound search.
 
     ``use_upper_bound`` prunes with the route packing bound, computed up
-    front (see the module docstring), or past the route cap with
+    front (see the module docstring): the optimum of an exact packing
+    search, or past its step cap the packing LP, or past the route cap
     :func:`compute_upper_bound`.  ``use_warm_start`` seeds the incumbent
-    with the routes of an integral optimum of that packing LP, found
-    directly or by diving, else with :func:`heuristic_sequential`, except
-    at K=1, where that heuristic would repeat the search.
+    with the search's best packing, or the routes of an integral LP
+    optimum found by diving, else with :func:`heuristic_sequential`,
+    except at K=1, where that heuristic would repeat the search.  The
+    limits are a positive integer ``node_limit`` and a positive, finite
+    ``time_limit_s``; anything else raises ``ValueError``.
     ``break_worker_symmetry`` explores each route *set* once (routes in
     increasing order of their first pickup) instead of every assignment of
     routes to interchangeable workers; it changes search effort, never the
@@ -110,10 +125,19 @@ class SolveOptions:
     time_limit_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit <= 0:
-            raise ValueError("node_limit must be positive")
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
-            raise ValueError("time_limit_s must be positive")
+        limit = self.node_limit
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, Integral) or limit <= 0
+        ):
+            raise ValueError(f"node_limit must be a positive integer, not {limit!r}")
+        seconds = self.time_limit_s
+        if seconds is not None and (
+            isinstance(seconds, bool)
+            or not isinstance(seconds, Real)
+            or not math.isfinite(seconds)
+            or seconds <= 0
+        ):
+            raise ValueError(f"time_limit_s must be positive and finite, not {seconds!r}")
 
 
 @dataclass
@@ -287,41 +311,118 @@ def _route_columns(legs, rides, ride_home, shift_limit: float) -> dict[int, tupl
     return columns if grow((), None, 0, 0) else None
 
 
-def _route_packing(columns: dict[int, tuple], k_total: int, node_count: int):
-    """``(bound, routes)`` of the packing LP over the route columns.
+#: The exact packing search gives up past this many branches, and the packing LP takes over.
+#: Set by measurement on the default generator: a step costs about 1 us and the LP 2-50 ms;
+#: 1 000 steps settle 80 % of the 24-request K=3 cells, while 2 000 make the K=4-5 cells,
+#: which seldom settle, 14-28 % slower than the LP alone.
+PACKING_STEPS = 1000
+
+
+def _members(routes: list[tuple], node_count: int) -> np.ndarray:
+    """Boolean (node index, column): the nodes of each route, and the depot's row 0 in every column."""
+    member = np.zeros((node_count, len(routes)), dtype=bool)
+    nodes = [n for route in routes for pair in route for n in pair]
+    member[nodes, np.repeat(np.arange(len(routes)), [2 * len(route) for route in routes])] = True
+    member[0] = True
+    return member
+
+
+def _route_packing(
+    columns: dict[int, tuple], k_total: int, node_count: int, deadline: float | None = None
+):
+    """``(bound, routes)``: at most ``k_total`` disjoint route columns serving the most requests.
+
+    A depth-first search over the columns, largest first, keeps the
+    candidates still disjoint from the chosen ones as a bit set over column
+    indices.  A branch is cut once ``slots`` more columns of the size of its
+    largest candidate cannot beat the best packing, so when the search ends
+    its best packing is optimal: ``bound`` is its count and ``routes`` its
+    columns.  Past ``PACKING_STEPS`` branches the search stops, and
+    :func:`_packing_lp` gives the bound; the search's best packing stands
+    as ``routes`` where it meets that bound, else the LP's dive gives them.
+    ``bound`` is None when the time before ``deadline`` runs out in the LP,
+    and then ``routes`` is the search's best packing.
+    """
+    routes = list(columns.values())
+    lengths = list(map(len, routes))
+    order = sorted(range(len(routes)), key=lengths.__getitem__, reverse=True)
+    size = [lengths[c] for c in order]
+    everything = (1 << len(routes)) - 1
+    if k_total > 1:  # K=1 takes the largest column and needs no clash sets
+        member = _members(routes, node_count)
+        rows = np.packbits(member[:, order], axis=1, bitorder="little")
+        holders = [int.from_bytes(row.tobytes(), "little") for row in rows]  # per node
+    apart: list[int | None] = [None] * len(routes)  # per column, the columns disjoint from it
+
+    best_total, best_chosen, chosen, steps = 0, [], [], 0
+
+    def pack(candidates: int, slots: int, total: int) -> bool:
+        """Search below ``chosen``; False once the step cap is passed."""
+        nonlocal best_total, best_chosen, steps
+        if total > best_total:
+            best_total, best_chosen = total, chosen[:]
+        while candidates:
+            lowest = candidates & -candidates
+            c = lowest.bit_length() - 1
+            if total + slots * size[c] <= best_total:  # no later candidate is larger
+                return True
+            if slots == 1:
+                best_total, best_chosen = total + size[c], chosen + [c]
+                return True
+            steps += 1
+            if steps > PACKING_STEPS:
+                return False
+            if apart[c] is None:
+                clash = 0
+                for p, d in routes[order[c]]:
+                    clash |= holders[p] | holders[d]
+                apart[c] = everything ^ clash
+            chosen.append(c)
+            if not pack(candidates & apart[c], slots - 1, total + size[c]):
+                return False
+            chosen.pop()
+            candidates ^= lowest
+        return True
+
+    finished = pack(everything, k_total, 0)
+    found = [routes[order[c]] for c in best_chosen]
+    if finished:  # always at K=1: its one slot takes the first candidate
+        return 2 * best_total, found
+    # in enumeration order: HiGHS's choice among optimal vertices, so the dive's length, follows it
+    bound, dived = _packing_lp(routes, member, k_total, deadline, 2 * best_total)
+    return bound, found if bound is None or 2 * best_total >= bound else dived
+
+
+def _packing_lp(routes: list[tuple], member: np.ndarray, k_total: int, deadline, reached: int):
+    """``(bound, routes)`` of the packing LP over the route columns, ``member`` from :func:`_members`.
 
     The LP maximises the requests served by at most ``k_total`` columns,
     each request in at most one; ``bound`` is its value rounded down to an
-    even count.  ``routes`` are the columns of an integral optimum, found by
-    diving: while the optimum is fractional, the fractional column of
-    largest value is fixed to 1 and the LP solved again, at most
-    ``k_total`` times.  ``routes`` is None when a dive's value falls below
-    ``bound``.  Raises ``RuntimeError`` when the LP solver does not report
-    an optimum.
+    even count, None when the time before ``deadline`` runs out first.
+    Unless a packing serving ``reached`` requests already meets ``bound``,
+    ``routes`` are the columns of an integral optimum, found by diving:
+    while the optimum is fractional, the fractional column of largest value
+    is fixed to 1 and the LP solved again, at most ``k_total`` times.
+    ``routes`` is None when a dive's value falls below ``bound``, its time
+    runs out or no dive is needed.  Raises ``RuntimeError`` when the LP
+    solver reports neither an optimum nor its time limit.
     """
-    routes = list(columns.values())
-    if k_total == 1 or not routes:  # at most one column: the largest one
-        best = max(routes, key=len, default=None)
-        return (2 * len(best), [best]) if best else (0, [])
-    # row 0, the depot's, counts the columns: each holds the depot once and its requests once
-    members = [[0, *(n for pair in route for n in pair)] for route in routes]
-    indptr = np.cumsum([0] + [len(m) for m in members])
-    matrix = csc_array(
-        (np.ones(indptr[-1]), np.concatenate(members), indptr), shape=(node_count, len(routes))
-    )
-    upper = np.ones(node_count)
+    # row 0, the depot's, counts the columns against K; every other row holds a request once
+    upper = np.ones(len(member))
     upper[0] = k_total
-    rows = LinearConstraint(matrix, -np.inf, upper)
+    rows = LinearConstraint(csc_array(member, dtype=float), -np.inf, upper)
     served = -2.0 * np.array([len(route) for route in routes])
     fixed = np.zeros(len(routes))
     bound = None
     while True:
-        result = highs(served, constraints=rows, bounds=Bounds(fixed, 1.0))
-        if result.status != 0:
-            raise RuntimeError(f"route packing LP not solved: {result.message}")
+        result = _solve_lp(served, rows, Bounds(fixed, 1.0), deadline, "route packing LP")
+        if result is None:
+            return bound, None
         value = math.floor(-result.fun + 1e-6)  # the slack absorbs solver round-off
         if bound is None:
             bound = value - value % 2
+            if reached >= bound:
+                return bound, None
         elif value < bound:
             return bound, None
         y = result.x
@@ -329,6 +430,25 @@ def _route_packing(columns: dict[int, tuple], k_total: int, node_count: int):
         if not len(fractional):
             return bound, [routes[c] for c in np.flatnonzero(y > 0.5)]
         fixed[fractional[np.argmax(y[fractional])]] = 1.0
+
+
+def _solve_lp(cost, rows, bounds, deadline, what: str):
+    """HiGHS on an LP given the time left before ``deadline``; None when that time runs out.
+
+    Raises ``RuntimeError`` when HiGHS reports neither an optimum nor its time limit.
+    """
+    options = {}
+    if deadline is not None:
+        options["time_limit"] = deadline - time.perf_counter()
+        if options["time_limit"] <= 0:
+            return None
+    # scipy's milp entry with no integer column: HiGHS solves the LP with less overhead than linprog
+    result = highs(cost, constraints=rows, bounds=bounds, options=options)
+    if result.status == 1:  # the time (or iteration) limit
+        return None
+    if result.status != 0:
+        raise RuntimeError(f"{what} not solved: {result.message}")
+    return result
 
 
 def solve_branch_and_bound(
@@ -357,27 +477,33 @@ def solve_branch_and_bound(
 
     state = _SearchState()
 
+    def time_left() -> float | None:
+        """Seconds before the deadline (None without one); 0 once it has passed."""
+        return None if deadline is None else max(0.0, deadline - time.perf_counter())
+
     bound_value: int | None = None
     warm: Solution | None = None
     if options.use_upper_bound or options.use_warm_start:
         columns = _route_columns(legs, rides, ride_home, params.shift_limit_min)
         if columns is not None:
-            bound_value, packed = _route_packing(columns, k_total, len(nodes))
+            bound_value, packed = _route_packing(columns, k_total, len(nodes), deadline)
             if packed is not None and options.use_warm_start:
                 warm = _routes_to_solution(instance, graph, _named(nodes, packed))
-        if options.use_warm_start and warm is None and k_total > 1:
-            # at K=1 the heuristic is the very single-worker search that follows
+        # at K=1 the heuristic is the very single-worker search that follows
+        left = time_left()
+        if options.use_warm_start and warm is None and k_total > 1 and left != 0:
             warm = heuristic_sequential(
                 instance,
                 graph,
                 available=allowed,
                 node_limit=options.node_limit,
-                time_limit_s=options.time_limit_s,
+                time_limit_s=left,
             )
+        left = time_left()
         if not options.use_upper_bound:
             bound_value = None
-        elif bound_value is None:  # past the route cap
-            bound_value = compute_upper_bound(instance, graph)
+        elif columns is None and left != 0:  # past the route cap
+            bound_value = compute_upper_bound(instance, graph, left)
 
     best_external: Solution | None = None
     for candidate in (warm, incumbent):
@@ -512,8 +638,10 @@ def heuristic_sequential(
 
     The single-worker searches share ``time_limit_s``: each gets an even
     share of the time the earlier ones left to it and the workers after it,
-    and none starts once the time is spent.
+    and none starts once the time is spent.  Raises ``ValueError`` for
+    limits that :class:`SolveOptions` rejects.
     """
+    SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
     remaining = set(available) if available is not None else {r.id for r in instance.requests}
     deadline = time.perf_counter() + time_limit_s if time_limit_s else None
     single = replace(instance, parameters=replace(instance.parameters, workers=1))
@@ -539,7 +667,9 @@ def heuristic_sequential(
     return Solution.from_routes(routes)
 
 
-def compute_upper_bound(instance: Instance, graph: ActionGraph) -> int:
+def compute_upper_bound(
+    instance: Instance, graph: ActionGraph, time_limit_s: float | None = None
+) -> int | None:
     """LP relaxation of the K-worker model, rounded down to an even count, from one worker copy.
 
     Permuting the workers maps the model onto itself, and only family 3
@@ -551,8 +681,11 @@ def compute_upper_bound(instance: Instance, graph: ActionGraph) -> int:
     1/K, since K copies of any y feasible there are feasible for K workers
     (orbit averaging, Margot 2010).
 
-    Raises ``RuntimeError`` when the LP solver does not report an optimum.
+    HiGHS gets what is left of ``time_limit_s`` once the model is built;
+    None when that time runs out before an optimum.  Raises
+    ``RuntimeError`` when the LP solver reports neither.
     """
+    deadline = time.perf_counter() + time_limit_s if time_limit_s is not None else None
     k_total = instance.parameters.workers
     single = replace(instance, parameters=replace(instance.parameters, workers=1))
     model = milp.build_milp(single, graph)
@@ -562,10 +695,10 @@ def compute_upper_bound(instance: Instance, graph: ActionGraph) -> int:
         np.where(model.senses == "<=", -np.inf, rhs),
         np.where(model.senses == ">=", np.inf, rhs),
     )
-    # scipy's milp entry with no integer column: HiGHS solves the LP with less overhead than linprog
-    result = highs(-model.objective, constraints=rows, bounds=Bounds(0.0, model.upper))
-    if result.status != 0:
-        raise RuntimeError(f"LP relaxation not solved: {result.message}")
+    bounds = Bounds(0.0, model.upper)
+    result = _solve_lp(-model.objective, rows, bounds, deadline, "LP relaxation")
+    if result is None:
+        return None
     # the slack keeps solver round-off (e.g. 3.9999999) from losing a count
     served = math.floor(-k_total * result.fun + 1e-6)
     return served - served % 2

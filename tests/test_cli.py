@@ -102,6 +102,15 @@ class TestSolveAndCheck:
         assert code == 0
         assert "heuristic" in out
 
+    @pytest.mark.parametrize("mode", [[], ["--heuristic"]], ids=["exact", "heuristic"])
+    def test_nan_time_limit_exits_2(self, capsys, instance_file, mode):
+        code, out, err = run(
+            capsys, "solve", "--instance", str(instance_file), *mode, "--time-limit", "nan"
+        )
+        assert code == 2
+        assert err.startswith("error: time_limit_s must be positive and finite"), err
+        assert out == ""
+
     def test_check_accepts_solver_output(self, tmp_path, capsys, instance_file):
         sol_path = tmp_path / "sol.json"
         run(capsys, "solve", "--instance", str(instance_file), "--out", str(sol_path))
@@ -355,6 +364,14 @@ class TestExportLp:
 
 
 class TestBench:
+    def test_nan_time_limit_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--sizes", "4", "--seeds", "1", "--workers", "1", "--time-limit", "nan"
+        )
+        assert code == 2
+        assert err.startswith("error: time_limit_s must be positive and finite"), err
+        assert out == ""
+
     def test_small_pipeline(self, tmp_path, capsys):
         report_path = tmp_path / "report.csv"
         code, _, _ = run(

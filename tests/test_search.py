@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 from itertools import permutations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -411,7 +413,7 @@ def counted_calls(monkeypatch, name):
 
 
 class TestRouteBound:
-    """The packing LP over every schedulable single-worker route."""
+    """The packing of every schedulable single-worker route: exact search, else LP."""
 
     def test_columns_equal_permutation_oracle(self):
         for cell, (inst, graph) in spread_cells(sizes=(6, 8)):
@@ -423,7 +425,25 @@ class TestRouteBound:
                 pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
                 assert schedule_route(inst, graph, pairs).feasible, (cell, pairs)
 
-    def test_between_optimum_and_compact_bound_on_spread_instances(self):
+    def test_exact_search_on_spread_instances(self, monkeypatch):
+        lps = []
+        monkeypatch.setattr(evrelocate.search, "_packing_lp", lambda *a: lps.append(a))
+        for cell, (inst, graph) in spread_cells():
+            optimum = brute_force(inst, graph).served_count
+            k, nodes = inst.parameters.workers, len(graph.nodes)
+            bound, routes = evrelocate.search._route_packing(route_columns(inst, graph), k, nodes)
+            assert bound == optimum, cell
+            assert len(routes) <= k and 2 * sum(map(len, routes)) == optimum, cell
+            served = [n for route in routes for pair in route for n in pair]
+            assert len(served) == len(set(served)), cell
+            for route in routes:
+                pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
+                assert schedule_route(inst, graph, pairs).feasible, (cell, pairs)
+        assert lps == []  # every search ended: no LP
+
+    def test_between_optimum_and_compact_bound_on_spread_instances(self, monkeypatch):
+        # with no search steps, the packing LP gives the bound from K=2 on
+        monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 0)
         for cell, (inst, graph) in spread_cells():
             optimum = brute_force(inst, graph).served_count
             k, nodes = inst.parameters.workers, len(graph.nodes)
@@ -432,12 +452,8 @@ class TestRouteBound:
             if routes is not None:  # an integral packing is a solution, so it is optimal
                 assert len(routes) <= k and 2 * sum(map(len, routes)) == bound == optimum, cell
 
-    @pytest.mark.parametrize(
-        "seed, lp_solves, warm_starts_k", [(1, 4, []), (2, 2, []), (3, 3, [2]), (100007, 4, [])]
-    )
-    def test_paper_configuration_proves_at_the_root(
-        self, monkeypatch, seed, lp_solves, warm_starts_k
-    ):
+    @pytest.mark.parametrize("seed, lp_solves", [(1, 0), (2, 0), (3, 0), (100007, 1)])
+    def test_paper_configuration_proves_at_the_root(self, monkeypatch, seed, lp_solves):
         inst = generate_instance(GeneratorConfig(request_total=24, seed=seed))
         graph = build_graph(inst, matrix_for_instance(inst))
         bounds = counted_calls(monkeypatch, "compute_upper_bound")
@@ -457,15 +473,38 @@ class TestRouteBound:
             assert paper.best_bound == paper.solution.served_count >= default.solution.served_count
             assert check_solution(inst_k, graph, paper.solution).passed, k
         assert bounds == []
-        # one LP at K=2 and at K=3, and one more per step of a dive from a fractional
-        # optimum; the sequential warm start runs only where a dive falls short
+        # the packing search settles every cell but seed 100007's K=3, where one LP
+        # meets the search's best packing: no dive and no sequential warm start runs
         assert len(solves) == lp_solves
-        assert warm_starts == warm_starts_k
+        assert warm_starts == []
 
-    def test_dive_on_a_fractional_optimum(self):
-        # three two-pair routes, any two sharing a pair, and one single pair: at
-        # K=2 the LP takes each at one half, 7 served, rounded down to 6; one
+    def test_k4_cell_proves_at_the_root(self):
+        # the search stops at its step cap here; its best packing meets the LP bound
+        inst = generate_instance(GeneratorConfig(request_total=24, seed=200053))
+        inst = with_workers(inst, 4)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
+        assert result.optimal and result.nodes_explored == 1
+        assert result.solution.served_count == result.best_bound == 18
+        assert check_solution(inst, graph, result.solution).passed
+
+    def test_exact_packing_of_the_triangle(self):
+        # three two-pair routes, any two sharing a pair, and one single pair: the
+        # search packs one two-pair route, with the single pair where it exists
+        triangle = (((1, 2), (3, 4)), ((3, 4), (5, 6)), ((1, 2), (5, 6)))
+        single = ((7, 8),)
+        packing = evrelocate.search._route_packing
+        columns = {sum(1 << n for pair in r for n in pair): r for r in triangle}
+        assert packing(columns, 2, 9) == (4, [triangle[0]])
+        columns[1 << 7 | 1 << 8] = single
+        assert packing(columns, 2, 9) == (6, [triangle[0], single])
+        assert packing(columns, 3, 9) == (6, [triangle[0], single])
+
+    def test_dive_on_a_fractional_optimum(self, monkeypatch):
+        # the triangle and the single pair again, with no search steps: at K=2 the
+        # LP takes each two-pair route at one half, 7 served, rounded down to 6; one
         # dive step fixes a two-pair route and reaches 6 with the single pair
+        monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 0)
         triangle = (((1, 2), (3, 4)), ((3, 4), (5, 6)), ((1, 2), (5, 6)))
         single = ((7, 8),)
         packing = evrelocate.search._route_packing
@@ -675,6 +714,61 @@ class TestStoppingRule:
         assert len(result.solution.routes) == k
         assert check_solution(with_workers(inst, k), graph, result.solution).passed
 
+    @pytest.mark.parametrize("size, k", [(200, 1), (200, 3), (48, 3)])
+    def test_paper_configuration_keeps_its_time_limit(self, monkeypatch, size, k):
+        # HiGHS gets only the time left and none starts without it; the rest of the
+        # overrun is the route enumeration's own and the compact model's build
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=size, seed=1)), k)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        solver, limits = evrelocate.search.highs, []
+
+        def spy(*args, options, **kwargs):
+            limits.append(options["time_limit"])
+            return solver(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(evrelocate.search, "highs", spy)
+        result = solve_branch_and_bound(inst, graph, SolveOptions(time_limit_s=0.1, **PAPER))
+        assert result.elapsed_s < 0.1 + 0.15
+        assert all(0 < limit <= 0.1 for limit in limits)
+        assert result.solution.served_count <= result.best_bound
+        assert check_solution(inst, graph, result.solution).passed
+
+    def test_lp_stopped_by_its_limit_gives_no_bound(self, monkeypatch):
+        inst, graph = random_case(1, size=24)
+        inst = with_workers(inst, 3)
+        stopped = OptimizeResult(status=1, message="Time limit reached", fun=None, x=None)
+        monkeypatch.setattr(evrelocate.search, "highs", lambda *a, **kw: stopped)
+        assert compute_upper_bound(inst, graph, time_limit_s=1.0) is None
+        columns = route_columns(inst, graph)
+        # past the step cap: no bound, and the search's best packing as the routes
+        monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 10)
+        bound, routes = evrelocate.search._route_packing(columns, 3, len(graph.nodes))
+        assert bound is None and 0 < len(routes) <= 3
+        # the solve keeps the count bound alone and stays valid
+        result = solve_branch_and_bound(inst, graph, SolveOptions(node_limit=2000, **PAPER))
+        assert not result.optimal and result.best_bound >= 12
+        assert result.solution.served_count == 2 * sum(map(len, routes))
+        assert check_solution(inst, graph, result.solution).passed
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("time_limit_s", math.nan),
+            ("time_limit_s", math.inf),
+            ("time_limit_s", 0.0),
+            ("time_limit_s", True),
+            ("node_limit", 2.5),
+            ("node_limit", True),
+            ("node_limit", 0),
+        ],
+    )
+    def test_malformed_limits_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be (a )?positive"):
+            SolveOptions(**{name: value})
+        inst, graph = random_case(1)
+        with pytest.raises(ValueError, match=f"{name} must be (a )?positive"):
+            heuristic_sequential(inst, graph, **{name: value})
+
     def test_solve_makes_no_arc_objects(self):
         inst = generate_instance(GeneratorConfig(request_total=200, seed=1))
         graph = build_graph(inst, matrix_for_instance(inst))
@@ -745,9 +839,12 @@ def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size,
     assert result.optimal
     assert result.solution.served_count == optimum
     paper = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
-    assert paper.optimal
-    assert paper.solution.served_count == paper.best_bound == optimum
-    assert check_solution(inst, graph, paper.solution).passed
+    with patch.object(evrelocate.search, "PACKING_STEPS", 0):  # the packing LP from K=2 on
+        lp_paper = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
+    for solved in (paper, lp_paper):
+        assert solved.optimal
+        assert solved.solution.served_count == solved.best_bound == optimum
+        assert check_solution(inst, graph, solved.solution).passed
     model = build_milp(inst, graph)
     served, values = highs_optimum(model)
     assert served == optimum
