@@ -1,12 +1,14 @@
 """Generate a random instance and solve it exactly, then validate.
 
-The branch-and-bound search extends worker routes one pickup/delivery pair
-at a time and carries each route's schedule prefix, which gives the
-scheduler's verdicts in O(1) per pair, so any returned route set is
-feasible by construction; the scheduler times the returned routes, and the
-raw-constraint checker re-verifies them from scratch as a belt-and-braces
-step.  The paper's configuration (route packing bound, warm start, worker
-symmetry breaking) proves the same count, here at the root node.
+The baseline branch-and-bound search extends worker routes one
+pickup/delivery pair at a time and carries each route's schedule prefix,
+which gives the scheduler's verdicts in O(1) per pair, so any returned
+route set is feasible by construction; the scheduler times the returned
+routes, and the raw-constraint checker re-verifies them from scratch as a
+belt-and-braces step.  The paper configuration enumerates every
+schedulable single-worker route once and packs at most K of them with
+disjoint requests; it proves the same count without entering the K-worker
+search (one node).
 """
 
 from evrelocate import (

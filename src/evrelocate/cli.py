@@ -80,19 +80,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         note = "heuristic"
     else:
-        result = solve_branch_and_bound(
-            instance,
-            graph,
-            SolveOptions(
-                use_upper_bound=args.upper_bound,
-                use_warm_start=args.warm_start,
-                break_worker_symmetry=args.symmetry_breaking,
-                node_limit=args.node_limit,
-                time_limit_s=args.time_limit,
-            ),
-        )
+        names = ("use_upper_bound", "use_warm_start", "break_worker_symmetry")
+        switch = dict.fromkeys(names, args.paper)
+        options = SolveOptions(node_limit=args.node_limit, time_limit_s=args.time_limit, **switch)
+        result = solve_branch_and_bound(instance, graph, options)
         solution = result.solution
-        note = f"optimal={result.optimal} nodes={result.nodes_explored}"
+        note = f"optimal={result.optimal} bound={result.best_bound} nodes={result.nodes_explored}"
 
     total = len(instance.requests)
     pct = 100.0 * solution.served_count / total if total else 0.0
@@ -165,9 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--heuristic", action="store_true", help="sequential heuristic, not exact")
-    p.add_argument("--symmetry-breaking", action="store_true")
-    p.add_argument("--upper-bound", action="store_true", help="compute and apply the served-count bound")
-    p.add_argument("--warm-start", action="store_true")
+    p.add_argument("--paper", action="store_true", help="pack single-worker routes (paper configuration)")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--out", default="-")

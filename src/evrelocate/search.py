@@ -1,67 +1,61 @@
 """Exact and heuristic solving over the action graph.
 
-``solve_branch_and_bound`` runs a depth-first search that grows worker
-routes one (pickup, delivery) pair at a time, over successor lists read
-once per solve from the graph's arrays, and prunes on an admissible count
-bound.  Each node carries its route's prefix
+``solve_branch_and_bound`` has two configurations (:class:`SolveOptions`):
+the baseline search, and the paper configuration, which answers from the
+pool of single-worker routes.
+
+The baseline search grows worker routes depth first, one (pickup,
+delivery) pair at a time, over successor lists read once per solve from
+the graph's arrays.  Each node carries its route's prefix
 (:mod:`evrelocate.scheduling`), so a node costs O(1) scheduling: one
 ``extend`` and one or two ``start_delay`` per candidate pair, which give
-the verdicts of ``schedule_route`` on the whole route bit for bit.  Only
-the routes the search returns are timed by ``schedule_route``.  A prefix
-is pruned only on conditions that no extension repairs, the open-route
-verdict (``extendable``: per-leg windows and charge, the pickup chain, the
-shift limit up to the last delivery).  The bike leg back to the depot is
-charged only when a route is recorded as an incumbent or closed to start
-the next worker (``feasible``): one more pair can end a route nearer the
-depot, so that leg must not prune a prefix.
+the verdicts of ``schedule_route`` on the whole route bit for bit; only the
+returned routes are timed by ``schedule_route``.  A prefix is pruned only
+on conditions that no extension repairs (``extendable``: per-leg windows
+and charge, the pickup chain, the shift limit up to the last delivery).
+The bike leg back to the depot is charged only when a route is recorded as
+an incumbent or closed to start the next worker (``feasible``): one more
+pair can end a route nearer the depot.  A node is pruned on its count
+bound, ``served + 2 * min(open pickups, open deliveries)`` over the EV
+arcs between unserved requests (:class:`CountBound`, kept up to date in
+O(degree) as pairs are marked and unmarked).  The node limit and the
+deadline are tested on entering a node that could beat the incumbent and
+before each extension; once either trips, no further node is visited, and
+every open level adds its own optimistic value to the frontier bound.
+``best_bound`` stays a valid upper bound because the optimistic value
+never rises below a node: an extension serves two more requests but closes
+at least one open pickup and one open delivery, and a worker switch
+changes neither term.  ``nodes_explored`` is at most ``node_limit + 1``.
 
-The count bound at a node is ``served + 2 * min(open pickups, open
-deliveries)`` over the EV arcs between unserved requests (:class:`CountBound`).
-It is kept up to date as pairs are marked served and unmarked on backtrack,
-touching only the pair's EV neighbours, so a node costs O(degree) rather
-than a rescan of every EV arc.
-
-The search stops at its limits at once.  The node limit and the deadline
-are tested on entering a node that could beat the incumbent and before
-each extension, so an incumbent that meets the bound at the root is
-proved even when the bound took the whole budget; once either trips, no
-further node is visited, and every open level adds its own
-optimistic value to the frontier bound and returns without opening its
-next-worker branch.  ``best_bound`` stays a valid upper bound because the
-optimistic value never rises below a node: an extension serves two more
-requests but closes at least one open pickup and one open delivery, and a
-worker switch changes neither term.  ``nodes_explored`` is at most
-``node_limit + 1``.
-
-The route bound.  Under ``use_upper_bound`` or ``use_warm_start`` a solve
-first enumerates every schedulable single-worker route once
-(:func:`_route_columns`), depth first over the search's own successor
-lists and ``extend``/``start_delay`` verdicts, keeping one route per
-distinct request set.  It prunes only prefixes that are not extendable,
-which no schedulable route starts with, so the enumeration is complete.
+The paper configuration first enumerates every schedulable single-worker
+route once (:func:`_route_columns`), depth first over the same successor
+lists and verdicts, keeping one route per distinct request set; it prunes
+only prefixes that are not extendable, so the enumeration is complete.
 Every K-worker answer is a packing of at most K schedulable routes with
-disjoint request sets, and every such packing is a K-worker answer, so
-the largest packing is the optimum (:func:`_route_packing`).  An exact
-search finds it first: depth first over the routes, largest first, with
-the routes still disjoint from the chosen ones as one bit set, it cuts a
-branch once the free slots times the size of its largest candidate
-cannot beat the best packing; every later candidate is no larger, so the
-cut loses nothing and a search that ends has proved its best packing.
-Those routes, timed by ``schedule_route``, are the warm start and their
-count the bound, and the root visit proves them.  K=1 takes one step,
-and most cells at K=2-3 end within ``PACKING_STEPS`` branches.  Past
-that cap the LP that packs at most K routes, each request in at most
-one, maximising the requests served, bounds the optimum instead; rounded
-down to an even count it is the bound.  The search's best packing is the
-warm start where it meets that bound; else, from a fractional optimum,
-the LP dives (fixes a column to 1 and solves again) while its value
-keeps the bound.  Where a dive falls short the solve keeps the bound and
-takes the warm start from ``heuristic_sequential``; past ``ROUTE_CAP``
-request sets the enumeration gives up and the solve falls back to
-``compute_upper_bound`` as well.  Every HiGHS solve gets only the time
-left before the deadline and none starts without it; an LP that runs out
-of time gives no bound, and the search prunes with the count bound alone.
-The enumeration itself does not watch the clock.
+disjoint request sets, and every such packing is a K-worker answer, so the
+largest packing is the optimum (:func:`_route_packing`).  An exact search
+finds it first: depth first over the routes, largest first, with the
+routes still disjoint from the chosen ones as one bit set, it cuts a branch
+once the free slots times the size of its largest candidate cannot beat
+the best packing, so a search that ends has proved its best packing.  K=1
+takes one step, and most cells at K=2-3 end within ``PACKING_STEPS``
+branches.  Past that cap the packing LP (at most K routes, each request in
+at most one), rounded down to an even count, is the bound; the search's
+best packing is the answer where it meets it, else the LP dives (fixes a
+column to 1 and solves again) while its value keeps the bound.  Where the
+dive falls short, or the LP runs out of time, the packing search runs
+again without its step cap, under the deadline.  The answer is read at the
+root (``nodes_explored`` is 1): the K-worker search never runs.
+
+The enumeration gives up past ``ROUTE_CAP`` request sets, or once the
+deadline passes (it reads the clock every 512 routes tried).  Then at K>1
+the answer is :func:`heuristic_sequential`'s, run with the time left, and
+:func:`compute_upper_bound` gets whatever time remains; at K=1
+:func:`compute_upper_bound` comes first and prunes the baseline search.
+Every HiGHS solve gets only the time left and none starts without it; an
+LP that runs out of time gives no bound.  The paper configuration's
+``best_bound`` is the smallest bound that ran, the root's count bound
+among them, and ``optimal`` holds where the answer meets it.
 
 ``brute_force`` is the desk-scale oracle: plain enumeration of all
 pairings, partitions and orderings, with no bounding logic shared with the
@@ -101,21 +95,15 @@ from .scheduling import Prefix, extend, leg_bounds, schedule_route, start_delay
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the branch-and-bound search.
+    """The configuration of a solve and its limits.
 
-    ``use_upper_bound`` prunes with the route packing bound, computed up
-    front (see the module docstring): the optimum of an exact packing
-    search, or past its step cap the packing LP, or past the route cap
-    :func:`compute_upper_bound`.  ``use_warm_start`` seeds the incumbent
-    with the search's best packing, or the routes of an integral LP
-    optimum found by diving, else with :func:`heuristic_sequential`,
-    except at K=1, where that heuristic would repeat the search.  The
-    limits are a positive integer ``node_limit`` and a positive, finite
+    ``use_upper_bound``, ``use_warm_start`` and ``break_worker_symmetry``
+    are one switch spelled three ways: all on select the paper
+    configuration, all off the baseline search (see the module docstring),
+    and a mix raises ``ValueError``.  They stay three fields only because
+    the benchmark passes them by name.  The limits are a positive integer
+    ``node_limit`` (of baseline search nodes) and a positive, finite
     ``time_limit_s``; anything else raises ``ValueError``.
-    ``break_worker_symmetry`` explores each route *set* once (routes in
-    increasing order of their first pickup) instead of every assignment of
-    routes to interchangeable workers; it changes search effort, never the
-    optimal objective.
     """
 
     use_upper_bound: bool = False
@@ -125,6 +113,12 @@ class SolveOptions:
     time_limit_s: float | None = None
 
     def __post_init__(self) -> None:
+        switch = (self.use_upper_bound, self.use_warm_start, self.break_worker_symmetry)
+        if len(set(map(bool, switch))) > 1:
+            raise ValueError(
+                "use_upper_bound, use_warm_start and break_worker_symmetry must be all on "
+                "(the paper configuration) or all off (the baseline search)"
+            )
         limit = self.node_limit
         if limit is not None and (
             isinstance(limit, bool) or not isinstance(limit, Integral) or limit <= 0
@@ -151,7 +145,7 @@ class SolveResult:
 
 @dataclass
 class _SearchState:
-    best_count: int = -1
+    best_count: int = 0
     best_routes: tuple[tuple[tuple[int, int], ...], ...] = ()  # node-index pairs per route
     nodes: int = 0
     aborted: bool = False
@@ -281,21 +275,37 @@ def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
 ROUTE_CAP = 20_000
 
 
-def _route_columns(legs, rides, ride_home, shift_limit: float) -> dict[int, tuple] | None:
-    """One schedulable single-worker route per distinct request set; None past ``ROUTE_CAP`` sets.
+def _past(deadline: float | None) -> bool:
+    """Whether ``deadline`` has passed (never without one)."""
+    return deadline is not None and time.perf_counter() > deadline
+
+
+def _time_left(deadline: float | None) -> float | None:
+    """Seconds before ``deadline`` (None without one); 0 once it has passed."""
+    return None if deadline is None else max(0.0, deadline - time.perf_counter())
+
+
+def _route_columns(legs, rides, ride_home, shift_limit: float, deadline=None) -> dict | None:
+    """One schedulable single-worker route per distinct request set.
 
     Keys are bit masks of node indices; each value is the first route, as
-    node-index pairs, found with that set.
+    node-index pairs, found with that set.  None past ``ROUTE_CAP`` sets,
+    or once ``deadline`` has passed: the clock is read every 512 routes tried.
     """
     columns: dict[int, tuple] = {}
+    tried = 0
 
     def grow(route: tuple, prefix: Prefix | None, used: int, last: int) -> bool:
+        nonlocal tried
         for p, ride in rides[last]:
             if used >> p & 1:
                 continue
             for d, leg in legs[p]:
                 if used >> d & 1:
                     continue
+                tried += 1
+                if not tried % 512 and _past(deadline):
+                    return False
                 child = _child(route, prefix, (p, d), leg, ride, ride_home[d], shift_limit)
                 if child is None:
                     continue
@@ -327,9 +337,7 @@ def _members(routes: list[tuple], node_count: int) -> np.ndarray:
     return member
 
 
-def _route_packing(
-    columns: dict[int, tuple], k_total: int, node_count: int, deadline: float | None = None
-):
+def _route_packing(columns: dict, k_total: int, node_count: int, deadline=None, capped=True):
     """``(bound, routes)``: at most ``k_total`` disjoint route columns serving the most requests.
 
     A depth-first search over the columns, largest first, keeps the
@@ -341,7 +349,10 @@ def _route_packing(
     :func:`_packing_lp` gives the bound; the search's best packing stands
     as ``routes`` where it meets that bound, else the LP's dive gives them.
     ``bound`` is None when the time before ``deadline`` runs out in the LP,
-    and then ``routes`` is the search's best packing.
+    and then ``routes`` is the search's best packing.  Not ``capped``, the
+    search runs under ``deadline`` instead, reading the clock every 512
+    branches, and no LP runs: once the deadline passes ``bound`` is None
+    and ``routes`` the best packing found.
     """
     routes = list(columns.values())
     lengths = list(map(len, routes))
@@ -370,7 +381,10 @@ def _route_packing(
                 best_total, best_chosen = total + size[c], chosen + [c]
                 return True
             steps += 1
-            if steps > PACKING_STEPS:
+            if not capped:
+                if not steps % 512 and _past(deadline):
+                    return False
+            elif steps > PACKING_STEPS:
                 return False
             if apart[c] is None:
                 clash = 0
@@ -388,6 +402,8 @@ def _route_packing(
     found = [routes[order[c]] for c in best_chosen]
     if finished:  # always at K=1: its one slot takes the first candidate
         return 2 * best_total, found
+    if not capped:
+        return None, found
     # in enumeration order: HiGHS's choice among optimal vertices, so the dive's length, follows it
     bound, dived = _packing_lp(routes, member, k_total, deadline, 2 * best_total)
     return bound, found if bound is None or 2 * best_total >= bound else dived
@@ -457,83 +473,88 @@ def solve_branch_and_bound(
     options: SolveOptions | None = None,
     *,
     available: set[str] | None = None,
-    incumbent: Solution | None = None,
 ) -> SolveResult:
-    """Depth-first exact search; returns the incumbent and an optimality flag.
+    """The answer of the configuration ``options`` selects, over the ``available`` requests.
 
-    When a node or time limit stops the search early the flag is False and
-    ``best_bound`` is still a valid upper bound on the true optimum (the
-    maximum optimistic value over the unexplored frontier).
+    When a limit stops a solve early ``optimal`` is False and
+    ``best_bound`` is still a valid upper bound on the true optimum.
     """
     options = options or SolveOptions()
-    params = instance.parameters
-    k_total = params.workers
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
-
     allowed = available if available is not None else {r.id for r in instance.requests}
-    nodes = graph.nodes
-    legs, rides, ride_home, ev_next = _successors(instance, graph, allowed)
+    successors = _successors(instance, graph, allowed)
+    if options.use_upper_bound:
+        answer = _from_routes(instance, graph, successors, allowed, options.node_limit, deadline)
+    else:
+        answer = _search(instance, graph, successors, options.node_limit, deadline)
+    return SolveResult(*answer, elapsed_s=time.perf_counter() - start)
 
-    state = _SearchState()
 
-    def time_left() -> float | None:
-        """Seconds before the deadline (None without one); 0 once it has passed."""
-        return None if deadline is None else max(0.0, deadline - time.perf_counter())
+def _from_routes(instance, graph, successors, allowed, node_limit, deadline):
+    """The paper configuration: ``(solution, optimal, best_bound, nodes_explored)``.
 
-    bound_value: int | None = None
-    warm: Solution | None = None
-    if options.use_upper_bound or options.use_warm_start:
-        columns = _route_columns(legs, rides, ride_home, params.shift_limit_min)
-        if columns is not None:
-            bound_value, packed = _route_packing(columns, k_total, len(nodes), deadline)
-            if packed is not None and options.use_warm_start:
-                warm = _routes_to_solution(instance, graph, _named(nodes, packed))
-        # at K=1 the heuristic is the very single-worker search that follows
-        left = time_left()
-        if options.use_warm_start and warm is None and k_total > 1 and left != 0:
-            warm = heuristic_sequential(
-                instance,
-                graph,
-                available=allowed,
-                node_limit=options.node_limit,
-                time_limit_s=left,
+    The packing of the route pool; past the route cap the sequential
+    heuristic, or at K=1 the baseline search pruned by the compact bound
+    (see the module docstring).
+    """
+    legs, rides, ride_home, ev_next = successors
+    params = instance.parameters
+    k_total, nodes = params.workers, graph.nodes
+    columns = _route_columns(legs, rides, ride_home, params.shift_limit_min, deadline)
+    if columns is None and k_total == 1:
+        compact = _compact_bound(instance, graph, deadline)
+        return _search(instance, graph, successors, node_limit, deadline, compact)
+    if columns is None:
+        left = _time_left(deadline)
+        solution = Solution.empty()
+        if left != 0:
+            solution = heuristic_sequential(
+                instance, graph, available=allowed, node_limit=node_limit, time_limit_s=left
             )
-        left = time_left()
-        if not options.use_upper_bound:
-            bound_value = None
-        elif columns is None and left != 0:  # past the route cap
-            bound_value = compute_upper_bound(instance, graph, left)
+        bound = _compact_bound(instance, graph, deadline)
+    else:
+        bound, routes = _route_packing(columns, k_total, len(nodes), deadline)
+        if bound is None or routes is None:  # the LP ran out of time, or its dive fell short
+            searched, routes = _route_packing(columns, k_total, len(nodes), deadline, capped=False)
+            bound = bound if searched is None else searched
+        solution = _routes_to_solution(instance, graph, _named(nodes, routes))
+    root = CountBound(ev_next).value()
+    bound = root if bound is None else min(bound, root)
+    return solution, solution.served_count == bound, bound, 1
 
-    best_external: Solution | None = None
-    for candidate in (warm, incumbent):
-        if candidate is not None and candidate.served_count > state.best_count:
-            state.best_count = candidate.served_count
-            best_external = candidate
-    if state.best_count < 0:
-        state.best_count = 0
-    state.frontier_bound = state.best_count
 
+def _compact_bound(instance, graph, deadline) -> int | None:
+    """:func:`compute_upper_bound` given the time left; None when none is left or it runs out."""
+    left = _time_left(deadline)
+    return None if left == 0 else compute_upper_bound(instance, graph, left)
+
+
+def _search(instance, graph, successors, node_limit, deadline, bound_value=None):
+    """The baseline search: ``(solution, optimal, best_bound, nodes_explored)``.
+
+    ``bound_value``, where given, caps the optimistic value of every node.
+    """
+    legs, rides, ride_home, ev_next = successors
+    params = instance.parameters
+    k_total, shift_limit = params.workers, params.shift_limit_min
+    state = _SearchState()
     fixed: list[tuple[tuple[int, int], ...]] = []  # closed routes of the earlier workers
     count_bound = CountBound(ev_next)
     served = count_bound.served
     mark, unmark = count_bound.mark, count_bound.unmark
-    symmetry = options.break_worker_symmetry
-    shift_limit = params.shift_limit_min
 
     def out_of_budget() -> bool:
         if not state.aborted:
-            over_nodes = options.node_limit is not None and state.nodes > options.node_limit
+            over_nodes = node_limit is not None and state.nodes > node_limit
             over_time = deadline is not None and time.perf_counter() > deadline
             state.aborted = over_nodes or over_time
         return state.aborted
 
     def expand(route: tuple, prefix: Prefix | None, feasible: bool) -> None:
         last = route[-1][1] if route else 0
-        # routes in increasing order of their first pickup; node 0 is no pickup
-        floor = fixed[-1][0][0] if symmetry and fixed and not route else 0
         for p, ride in rides[last]:
-            if p in served or p <= floor:
+            if p in served:
                 continue
             for d, leg in legs[p]:
                 if d in served:
@@ -570,21 +591,10 @@ def solve_branch_and_bound(
     visit((), None, False)
 
     optimal = not state.aborted
-    if state.best_routes:
-        # only these routes are timed
-        solution = _routes_to_solution(instance, graph, _named(nodes, state.best_routes))
-    elif best_external is not None and best_external.served_count >= state.best_count:
-        solution = best_external
-    else:
-        solution = Solution.empty()
+    # only the returned routes are timed
+    solution = _routes_to_solution(instance, graph, _named(graph.nodes, state.best_routes))
     best_bound = state.best_count if optimal else max(state.frontier_bound, state.best_count)
-    return SolveResult(
-        solution=solution,
-        optimal=optimal,
-        best_bound=best_bound,
-        nodes_explored=state.nodes,
-        elapsed_s=time.perf_counter() - start,
-    )
+    return solution, optimal, best_bound, state.nodes
 
 
 def brute_force(instance: Instance, graph: ActionGraph) -> Solution:

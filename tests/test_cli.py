@@ -86,12 +86,29 @@ class TestSolveAndCheck:
         code, _, _ = run(
             capsys,
             "solve", "--instance", str(instance_file), "--workers", "2",
-            "--symmetry-breaking", "--upper-bound", "--warm-start", "--out", str(fast),
+            "--paper", "--out", str(fast),
         )
         assert code == 0
         a = solution_from_json(plain.read_text())
         b = solution_from_json(fast.read_text())
         assert a.served_count == b.served_count
+
+    @pytest.mark.parametrize(
+        "mode, note",
+        [
+            ([], "optimal=True bound=4 nodes=12]"),
+            (["--paper"], "optimal=True bound=4 nodes=1]"),
+            (["--node-limit", "1"], "optimal=False bound=6 nodes=2]"),
+        ],
+        ids=["baseline", "paper", "stopped"],
+    )
+    def test_solve_prints_the_bound(self, tmp_path, capsys, instance_file, mode, note):
+        code, out, _ = run(
+            capsys, "solve", "--instance", str(instance_file), "--workers", "2", *mode,
+            "--out", str(tmp_path / "sol.json"),
+        )
+        assert code == 0
+        assert note in out
 
     def test_heuristic_mode(self, tmp_path, capsys, instance_file):
         sol_path = tmp_path / "heur.json"

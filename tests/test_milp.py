@@ -429,7 +429,8 @@ class TestNameCollisions:
         inst, graph = self.colliding_case()
         assert brute_force(inst, graph).served_count == 4
         assert compute_upper_bound(inst, graph) >= 4
-        result = solve_branch_and_bound(inst, graph, SolveOptions(use_upper_bound=True))
+        paper = SolveOptions(use_upper_bound=True, use_warm_start=True, break_worker_symmetry=True)
+        result = solve_branch_and_bound(inst, graph, paper)
         assert result.optimal
         assert result.solution.served_count == 4
 

@@ -12,6 +12,7 @@ from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, linprog, mi
 from scipy.sparse import diags
 
 import evrelocate.search
+from evrelocate.cli import main
 from evrelocate import (
     DEFAULT_PARAMETERS,
     GeneratorConfig,
@@ -195,29 +196,15 @@ class TestBranchAndBound:
             assert report.passed, (seed, report.failures())
 
     def test_option_combinations_preserve_objective(self):
+        # the two configurations, the baseline search and the paper's, prove one optimum
         for seed in range(8):
             inst, graph = random_case(seed)
-            inst = with_workers(inst, 2)
-            reference = solve_branch_and_bound(inst, graph).solution.served_count
-            for opts in (
-                SolveOptions(break_worker_symmetry=True),
-                SolveOptions(use_upper_bound=True),
-                SolveOptions(use_warm_start=True),
-                SolveOptions(
-                    break_worker_symmetry=True, use_upper_bound=True, use_warm_start=True
-                ),
-            ):
-                result = solve_branch_and_bound(inst, graph, opts)
+            for k in (2, 3):
+                inst_k = with_workers(inst, k)
+                reference = solve_branch_and_bound(inst_k, graph).solution.served_count
+                result = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
                 assert result.optimal
-                assert result.solution.served_count == reference, (seed, opts)
-
-    def test_symmetry_breaking_reduces_nodes(self):
-        inst, graph = random_case(1)
-        inst = with_workers(inst, 3)
-        plain = solve_branch_and_bound(inst, graph)
-        canonical = solve_branch_and_bound(inst, graph, SolveOptions(break_worker_symmetry=True))
-        assert canonical.solution.served_count == plain.solution.served_count
-        assert canonical.nodes_explored <= plain.nodes_explored
+                assert result.solution.served_count == reference, (seed, k)
 
     def test_monotone_in_workers(self):
         for seed in range(6):
@@ -314,13 +301,18 @@ class TestUpperBound:
                 bound = compute_upper_bound(inst_k, graph)
                 assert heur <= exact <= bound, (seed, k, heur, exact, bound)
 
-    def test_upper_bound_never_blocks_optimum(self):
+    def test_upper_bound_never_blocks_optimum(self, monkeypatch):
+        # past the route cap at K=1 the compact bound prunes the search
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
+        bounds = counted_calls(monkeypatch, "compute_upper_bound")
         for seed in range(8):
             inst, graph = random_case(seed)
-            inst = with_workers(inst, 2)
-            capped = solve_branch_and_bound(inst, graph, SolveOptions(use_upper_bound=True))
+            inst = with_workers(inst, 1)
+            capped = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
             plain = solve_branch_and_bound(inst, graph)
+            assert capped.optimal
             assert capped.solution.served_count == plain.solution.served_count
+        assert bounds == [1] * 8
 
     def test_bound_valid_and_optimum_completes_on_spread_instances(self):
         # wide footprints, co-located stations and non-metric matrices: the
@@ -527,6 +519,7 @@ class TestRouteBound:
         assert result.optimal and result.solution.served_count == 4
 
     def test_root_proof_survives_a_spent_budget(self):
+        # the enumeration reads the clock every 512 routes tried; here it tries fewer
         # the bound and its incumbent outlast the limit; their match is still a proof
         inst, graph = random_case(1, size=24)
         for k in (2, 3):
@@ -536,20 +529,56 @@ class TestRouteBound:
             assert result.solution.served_count == result.best_bound, k
 
     def test_past_the_cap_falls_back(self, monkeypatch):
+        # K=2-3: the sequential heuristic's answer against the smaller of the compact
+        # bound and the root's count bound; K=1: the search pruned by the compact bound
         monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
-        bounds = counted_calls(monkeypatch, "compute_upper_bound")
-        warm_starts = counted_calls(monkeypatch, "heuristic_sequential")
+        proved = []
         for seed in range(6):
-            inst, graph = random_case(seed)
-            for k in (1, 2):
+            inst, graph = random_case(seed, size=12)
+            allowed = {r.id for r in inst.requests}
+            root = recount(evrelocate.search._successors(inst, graph, allowed)[3], set())
+            for k in (1, 2, 3):
                 inst_k = with_workers(inst, k)
                 paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
-                default = solve_branch_and_bound(inst_k, graph)
-                assert paper.optimal and default.optimal, (seed, k)
-                assert paper.solution.served_count == default.solution.served_count, (seed, k)
-        assert bounds == [1, 2] * 6
-        # at K=1 the warm start would be the very single-worker search that follows
-        assert warm_starts == [2] * 6
+                served = paper.solution.served_count
+                assert check_solution(inst_k, graph, paper.solution).passed, (seed, k)
+                if k == 1:
+                    default = solve_branch_and_bound(inst_k, graph)
+                    assert paper.optimal and served == default.solution.served_count, seed
+                    continue
+                assert served == heuristic_sequential(inst_k, graph).served_count, (seed, k)
+                bound = min(compute_upper_bound(inst_k, graph), root)
+                assert paper.best_bound == bound, (seed, k)
+                assert paper.optimal == (served == bound) and paper.nodes_explored == 1, (seed, k)
+                proved.append(paper.optimal)
+        assert set(proved) == {False, True}
+
+    def test_short_dive_closed_by_the_packing_search(self, monkeypatch):
+        # every K>1 cell takes the LP, and no dive reaches its bound: the packing
+        # search, run again without its step cap, proves the optimum
+        cells = [(seed, k) for seed in (1, 2, 3, 100007) for k in (1, 2, 3)]
+        reference = {}
+        for seed, k in cells:
+            inst = with_workers(generate_instance(GeneratorConfig(request_total=24, seed=seed)), k)
+            graph = build_graph(inst, matrix_for_instance(inst))
+            expected = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
+            reference[seed, k] = inst, graph, expected
+        packing_lp, uncapped = evrelocate.search._packing_lp, []
+        monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 0)
+        monkeypatch.setattr(evrelocate.search, "_packing_lp", lambda *a: (packing_lp(*a)[0], None))
+        packing = evrelocate.search._route_packing
+
+        def spy(*args, capped=True):
+            uncapped.append(not capped)
+            return packing(*args, capped=capped)
+
+        monkeypatch.setattr(evrelocate.search, "_route_packing", spy)
+        for (seed, k), (inst, graph, expected) in reference.items():
+            result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
+            assert result.optimal and result.nodes_explored == 1, (seed, k)
+            assert result.solution.served_count == result.best_bound == expected.best_bound
+            assert check_solution(inst, graph, result.solution).passed, (seed, k)
+        assert uncapped.count(True) == 2 * len(reference) // 3  # every K>1 cell
 
     def test_k1_packing_is_the_largest_column(self):
         inst, graph = random_case(4, size=24)
@@ -670,15 +699,16 @@ class TestSearchUnchanged:
             return made
 
         verdicts = set()
-        for size, seed, k, paper in ((24, 3, 3, True), (40, 3, 2, True), (60, 1, 2, False)):
+        # the paper configuration's route enumeration; past the route cap (0) its
+        # sequential heuristic's single-worker searches; the baseline's worker switches
+        cases = ((40, 3, 2, True, 20_000), (40, 3, 3, True, 0), (60, 1, 2, False, 20_000))
+        for size, seed, k, paper, cap in cases:
             inst = with_workers(generate_instance(GeneratorConfig(request_total=size, seed=seed)), k)
             graph = build_graph(inst, matrix_for_instance(inst))
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(evrelocate.search, "_child", spy)
-                # past the route cap the paper configuration still searches: the
-                # compact LP bound, the sequential warm start and worker switches
-                patch.setattr(evrelocate.search, "ROUTE_CAP", 0)
+                patch.setattr(evrelocate.search, "ROUTE_CAP", cap)
                 options = SolveOptions(node_limit=3000, **(PAPER if paper else {}))
                 solve_branch_and_bound(inst, graph, options)
             assert len(calls) > 3000
@@ -703,21 +733,22 @@ class TestStoppingRule:
                 assert not result.optimal
                 assert result.nodes_explored <= limit + 1, (k, limit)
 
-    @pytest.mark.parametrize("k, warm", [(1, False), (3, True)])
-    def test_time_limit_stops_search(self, case_200, k, warm):
+    @pytest.mark.parametrize("k, paper", [(1, False), (3, True)])
+    def test_time_limit_stops_search(self, case_200, k, paper):
         inst, graph = case_200
-        options = SolveOptions(time_limit_s=0.3, use_warm_start=warm)
+        options = SolveOptions(time_limit_s=0.3, **(PAPER if paper else {}))
         result = solve_branch_and_bound(with_workers(inst, k), graph, options)
         assert not result.optimal
         assert result.elapsed_s < 0.8
-        # the warm start's single-worker searches split the budget, so each finds a route
+        # past the route cap the heuristic's single-worker searches split the budget,
+        # so each finds a route
         assert len(result.solution.routes) == k
         assert check_solution(with_workers(inst, k), graph, result.solution).passed
 
     @pytest.mark.parametrize("size, k", [(200, 1), (200, 3), (48, 3)])
     def test_paper_configuration_keeps_its_time_limit(self, monkeypatch, size, k):
-        # HiGHS gets only the time left and none starts without it; the rest of the
-        # overrun is the route enumeration's own and the compact model's build
+        # HiGHS gets only the time left and none starts without it, and the route
+        # enumeration reads the clock; the rest of the overrun is the compact model's build
         inst = with_workers(generate_instance(GeneratorConfig(request_total=size, seed=1)), k)
         graph = build_graph(inst, matrix_for_instance(inst))
         solver, limits = evrelocate.search.highs, []
@@ -744,10 +775,11 @@ class TestStoppingRule:
         monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 10)
         bound, routes = evrelocate.search._route_packing(columns, 3, len(graph.nodes))
         assert bound is None and 0 < len(routes) <= 3
-        # the solve keeps the count bound alone and stays valid
-        result = solve_branch_and_bound(inst, graph, SolveOptions(node_limit=2000, **PAPER))
-        assert not result.optimal and result.best_bound >= 12
-        assert result.solution.served_count == 2 * sum(map(len, routes))
+        # the solve runs the packing search on without its step cap, which needs no LP
+        result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
+        optimum, _ = evrelocate.search._route_packing(columns, 3, len(graph.nodes), capped=False)
+        assert result.optimal and result.solution.served_count == result.best_bound == optimum
+        assert optimum >= 2 * sum(map(len, routes))
         assert check_solution(inst, graph, result.solution).passed
 
     @pytest.mark.parametrize(
@@ -760,14 +792,36 @@ class TestStoppingRule:
             ("node_limit", 2.5),
             ("node_limit", True),
             ("node_limit", 0),
+            ("use_upper_bound", True),
+            ("use_warm_start", True),
+            ("break_worker_symmetry", True),
         ],
     )
-    def test_malformed_limits_rejected(self, name, value):
+    def test_malformed_limits_rejected(self, capsys, name, value):
+        if name.startswith("use_") or name == "break_worker_symmetry":
+            # one switch spelled three ways: a mix is neither configuration
+            with pytest.raises(ValueError, match=f"{name}.* must be all on"):
+                SolveOptions(**{name: value})
+            flag = {"use_upper_bound": "--upper-bound", "use_warm_start": "--warm-start"}
+            with pytest.raises(SystemExit) as exited:
+                main(["solve", "--instance", "x.json", flag.get(name, "--symmetry-breaking")])
+            assert exited.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            return
         with pytest.raises(ValueError, match=f"{name} must be (a )?positive"):
             SolveOptions(**{name: value})
         inst, graph = random_case(1)
         with pytest.raises(ValueError, match=f"{name} must be (a )?positive"):
             heuristic_sequential(inst, graph, **{name: value})
+
+    def test_route_enumeration_keeps_the_time_limit(self, monkeypatch):
+        # at 60 requests the whole enumeration takes about 1 s
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 10**9)
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=60, seed=1)), 1)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        result = solve_branch_and_bound(inst, graph, SolveOptions(time_limit_s=0.1, **PAPER))
+        assert result.elapsed_s < 0.25
+        assert not result.optimal and result.solution.served_count <= result.best_bound
 
     def test_solve_makes_no_arc_objects(self):
         inst = generate_instance(GeneratorConfig(request_total=200, seed=1))
@@ -842,7 +896,7 @@ def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size,
     with patch.object(evrelocate.search, "PACKING_STEPS", 0):  # the packing LP from K=2 on
         lp_paper = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
     for solved in (paper, lp_paper):
-        assert solved.optimal
+        assert solved.optimal and solved.nodes_explored == 1  # the K-worker search never runs
         assert solved.solution.served_count == solved.best_bound == optimum
         assert check_solution(inst, graph, solved.solution).passed
     model = build_milp(inst, graph)
