@@ -5,9 +5,9 @@ the baseline search, and the paper configuration, which answers from the
 pool of single-worker routes.
 
 The baseline search grows worker routes depth first, one (pickup,
-delivery) pair at a time, over successor lists read once per solve from
-the graph's arrays.  Each node carries its route's prefix
-(:mod:`evrelocate.scheduling`), so a node costs O(1) scheduling: one
+delivery) pair at a time, over next-pair lists read once per solve from
+the graph's arrays (:func:`_next_pairs`).  Each node carries its route's
+prefix (:mod:`evrelocate.scheduling`), so a node costs O(1) scheduling: one
 ``extend`` and one or two ``start_delay`` per candidate pair, which give
 the verdicts of ``schedule_route`` on the whole route bit for bit; only the
 returned routes are timed by ``schedule_route``.  A prefix is pruned only
@@ -28,12 +28,16 @@ at least one open pickup and one open delivery, and a worker switch
 changes neither term.  ``nodes_explored`` is at most ``node_limit + 1``.
 
 The paper configuration first enumerates every schedulable single-worker
-route once (:func:`_route_columns`), depth first over the same successor
-lists and verdicts, keeping one route per distinct request set; it prunes
-only prefixes that are not extendable, so the enumeration is complete.
-Every K-worker answer is a packing of at most K schedulable routes with
-disjoint request sets, and every such packing is a K-worker answer, so the
-largest packing is the optimum (:func:`_route_packing`).  An exact search
+route once (:func:`_route_columns`), depth first over the same next-pair
+lists with ``extend`` and ``start_delay`` inlined on the same floats,
+keeping the first route of each distinct request set; it prunes only
+prefixes that are not extendable, so the enumeration is complete.  The
+pool is one flat list of node indices, route after route in pair order,
+with column pointers: the packing search and the packing LP read it, and
+only the routes a solve returns become pairs.  Every K-worker answer is a
+packing of at most K schedulable routes with disjoint request sets, and
+every such packing is a K-worker answer, so the largest packing is the
+optimum (:func:`_route_packing`).  An exact search
 finds it first: depth first over the routes, largest first, with the
 routes still disjoint from the chosen ones as one bit set, it cuts a branch
 once the free slots times the size of its largest candidate cannot beat
@@ -48,13 +52,14 @@ again without its step cap, under the deadline.  The answer is read at the
 root (``nodes_explored`` is 1): the K-worker search never runs.
 
 The enumeration gives up past ``ROUTE_CAP`` request sets, or once the
-deadline passes (it reads the clock every 512 routes tried).  Then at K>1
+deadline passes (it reads the clock every 512 prefixes).  Then at K>1
 the answer is :func:`heuristic_sequential`'s, run with the time left, and
 :func:`compute_upper_bound` gets whatever time remains; at K=1
 :func:`compute_upper_bound` comes first and prunes the baseline search.
 Every HiGHS solve gets only the time left and none starts without it; an
 LP that runs out of time gives no bound.  The paper configuration's
 ``best_bound`` is the smallest bound that ran, the root's count bound
+(twice the smaller count of pickups and deliveries that an EV arc touches)
 among them, and ``optimal`` holds where the answer meets it.
 
 ``brute_force`` is the desk-scale oracle: plain enumeration of all
@@ -88,7 +93,7 @@ from scipy.sparse import csc_array
 
 # build_graph is unused here, but perfbench's traced run wraps evrelocate.search.build_graph.
 from .actiongraph import ActionGraph, build_graph  # noqa: F401
-from .domain import DEPOT_NODE, Instance, Route, Solution
+from .domain import DEPOT_NODE, TIME_TOL, Instance, Route, Solution
 from . import milp
 from .scheduling import Prefix, extend, leg_bounds, schedule_route, start_delay
 
@@ -231,39 +236,52 @@ def _child(route, prefix, pair, leg, ride, ride_home, shift_limit):
     return route + (pair,), prefix, feasible
 
 
-def _successors(instance: Instance, graph: ActionGraph, allowed: set[str]):
-    """``(legs, rides, ride_home, ev_next)`` per node index, over the ``allowed`` requests.
+def _next_pairs(instance: Instance, graph: ActionGraph, allowed: set[str]):
+    """``(nexts, root)``: per node index, the pairs a route may take next; the root count bound.
 
-    In request-id order: ``legs[p]`` is ``(delivery, (low, up, op))`` of
-    each EV leg whose charge margin holds, ``rides[n]`` is ``(pickup,
-    minutes)`` of each bike ride, ``ride_home[d]`` the minutes of the ride
-    to the depot (None without that arc), and ``ev_next`` every EV arc, for
-    the count bound.
+    ``nexts[n]`` holds ``(ride, legs)`` for each bike ride of ``ride``
+    minutes from ``n`` to an ``allowed`` pickup ``p``, in node order:
+    ``legs`` holds ``(bits, p, d, low, up, op, ride_home)`` for each EV leg
+    ``(low, up, op)`` from ``p`` to an ``allowed`` delivery ``d`` whose
+    charge margin holds, in node order; ``bits`` marks ``p`` and ``d``, and
+    ``ride_home`` is None where ``d`` has no arc to the depot.  ``root`` is
+    twice the smaller count of pickups and deliveries that an EV arc
+    between ``allowed`` requests touches.
     """
-    # schedule_route's lookups, built now rather than when a deadline has passed
-    graph.arc_position(DEPOT_NODE, DEPOT_NODE)
-    params, nodes, tau, charge = instance.parameters, graph.nodes, graph.tau, graph.charge
-    usable = [False] + [node in allowed for node in nodes[1:]]
-    ev = graph.is_ev
-    pick, drop, drive = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
+    graph.arc_position(DEPOT_NODE, DEPOT_NODE)  # schedule_route's lookups, built before any deadline
+    tau, charge, src, dst, minutes = graph.tau, graph.charge, graph.src, graph.dst, graph.op_time_min
+    usable = np.array([False] + [node in allowed for node in graph.nodes[1:]])
+    ev = graph.is_ev & usable[src] & usable[dst]
+    pick, drop, drive = src[ev], dst[ev], minutes[ev]
+    root = 2 * min(len(set(pick.tolist())), len(set(drop.tolist())))
     low, up, fits = leg_bounds(
-        params, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
+        instance.parameters, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
     )
+    home = dict(zip(src[dst == 0].tolist(), minutes[dst == 0].tolist()))  # no EV arc ends at the depot
+    legs = [[] for _ in usable]
+    for p, d, lo, hi, op in zip(*(c[fits].tolist() for c in (pick, drop, low, up, drive))):
+        legs[p].append((1 << p | 1 << d, p, d, lo, hi, op, home.get(d)))
+    # one tuple of legs per pickup, shared by its rides: tuples of numbers the garbage collector
+    # stops tracking, while lists in every ride would bring its next full collection forward
+    legs = [tuple(pairs) for pairs in legs]
+    nexts = [[] for _ in usable]
+    for n, p, ride in zip(*(c[~graph.is_ev & usable[dst]].tolist() for c in (src, dst, minutes))):
+        nexts[n].append((ride, legs[p]))
+    return nexts, root
+
+
+def _successors(instance: Instance, graph: ActionGraph, allowed: set[str]):
+    """``(nexts, ev_next)`` of the baseline search.
+
+    ``nexts`` is :func:`_next_pairs`'s; ``ev_next`` maps each ``allowed``
+    pickup to its EV arcs' ``allowed`` deliveries, for :class:`CountBound`.
+    """
+    usable = np.array([False] + [node in allowed for node in graph.nodes[1:]])
+    ev = graph.is_ev & usable[graph.src] & usable[graph.dst]
     ev_next: dict[int, list[int]] = {}
-    legs = [[] for _ in nodes]
-    for p, d, lo, hi, op, fit in zip(*(c.tolist() for c in (pick, drop, low, up, drive, fits))):
-        if usable[p] and usable[d]:
-            ev_next.setdefault(p, []).append(d)
-            if fit:
-                legs[p].append((d, (lo, hi, op)))
-    rides = [[] for _ in nodes]
-    ride_home = [None] * len(nodes)
-    for i, j, op in zip(*(c[~ev].tolist() for c in (graph.src, graph.dst, graph.op_time_min))):
-        if j == 0:
-            ride_home[i] = op
-        elif usable[j]:
-            rides[i].append((j, op))
-    return legs, rides, ride_home, ev_next
+    for p, d in zip(graph.src[ev].tolist(), graph.dst[ev].tolist()):
+        ev_next.setdefault(p, []).append(d)
+    return _next_pairs(instance, graph, allowed)[0], ev_next
 
 
 def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
@@ -285,40 +303,61 @@ def _time_left(deadline: float | None) -> float | None:
     return None if deadline is None else max(0.0, deadline - time.perf_counter())
 
 
-def _route_columns(legs, rides, ride_home, shift_limit: float, deadline=None) -> dict | None:
-    """One schedulable single-worker route per distinct request set.
+def _route_columns(nexts, shift_limit: float, deadline=None):
+    """``(nodes, starts)``: one schedulable single-worker route per distinct request set.
 
-    Keys are bit masks of node indices; each value is the first route, as
-    node-index pairs, found with that set.  None past ``ROUTE_CAP`` sets,
-    or once ``deadline`` has passed: the clock is read every 512 routes tried.
+    Column ``c`` is the first route found with its request set, as node
+    indices in pair order (pickup, delivery, pickup, ...):
+    ``nodes[starts[c]:starts[c + 1]]``.  Depth first over ``nexts`` (see
+    :func:`_next_pairs`), with :func:`extend` and :func:`start_delay`
+    inlined on the same floats.  None past ``ROUTE_CAP`` sets, or once
+    ``deadline`` has passed: the clock is read every 512 prefixes.
     """
-    columns: dict[int, tuple] = {}
-    tried = 0
+    nodes, starts, seen = [], [0], set()
+    entered = 0
 
-    def grow(route: tuple, prefix: Prefix | None, used: int, last: int) -> bool:
-        nonlocal tried
-        for p, ride in rides[last]:
-            if used >> p & 1:
-                continue
-            for d, leg in legs[p]:
-                if used >> d & 1:
-                    continue
-                tried += 1
-                if not tried % 512 and _past(deadline):
+    def grow(used, route, home, first, latest, chain, cap, budget, drive) -> bool:
+        # route (node indices) has the Prefix (first, ..., drive) and rides `home` back
+        nonlocal entered
+        entered += 1
+        if not entered % 512 and _past(deadline):
+            return False
+        span = budget - drive
+        spread = latest - first
+        excess = spread - span
+        if chain > span + TIME_TOL or excess > TIME_TOL and excess > cap + TIME_TOL:
+            return True  # not extendable
+        if home is not None and used not in seen:
+            span -= home
+            excess = spread - span
+            if chain <= span + TIME_TOL and (excess <= TIME_TOL or excess <= cap + TIME_TOL):
+                seen.add(used)
+                nodes.extend(route)
+                starts.append(len(nodes))
+                if len(seen) > ROUTE_CAP:
                     return False
-                child = _child(route, prefix, (p, d), leg, ride, ride_home[d], shift_limit)
-                if child is None:
+        for ride, legs in nexts[route[-1]]:
+            travel = drive + ride
+            reach, chained = latest + travel, chain + travel
+            for bits, p, d, low, up, op, ride_home in legs:
+                if used & bits:
                     continue
-                mask = used | 1 << p | 1 << d
-                if child[2] and mask not in columns:
-                    columns[mask] = child[0]
-                    if len(columns) > ROUTE_CAP:
-                        return False
-                if not grow(child[0], child[1], mask, d):
+                earliest = reach if reach > low else low  # max and min as builtins cost a quarter
+                if earliest > up + TIME_TOL:
+                    continue
+                room = up - first - chained
+                if not room < cap:
+                    room = cap
+                if not grow(used | bits, route + (p, d), ride_home, first, earliest, chained, room, budget, op):
                     return False
         return True
 
-    return columns if grow((), None, 0, 0) else None
+    for ride, legs in nexts[0]:
+        for bits, p, d, low, up, op, ride_home in legs:
+            prefix = extend(None, low, up, op, ride, shift_limit)
+            if prefix is not None and not grow(bits, (p, d), ride_home, *prefix):
+                return None
+    return nodes, starts
 
 
 #: The exact packing search gives up past this many branches, and the packing LP takes over.
@@ -328,42 +367,43 @@ def _route_columns(legs, rides, ride_home, shift_limit: float, deadline=None) ->
 PACKING_STEPS = 1000
 
 
-def _members(routes: list[tuple], node_count: int) -> np.ndarray:
-    """Boolean (node index, column): the nodes of each route, and the depot's row 0 in every column."""
-    member = np.zeros((node_count, len(routes)), dtype=bool)
-    nodes = [n for route in routes for pair in route for n in pair]
-    member[nodes, np.repeat(np.arange(len(routes)), [2 * len(route) for route in routes])] = True
-    member[0] = True
-    return member
+def _pairs(pool, c: int) -> tuple[tuple[int, int], ...]:
+    """Column ``c`` of ``pool`` (see :func:`_route_columns`) as node-index pairs."""
+    nodes, starts = pool
+    start, end = starts[c], starts[c + 1]
+    return tuple(zip(nodes[start:end:2], nodes[start + 1 : end : 2]))
 
 
-def _route_packing(columns: dict, k_total: int, node_count: int, deadline=None, capped=True):
-    """``(bound, routes)``: at most ``k_total`` disjoint route columns serving the most requests.
+def _route_packing(pool, k_total: int, node_count: int, deadline=None, capped=True):
+    """``(bound, routes)``: at most ``k_total`` disjoint columns of ``pool`` serving the most requests.
 
-    A depth-first search over the columns, largest first, keeps the
-    candidates still disjoint from the chosen ones as a bit set over column
-    indices.  A branch is cut once ``slots`` more columns of the size of its
-    largest candidate cannot beat the best packing, so when the search ends
-    its best packing is optimal: ``bound`` is its count and ``routes`` its
-    columns.  Past ``PACKING_STEPS`` branches the search stops, and
-    :func:`_packing_lp` gives the bound; the search's best packing stands
-    as ``routes`` where it meets that bound, else the LP's dive gives them.
-    ``bound`` is None when the time before ``deadline`` runs out in the LP,
-    and then ``routes`` is the search's best packing.  Not ``capped``, the
-    search runs under ``deadline`` instead, reading the clock every 512
-    branches, and no LP runs: once the deadline passes ``bound`` is None
-    and ``routes`` the best packing found.
+    ``pool`` is :func:`_route_columns`'s.  A depth-first search over its
+    columns, largest first, keeps the candidates still disjoint from the
+    chosen ones as a bit set over column ranks, made from each node's set
+    of holding columns.  A branch is cut once ``slots`` more
+    columns of the size of its largest candidate cannot beat the best
+    packing, so when the search ends its best packing is optimal: ``bound``
+    is its count and ``routes`` its columns, as node-index pairs.  Past
+    ``PACKING_STEPS`` branches the search stops, and :func:`_packing_lp`
+    gives the bound; the search's best packing stands as ``routes`` where it
+    meets that bound, else the LP's dive gives them.  ``bound`` is None when
+    the time before ``deadline`` runs out in the LP, and then ``routes`` is
+    the search's best packing.  Not ``capped``, the search runs under
+    ``deadline`` instead, reading the clock every 512 branches, and no LP
+    runs: once the deadline passes ``bound`` is None and ``routes`` the best
+    packing found.
     """
-    routes = list(columns.values())
-    lengths = list(map(len, routes))
-    order = sorted(range(len(routes)), key=lengths.__getitem__, reverse=True)
-    size = [lengths[c] for c in order]
-    everything = (1 << len(routes)) - 1
+    nodes, starts = pool
+    sizes = [(end - start) // 2 for start, end in zip(starts, starts[1:])]  # pairs per column
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    size = [sizes[c] for c in order]
+    everything = (1 << len(order)) - 1
     if k_total > 1:  # K=1 takes the largest column and needs no clash sets
-        member = _members(routes, node_count)
+        member = np.zeros((node_count, len(order)), dtype=bool)  # per node, its columns
+        member[np.asarray(nodes, dtype=np.intp), np.repeat(np.arange(len(order)), np.diff(starts))] = True
         rows = np.packbits(member[:, order], axis=1, bitorder="little")
         holders = [int.from_bytes(row.tobytes(), "little") for row in rows]  # per node
-    apart: list[int | None] = [None] * len(routes)  # per column, the columns disjoint from it
+    apart: list[int | None] = [None] * len(order)  # per rank, the ranks disjoint from it
 
     best_total, best_chosen, chosen, steps = 0, [], [], 0
 
@@ -388,8 +428,8 @@ def _route_packing(columns: dict, k_total: int, node_count: int, deadline=None, 
                 return False
             if apart[c] is None:
                 clash = 0
-                for p, d in routes[order[c]]:
-                    clash |= holders[p] | holders[d]
+                for n in nodes[starts[order[c]] : starts[order[c] + 1]]:
+                    clash |= holders[n]
                 apart[c] = everything ^ clash
             chosen.append(c)
             if not pack(candidates & apart[c], slots - 1, total + size[c]):
@@ -399,18 +439,17 @@ def _route_packing(columns: dict, k_total: int, node_count: int, deadline=None, 
         return True
 
     finished = pack(everything, k_total, 0)
-    found = [routes[order[c]] for c in best_chosen]
+    found = [_pairs(pool, order[c]) for c in best_chosen]
     if finished:  # always at K=1: its one slot takes the first candidate
         return 2 * best_total, found
     if not capped:
         return None, found
-    # in enumeration order: HiGHS's choice among optimal vertices, so the dive's length, follows it
-    bound, dived = _packing_lp(routes, member, k_total, deadline, 2 * best_total)
+    bound, dived = _packing_lp(pool, sizes, node_count, k_total, deadline, 2 * best_total)
     return bound, found if bound is None or 2 * best_total >= bound else dived
 
 
-def _packing_lp(routes: list[tuple], member: np.ndarray, k_total: int, deadline, reached: int):
-    """``(bound, routes)`` of the packing LP over the route columns, ``member`` from :func:`_members`.
+def _packing_lp(pool, sizes: list[int], node_count: int, k_total: int, deadline, reached: int):
+    """``(bound, routes)`` of the packing LP over the columns of ``pool``, of ``sizes`` pairs each.
 
     The LP maximises the requests served by at most ``k_total`` columns,
     each request in at most one; ``bound`` is its value rounded down to an
@@ -423,12 +462,18 @@ def _packing_lp(routes: list[tuple], member: np.ndarray, k_total: int, deadline,
     runs out or no dive is needed.  Raises ``RuntimeError`` when the LP
     solver reports neither an optimum nor its time limit.
     """
-    # row 0, the depot's, counts the columns against K; every other row holds a request once
-    upper = np.ones(len(member))
+    # columns in enumeration order, which HiGHS's choice among optimal vertices follows; row 0,
+    # the depot's, is in every column and counts them against K, every other row a request once
+    nodes, starts = pool
+    entries = np.insert(np.asarray(nodes), starts[:-1], 0)
+    pointers = np.asarray(starts) + np.arange(len(starts))
+    matrix = csc_array((np.ones(len(entries)), entries, pointers), shape=(node_count, len(sizes)))
+    matrix.sort_indices()
+    upper = np.ones(node_count)
     upper[0] = k_total
-    rows = LinearConstraint(csc_array(member, dtype=float), -np.inf, upper)
-    served = -2.0 * np.array([len(route) for route in routes])
-    fixed = np.zeros(len(routes))
+    rows = LinearConstraint(matrix, -np.inf, upper)
+    served = -2.0 * np.array(sizes)
+    fixed = np.zeros(len(sizes))
     bound = None
     while True:
         result = _solve_lp(served, rows, Bounds(fixed, 1.0), deadline, "route packing LP")
@@ -444,7 +489,7 @@ def _packing_lp(routes: list[tuple], member: np.ndarray, k_total: int, deadline,
         y = result.x
         fractional = np.flatnonzero(np.minimum(y, 1.0 - y) >= 1e-6)
         if not len(fractional):
-            return bound, [routes[c] for c in np.flatnonzero(y > 0.5)]
+            return bound, [_pairs(pool, c) for c in np.flatnonzero(y > 0.5)]
         fixed[fractional[np.argmax(y[fractional])]] = 1.0
 
 
@@ -483,29 +528,28 @@ def solve_branch_and_bound(
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
     allowed = available if available is not None else {r.id for r in instance.requests}
-    successors = _successors(instance, graph, allowed)
     if options.use_upper_bound:
-        answer = _from_routes(instance, graph, successors, allowed, options.node_limit, deadline)
+        answer = _from_routes(instance, graph, allowed, options.node_limit, deadline)
     else:
-        answer = _search(instance, graph, successors, options.node_limit, deadline)
+        answer = _search(instance, graph, _successors(instance, graph, allowed), options.node_limit, deadline)
     return SolveResult(*answer, elapsed_s=time.perf_counter() - start)
 
 
-def _from_routes(instance, graph, successors, allowed, node_limit, deadline):
+def _from_routes(instance, graph, allowed, node_limit, deadline):
     """The paper configuration: ``(solution, optimal, best_bound, nodes_explored)``.
 
     The packing of the route pool; past the route cap the sequential
     heuristic, or at K=1 the baseline search pruned by the compact bound
     (see the module docstring).
     """
-    legs, rides, ride_home, ev_next = successors
     params = instance.parameters
-    k_total, nodes = params.workers, graph.nodes
-    columns = _route_columns(legs, rides, ride_home, params.shift_limit_min, deadline)
-    if columns is None and k_total == 1:
+    k_total, node_count = params.workers, len(graph.nodes)
+    nexts, root = _next_pairs(instance, graph, allowed)
+    pool = _route_columns(nexts, params.shift_limit_min, deadline)
+    if pool is None and k_total == 1:
         compact = _compact_bound(instance, graph, deadline)
-        return _search(instance, graph, successors, node_limit, deadline, compact)
-    if columns is None:
+        return _search(instance, graph, _successors(instance, graph, allowed), node_limit, deadline, compact)
+    if pool is None:
         left = _time_left(deadline)
         solution = Solution.empty()
         if left != 0:
@@ -514,12 +558,11 @@ def _from_routes(instance, graph, successors, allowed, node_limit, deadline):
             )
         bound = _compact_bound(instance, graph, deadline)
     else:
-        bound, routes = _route_packing(columns, k_total, len(nodes), deadline)
+        bound, routes = _route_packing(pool, k_total, node_count, deadline)
         if bound is None or routes is None:  # the LP ran out of time, or its dive fell short
-            searched, routes = _route_packing(columns, k_total, len(nodes), deadline, capped=False)
+            searched, routes = _route_packing(pool, k_total, node_count, deadline, capped=False)
             bound = bound if searched is None else searched
-        solution = _routes_to_solution(instance, graph, _named(nodes, routes))
-    root = CountBound(ev_next).value()
+        solution = _routes_to_solution(instance, graph, _named(graph.nodes, routes))
     bound = root if bound is None else min(bound, root)
     return solution, solution.served_count == bound, bound, 1
 
@@ -535,7 +578,7 @@ def _search(instance, graph, successors, node_limit, deadline, bound_value=None)
 
     ``bound_value``, where given, caps the optimistic value of every node.
     """
-    legs, rides, ride_home, ev_next = successors
+    nexts, ev_next = successors
     params = instance.parameters
     k_total, shift_limit = params.workers, params.shift_limit_min
     state = _SearchState()
@@ -553,15 +596,13 @@ def _search(instance, graph, successors, node_limit, deadline, bound_value=None)
 
     def expand(route: tuple, prefix: Prefix | None, feasible: bool) -> None:
         last = route[-1][1] if route else 0
-        for p, ride in rides[last]:
-            if p in served:
-                continue
-            for d, leg in legs[p]:
-                if d in served:
+        for ride, legs in nexts[last]:
+            for _, p, d, low, up, op, ride_home in legs:
+                if p in served or d in served:
                     continue
                 if out_of_budget():
                     return
-                child = _child(route, prefix, (p, d), leg, ride, ride_home[d], shift_limit)
+                child = _child(route, prefix, (p, d), (low, up, op), ride, ride_home, shift_limit)
                 if child is None:
                     continue
                 mark(p, d)

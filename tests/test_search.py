@@ -13,6 +13,7 @@ from scipy.sparse import diags
 
 import evrelocate.search
 from evrelocate.cli import main
+from evrelocate.scheduling import leg_bounds
 from evrelocate import (
     DEFAULT_PARAMETERS,
     GeneratorConfig,
@@ -371,10 +372,89 @@ def spread_cells(sizes=(6, 8, 10)):
 
 
 def route_columns(inst, graph):
-    legs, rides, home, _ = evrelocate.search._successors(inst, graph, {r.id for r in inst.requests})
-    return evrelocate.search._route_columns(legs, rides, home, inst.parameters.shift_limit_min)
+    """The paper configuration's route pool, ``(nodes, starts)``."""
+    nexts, _ = evrelocate.search._next_pairs(inst, graph, {r.id for r in inst.requests})
+    return evrelocate.search._route_columns(nexts, inst.parameters.shift_limit_min)
 
 
+def pool_routes(pool):
+    """The columns of a route pool as node-index pairs, in pool order."""
+    return [evrelocate.search._pairs(pool, c) for c in range(len(pool[1]) - 1)]
+
+
+def pool_of(routes):
+    """A route pool, ``(nodes, starts)``, of routes of node-index pairs."""
+    nodes, starts = [], [0]
+    for route in routes:
+        nodes += [n for pair in route for n in pair]
+        starts.append(len(nodes))
+    return nodes, starts
+
+
+def reference_columns(inst, graph):
+    """Mask of each request set -> its first route: the pool by plain calls, no cap.
+
+    The enumeration the flat pool replaced: successor lists read from the
+    graph's arrays, then :func:`reference_pool`.  The reference for the
+    pool's next-pair lists, its inlined arithmetic and its order.
+    """
+    ev, tau, charge = graph.is_ev, graph.tau, graph.charge
+    pick, drop, drive = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
+    low, up, fits = leg_bounds(
+        inst.parameters, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
+    )
+    legs = [[] for _ in graph.nodes]  # per pickup, (delivery, (low, up, op)) of each EV leg that fits
+    for p, d, lo, hi, op, fit in zip(*(c.tolist() for c in (pick, drop, low, up, drive, fits))):
+        if fit:
+            legs[p].append((d, (lo, hi, op)))
+    rides = [[] for _ in graph.nodes]  # per node, (pickup, minutes) of each bike ride
+    ride_home = [None] * len(graph.nodes)
+    for i, j, op in zip(*(c[~ev].tolist() for c in (graph.src, graph.dst, graph.op_time_min))):
+        if j == 0:
+            ride_home[i] = op
+        else:
+            rides[i].append((j, op))
+    return reference_pool(legs, rides, ride_home, inst.parameters.shift_limit_min)
+
+
+def reference_pool(legs, rides, ride_home, shift_limit):
+    """Mask -> first route over successor lists, by ``_child`` (``extend`` and ``start_delay``) on every pair."""
+    columns = {}
+
+    def grow(route, prefix, used, last):
+        for p, ride in rides[last]:
+            if used >> p & 1:
+                continue
+            for d, leg in legs[p]:
+                if used >> d & 1:
+                    continue
+                child = evrelocate.search._child(route, prefix, (p, d), leg, ride, ride_home[d], shift_limit)
+                if child is None:
+                    continue
+                mask = used | 1 << p | 1 << d
+                if child[2] and mask not in columns:
+                    columns[mask] = child[0]
+                grow(child[0], child[1], mask, d)
+
+    grow((), None, 0, 0)
+    return columns
+
+
+def random_lists(rng, pairs=6):
+    """Random successor lists ``(legs, rides, ride_home, shift_limit)`` with overlapping windows.
+
+    Node 0 is the depot, 1..pairs the pickups and the rest the deliveries.
+    """
+    pickups, deliveries = range(1, pairs + 1), range(pairs + 1, 2 * pairs + 1)
+    legs = [[] for _ in range(2 * pairs + 1)]
+    for p in pickups:
+        for d in deliveries:
+            if rng.random() < 0.5:
+                low = rng.uniform(0.0, 120.0)
+                legs[p].append((d, (low, low + rng.uniform(0.0, 60.0), rng.uniform(1.0, 30.0))))
+    rides = [[(p, rng.uniform(1.0, 20.0)) for p in pickups if rng.random() < 0.6] for _ in legs]
+    ride_home = [None if rng.random() < 0.2 else rng.uniform(1.0, 20.0) for _ in legs]
+    return legs, rides, ride_home, rng.uniform(40.0, 200.0)
 def schedulable_request_sets(inst, graph):
     """Request sets of every pair order that ``schedule_route`` accepts, by plain permutation."""
     pickups = sorted(r.id for r in inst.pickups)
@@ -409,13 +489,40 @@ class TestRouteBound:
 
     def test_columns_equal_permutation_oracle(self):
         for cell, (inst, graph) in spread_cells(sizes=(6, 8)):
-            columns = route_columns(inst, graph)
-            got = {frozenset(graph.nodes[n] for pair in r for n in pair) for r in columns.values()}
-            assert got == schedulable_request_sets(inst, graph), cell
-            for mask, route in columns.items():
-                assert mask == sum(1 << n for pair in route for n in pair), cell
+            routes = pool_routes(route_columns(inst, graph))
+            got = [frozenset(graph.nodes[n] for pair in r for n in pair) for r in routes]
+            assert len(got) == len(set(got)), cell  # one column per request set
+            assert set(got) == schedulable_request_sets(inst, graph), cell
+            for route in routes:
                 pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
                 assert schedule_route(inst, graph, pairs).feasible, (cell, pairs)
+
+    def test_pool_equals_reference_on_random_lists(self):
+        # a graph's bike arcs release each pickup no earlier than the last pickup's window
+        # closes plus the travel between them, so there a later leg never caps the start
+        # delay and the pickup chain never binds; overlapping random windows make both bind
+        rng = random.Random(0)
+        for case in range(300):
+            legs, rides, ride_home, shift_limit = random_lists(rng)
+            nexts = [
+                [(ride, [(1 << p | 1 << d, p, d, *leg, ride_home[d]) for d, leg in legs[p]]) for p, ride in row]
+                for row in rides
+            ]
+            pool = evrelocate.search._route_columns(nexts, shift_limit)
+            assert pool_routes(pool) == list(reference_pool(legs, rides, ride_home, shift_limit).values()), case
+
+    @pytest.mark.parametrize("family", ["spread", "generator-24", "generator-40", "generator-60"])
+    def test_pool_equals_reference_enumeration(self, monkeypatch, family):
+        # column for column: the same request sets, the same first route of each, in the same order
+        if family == "spread":
+            cells = [case for _, case in spread_cells()]
+        else:
+            size = int(family.split("-")[1])
+            seeds = {24: range(100000, 100010), 40: range(5), 60: [1]}[size]
+            cells = [random_case(seed, size=size) for seed in seeds]
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 10**9)  # 60 requests pass the cap
+        for inst, graph in cells:
+            assert pool_routes(route_columns(inst, graph)) == list(reference_columns(inst, graph).values())
 
     def test_exact_search_on_spread_instances(self, monkeypatch):
         lps = []
@@ -486,11 +593,10 @@ class TestRouteBound:
         triangle = (((1, 2), (3, 4)), ((3, 4), (5, 6)), ((1, 2), (5, 6)))
         single = ((7, 8),)
         packing = evrelocate.search._route_packing
-        columns = {sum(1 << n for pair in r for n in pair): r for r in triangle}
-        assert packing(columns, 2, 9) == (4, [triangle[0]])
-        columns[1 << 7 | 1 << 8] = single
-        assert packing(columns, 2, 9) == (6, [triangle[0], single])
-        assert packing(columns, 3, 9) == (6, [triangle[0], single])
+        assert packing(pool_of(triangle), 2, 9) == (4, [triangle[0]])
+        pool = pool_of((*triangle, single))
+        assert packing(pool, 2, 9) == (6, [triangle[0], single])
+        assert packing(pool, 3, 9) == (6, [triangle[0], single])
 
     def test_dive_on_a_fractional_optimum(self, monkeypatch):
         # the triangle and the single pair again, with no search steps: at K=2 the
@@ -500,19 +606,19 @@ class TestRouteBound:
         triangle = (((1, 2), (3, 4)), ((3, 4), (5, 6)), ((1, 2), (5, 6)))
         single = ((7, 8),)
         packing = evrelocate.search._route_packing
-        columns = {sum(1 << n for pair in r for n in pair): r for r in (*triangle, single)}
-        bound, routes = packing(columns, 2, 9)
+        pool = pool_of((*triangle, single))
+        bound, routes = packing(pool, 2, 9)
         assert bound == 6 and len(routes) == 2 and single in routes
         assert len({n for route in routes for pair in route for n in pair}) == 6
         # without the single pair the LP's 6 cannot be reached: the dive gives up
-        assert packing(dict(list(columns.items())[:3]), 2, 9) == (6, None)
-        assert packing(columns, 1, 9) == (4, [triangle[0]])
+        assert packing(pool_of(triangle), 2, 9) == (6, None)
+        assert packing(pool, 1, 9) == (4, [triangle[0]])
 
     def test_prefix_that_cannot_return_is_extended(self):
         # (p1, d1) cannot ride home within the shift; (p1, d1, p2, d2) can
         inst, graph = far_delivery_case()
-        columns = route_columns(inst, graph).values()
-        sets = {frozenset(graph.nodes[n] for pair in r for n in pair) for r in columns}
+        routes = pool_routes(route_columns(inst, graph))
+        sets = {frozenset(graph.nodes[n] for pair in r for n in pair) for r in routes}
         assert frozenset(["p1", "d1", "p2", "d2"]) in sets
         assert sets == schedulable_request_sets(inst, graph)
         result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
@@ -536,7 +642,7 @@ class TestRouteBound:
         for seed in range(6):
             inst, graph = random_case(seed, size=12)
             allowed = {r.id for r in inst.requests}
-            root = recount(evrelocate.search._successors(inst, graph, allowed)[3], set())
+            root = recount(evrelocate.search._successors(inst, graph, allowed)[1], set())
             for k in (1, 2, 3):
                 inst_k = with_workers(inst, k)
                 paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
@@ -582,10 +688,11 @@ class TestRouteBound:
 
     def test_k1_packing_is_the_largest_column(self):
         inst, graph = random_case(4, size=24)
-        columns = route_columns(inst, graph)
-        bound, routes = evrelocate.search._route_packing(columns, 1, len(graph.nodes))
-        assert bound == 2 * max(map(len, columns.values())) == 2 * len(routes[0])
-        assert evrelocate.search._route_packing({}, 2, len(graph.nodes)) == (0, [])
+        pool = route_columns(inst, graph)
+        bound, routes = evrelocate.search._route_packing(pool, 1, len(graph.nodes))
+        assert bound == 2 * max(map(len, pool_routes(pool))) == 2 * len(routes[0])
+        assert routes[0] in pool_routes(pool)
+        assert evrelocate.search._route_packing(pool_of([]), 2, len(graph.nodes)) == (0, [])
 
 
 def recount(ev_next, served):
@@ -687,9 +794,9 @@ class TestSearchUnchanged:
         assert check_solution(inst, graph, result.solution).passed
 
     def test_carried_verdicts_equal_schedule_route(self, monkeypatch):
-        # every child the search makes, extendable or not, against a fresh
-        # schedule of its whole route: a prefix gone stale on backtrack or at
-        # a worker switch shows as a verdict that differs
+        # every child the baseline search makes, extendable or not, against a
+        # fresh schedule of its whole route: a prefix gone stale on backtrack
+        # or at a worker switch shows as a verdict that differs
         child = evrelocate.search._child
         calls = []
 
@@ -699,8 +806,8 @@ class TestSearchUnchanged:
             return made
 
         verdicts = set()
-        # the paper configuration's route enumeration; past the route cap (0) its
-        # sequential heuristic's single-worker searches; the baseline's worker switches
+        # the paper configuration's pool (no baseline child); past the route cap (0)
+        # its sequential heuristic's single-worker searches; the baseline's worker switches
         cases = ((40, 3, 2, True, 20_000), (40, 3, 3, True, 0), (60, 1, 2, False, 20_000))
         for size, seed, k, paper, cap in cases:
             inst = with_workers(generate_instance(GeneratorConfig(request_total=size, seed=seed)), k)
@@ -711,7 +818,10 @@ class TestSearchUnchanged:
                 patch.setattr(evrelocate.search, "ROUTE_CAP", cap)
                 options = SolveOptions(node_limit=3000, **(PAPER if paper else {}))
                 solve_branch_and_bound(inst, graph, options)
-            assert len(calls) > 3000
+            if paper and cap:  # the pool makes no baseline child
+                assert calls == []
+            else:
+                assert len(calls) > 3000
             for route, made in calls:
                 pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
                 fresh = schedule_route(inst, graph, pairs)
@@ -719,6 +829,10 @@ class TestSearchUnchanged:
                 assert carried == (fresh.extendable, fresh.feasible), (size, seed, k, pairs)
                 assert made is None or made[0] == route
                 verdicts.add(carried)
+            if paper and cap:  # the pool's verdicts: every column, scheduled whole, is feasible
+                for route in pool_routes(route_columns(inst, graph)):
+                    pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
+                    assert schedule_route(inst, graph, pairs).feasible, (size, seed, k, pairs)
         assert verdicts == {(False, False), (True, False), (True, True)}
 
 
@@ -888,6 +1002,7 @@ def highs_optimum(model):
 )
 def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size, k, explicit):
     inst, graph = spread_case(seed, size, footprint, stations, k, explicit)
+    assert pool_routes(route_columns(inst, graph)) == list(reference_columns(inst, graph).values())
     optimum = brute_force(inst, graph).served_count
     result = solve_branch_and_bound(inst, graph)
     assert result.optimal
