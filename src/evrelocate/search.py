@@ -38,26 +38,28 @@ only the routes a solve returns become pairs.  Every K-worker answer is a
 packing of at most K schedulable routes with disjoint request sets, and
 every such packing is a K-worker answer, so the largest packing is the
 optimum (:func:`_route_packing`).  An exact search
-finds it first: depth first over the routes, largest first, with the
-routes still disjoint from the chosen ones as one bit set, it cuts a branch
-once the free slots times the size of its largest candidate cannot beat
-the best packing, so a search that ends has proved its best packing.  K=1
-takes one step, and most cells at K=2-3 end within ``PACKING_STEPS``
-branches.  Past that cap the packing LP (at most K routes, each request in
-at most one), rounded down to an even count, is the bound; the search's
-best packing is the answer where it meets it, else the LP dives (fixes a
-column to 1 and solves again) while its value keeps the bound.  Where the
-dive falls short, or the LP runs out of time, the packing search runs
-again without its step cap, under the deadline.  The answer is read at the
-root (``nodes_explored`` is 1): the K-worker search never runs.
+finds it: depth first over the routes, largest first, with the routes
+still disjoint from the chosen ones as one bit set, it cuts a branch once
+the free slots times the size of its largest candidate cannot beat the
+best packing, and stops once its best packing reaches an upper bound, so a
+search that ends has proved its best packing.  K=1 takes one step, and
+most cells at K=2-3 end within ``PACKING_STEPS`` branches.  Past that cap
+the packing LP (at most K routes, each request in at most one), rounded
+down to an even count, is the bound and the search's goal, and the search
+goes on under the deadline until its best packing meets that bound or it
+ends.  The answer is read at the root (``nodes_explored`` is 1): the
+K-worker search never runs.
 
 The enumeration gives up past ``ROUTE_CAP`` request sets, or once the
-deadline passes (it reads the clock every 512 prefixes).  Then at K>1
-the answer is :func:`heuristic_sequential`'s, run with the time left, and
-:func:`compute_upper_bound` gets whatever time remains; at K=1
-:func:`compute_upper_bound` comes first and prunes the baseline search.
-Every HiGHS solve gets only the time left and none starts without it; an
-LP that runs out of time gives no bound.  The paper configuration's
+deadline passes (it reads the clock every 512 prefixes).  Then
+:func:`compute_upper_bound` runs first, on at most ``BOUND_SHARE`` of the
+time left, and the rest goes at K>1 to :func:`heuristic_sequential`,
+whose answer it is, and at K=1 to the baseline search, pruned by that
+bound.  HiGHS can overrun its limit by tens of milliseconds at 200
+requests, so what comes after the bound keeps no less than the other
+share, and the solve ends that much past its limit.  Every HiGHS solve
+gets only the time left and none starts without it; an LP that runs out
+of time gives no bound.  The paper configuration's
 ``best_bound`` is the smallest bound that ran, the root's count bound
 (twice the smaller count of pickups and deliveries that an EV arc touches)
 among them, and ``optimal`` holds where the answer meets it.
@@ -271,17 +273,17 @@ def _next_pairs(instance: Instance, graph: ActionGraph, allowed: set[str]):
 
 
 def _successors(instance: Instance, graph: ActionGraph, allowed: set[str]):
-    """``(nexts, ev_next)`` of the baseline search.
+    """``(nexts, count_bound)`` of the baseline search.
 
-    ``nexts`` is :func:`_next_pairs`'s; ``ev_next`` maps each ``allowed``
-    pickup to its EV arcs' ``allowed`` deliveries, for :class:`CountBound`.
+    ``nexts`` is :func:`_next_pairs`'s; ``count_bound`` is the
+    :class:`CountBound` over the EV arcs between ``allowed`` requests.
     """
     usable = np.array([False] + [node in allowed for node in graph.nodes[1:]])
     ev = graph.is_ev & usable[graph.src] & usable[graph.dst]
     ev_next: dict[int, list[int]] = {}
     for p, d in zip(graph.src[ev].tolist(), graph.dst[ev].tolist()):
         ev_next.setdefault(p, []).append(d)
-    return _next_pairs(instance, graph, allowed)[0], ev_next
+    return _next_pairs(instance, graph, allowed)[0], CountBound(ev_next)
 
 
 def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
@@ -291,6 +293,10 @@ def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
 
 #: The route enumeration gives up past this many distinct request sets.
 ROUTE_CAP = 20_000
+
+#: Past ``ROUTE_CAP`` the compact bound gets at most this share of the time left, and the
+#: search or the sequential heuristic after it the rest, and no less than the other share.
+BOUND_SHARE = 0.5
 
 
 def _past(deadline: float | None) -> bool:
@@ -374,24 +380,21 @@ def _pairs(pool, c: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(nodes[start:end:2], nodes[start + 1 : end : 2]))
 
 
-def _route_packing(pool, k_total: int, node_count: int, deadline=None, capped=True):
+def _route_packing(pool, k_total: int, node_count: int, deadline=None):
     """``(bound, routes)``: at most ``k_total`` disjoint columns of ``pool`` serving the most requests.
 
     ``pool`` is :func:`_route_columns`'s.  A depth-first search over its
     columns, largest first, keeps the candidates still disjoint from the
     chosen ones as a bit set over column ranks, made from each node's set
-    of holding columns.  A branch is cut once ``slots`` more
-    columns of the size of its largest candidate cannot beat the best
-    packing, so when the search ends its best packing is optimal: ``bound``
-    is its count and ``routes`` its columns, as node-index pairs.  Past
-    ``PACKING_STEPS`` branches the search stops, and :func:`_packing_lp`
-    gives the bound; the search's best packing stands as ``routes`` where it
-    meets that bound, else the LP's dive gives them.  ``bound`` is None when
-    the time before ``deadline`` runs out in the LP, and then ``routes`` is
-    the search's best packing.  Not ``capped``, the search runs under
-    ``deadline`` instead, reading the clock every 512 branches, and no LP
-    runs: once the deadline passes ``bound`` is None and ``routes`` the best
-    packing found.
+    of holding columns.  A branch is cut once ``slots`` more columns of the
+    size of its largest candidate cannot beat the best packing, and the
+    search stops once its best packing reaches the goal, an upper bound.
+    When it ends its best packing is optimal: ``bound`` is its count and
+    ``routes`` its columns, as node-index pairs.  Past ``PACKING_STEPS``
+    branches :func:`_packing_lp`'s bound becomes the goal, and the search
+    goes on under ``deadline``, reading the clock every 512 branches.  Once
+    the deadline passes, ``bound`` is the LP's (None when the LP ran out of
+    time) and ``routes`` the best packing found.
     """
     nodes, starts = pool
     sizes = [(end - start) // 2 for start, end in zip(starts, starts[1:])]  # pairs per column
@@ -405,14 +408,16 @@ def _route_packing(pool, k_total: int, node_count: int, deadline=None, capped=Tr
         holders = [int.from_bytes(row.tobytes(), "little") for row in rows]  # per node
     apart: list[int | None] = [None] * len(order)  # per rank, the ranks disjoint from it
 
-    best_total, best_chosen, chosen, steps = 0, [], [], 0
+    best_total, best_chosen, chosen, bound = 0, [], [], None
+    goal = k_total * size[0] if size else 0  # pairs no packing exceeds, until the LP lowers it
+    steps, stop = 0, PACKING_STEPS  # past `stop` steps the LP runs the first time, then the clock
 
     def pack(candidates: int, slots: int, total: int) -> bool:
-        """Search below ``chosen``; False once the step cap is passed."""
-        nonlocal best_total, best_chosen, steps
+        """Search below ``chosen``; False once the deadline stops it."""
+        nonlocal best_total, best_chosen, steps, stop, goal, bound
         if total > best_total:
             best_total, best_chosen = total, chosen[:]
-        while candidates:
+        while candidates and best_total < goal:
             lowest = candidates & -candidates
             c = lowest.bit_length() - 1
             if total + slots * size[c] <= best_total:  # no later candidate is larger
@@ -421,11 +426,14 @@ def _route_packing(pool, k_total: int, node_count: int, deadline=None, capped=Tr
                 best_total, best_chosen = total + size[c], chosen + [c]
                 return True
             steps += 1
-            if not capped:
-                if not steps % 512 and _past(deadline):
+            if steps > stop:
+                if stop == PACKING_STEPS:
+                    bound = _packing_lp(pool, sizes, node_count, k_total, deadline)
+                    if bound is not None:
+                        goal = bound // 2
+                if _past(deadline):
                     return False
-            elif steps > PACKING_STEPS:
-                return False
+                stop += 512
             if apart[c] is None:
                 clash = 0
                 for n in nodes[starts[order[c]] : starts[order[c] + 1]]:
@@ -438,32 +446,21 @@ def _route_packing(pool, k_total: int, node_count: int, deadline=None, capped=Tr
             candidates ^= lowest
         return True
 
-    finished = pack(everything, k_total, 0)
+    finished = pack(everything, k_total, 0)  # always at K=1: its one slot takes the first candidate
     found = [_pairs(pool, order[c]) for c in best_chosen]
-    if finished:  # always at K=1: its one slot takes the first candidate
-        return 2 * best_total, found
-    if not capped:
-        return None, found
-    bound, dived = _packing_lp(pool, sizes, node_count, k_total, deadline, 2 * best_total)
-    return bound, found if bound is None or 2 * best_total >= bound else dived
+    return 2 * best_total if finished else bound, found
 
 
-def _packing_lp(pool, sizes: list[int], node_count: int, k_total: int, deadline, reached: int):
-    """``(bound, routes)`` of the packing LP over the columns of ``pool``, of ``sizes`` pairs each.
+def _packing_lp(pool, sizes: list[int], node_count: int, k_total: int, deadline) -> int | None:
+    """The packing LP's bound over the columns of ``pool``, of ``sizes`` pairs each.
 
     The LP maximises the requests served by at most ``k_total`` columns,
-    each request in at most one; ``bound`` is its value rounded down to an
-    even count, None when the time before ``deadline`` runs out first.
-    Unless a packing serving ``reached`` requests already meets ``bound``,
-    ``routes`` are the columns of an integral optimum, found by diving:
-    while the optimum is fractional, the fractional column of largest value
-    is fixed to 1 and the LP solved again, at most ``k_total`` times.
-    ``routes`` is None when a dive's value falls below ``bound``, its time
-    runs out or no dive is needed.  Raises ``RuntimeError`` when the LP
-    solver reports neither an optimum nor its time limit.
+    each request in at most one; its value, rounded down to an even count,
+    is the bound, None when the time before ``deadline`` runs out first.
+    One HiGHS solve.  Raises ``RuntimeError`` when the LP solver reports
+    neither an optimum nor its time limit.
     """
-    # columns in enumeration order, which HiGHS's choice among optimal vertices follows; row 0,
-    # the depot's, is in every column and counts them against K, every other row a request once
+    # row 0, the depot's, is in every column and counts them against K, every other row a request once
     nodes, starts = pool
     entries = np.insert(np.asarray(nodes), starts[:-1], 0)
     pointers = np.asarray(starts) + np.arange(len(starts))
@@ -472,25 +469,11 @@ def _packing_lp(pool, sizes: list[int], node_count: int, k_total: int, deadline,
     upper = np.ones(node_count)
     upper[0] = k_total
     rows = LinearConstraint(matrix, -np.inf, upper)
-    served = -2.0 * np.array(sizes)
-    fixed = np.zeros(len(sizes))
-    bound = None
-    while True:
-        result = _solve_lp(served, rows, Bounds(fixed, 1.0), deadline, "route packing LP")
-        if result is None:
-            return bound, None
-        value = math.floor(-result.fun + 1e-6)  # the slack absorbs solver round-off
-        if bound is None:
-            bound = value - value % 2
-            if reached >= bound:
-                return bound, None
-        elif value < bound:
-            return bound, None
-        y = result.x
-        fractional = np.flatnonzero(np.minimum(y, 1.0 - y) >= 1e-6)
-        if not len(fractional):
-            return bound, [_pairs(pool, c) for c in np.flatnonzero(y > 0.5)]
-        fixed[fractional[np.argmax(y[fractional])]] = 1.0
+    result = _solve_lp(-2.0 * np.array(sizes), rows, Bounds(0.0, 1.0), deadline, "route packing LP")
+    if result is None:
+        return None
+    value = math.floor(-result.fun + 1e-6)  # the slack absorbs solver round-off
+    return value - value % 2
 
 
 def _solve_lp(cost, rows, bounds, deadline, what: str):
@@ -538,53 +521,50 @@ def solve_branch_and_bound(
 def _from_routes(instance, graph, allowed, node_limit, deadline):
     """The paper configuration: ``(solution, optimal, best_bound, nodes_explored)``.
 
-    The packing of the route pool; past the route cap the sequential
-    heuristic, or at K=1 the baseline search pruned by the compact bound
-    (see the module docstring).
+    The packing of the route pool; past the route cap the compact bound,
+    then the sequential heuristic, or at K=1 the baseline search pruned by
+    that bound (see the module docstring).
     """
     params = instance.parameters
     k_total, node_count = params.workers, len(graph.nodes)
     nexts, root = _next_pairs(instance, graph, allowed)
     pool = _route_columns(nexts, params.shift_limit_min, deadline)
-    if pool is None and k_total == 1:
-        compact = _compact_bound(instance, graph, deadline)
-        return _search(instance, graph, _successors(instance, graph, allowed), node_limit, deadline, compact)
-    if pool is None:
-        left = _time_left(deadline)
-        solution = Solution.empty()
-        if left != 0:
-            solution = heuristic_sequential(
-                instance, graph, available=allowed, node_limit=node_limit, time_limit_s=left
-            )
-        bound = _compact_bound(instance, graph, deadline)
-    else:
+    if pool is not None:
         bound, routes = _route_packing(pool, k_total, node_count, deadline)
-        if bound is None or routes is None:  # the LP ran out of time, or its dive fell short
-            searched, routes = _route_packing(pool, k_total, node_count, deadline, capped=False)
-            bound = bound if searched is None else searched
         solution = _routes_to_solution(instance, graph, _named(graph.nodes, routes))
+    else:
+        left = _time_left(deadline)
+        bound = None
+        if left != 0:
+            bound = compute_upper_bound(instance, graph, None if left is None else BOUND_SHARE * left)
+        if left is not None:  # HiGHS can overrun its share; what comes after keeps the other
+            deadline = time.perf_counter() + max(_time_left(deadline), (1 - BOUND_SHARE) * left)
+        if k_total == 1:
+            return _search(instance, graph, _successors(instance, graph, allowed), node_limit, deadline, bound)
+        rest = _time_left(deadline)
+        solution = Solution.empty()
+        if rest != 0:
+            solution = heuristic_sequential(
+                instance, graph, available=allowed, node_limit=node_limit, time_limit_s=rest
+            )
     bound = root if bound is None else min(bound, root)
     return solution, solution.served_count == bound, bound, 1
-
-
-def _compact_bound(instance, graph, deadline) -> int | None:
-    """:func:`compute_upper_bound` given the time left; None when none is left or it runs out."""
-    left = _time_left(deadline)
-    return None if left == 0 else compute_upper_bound(instance, graph, left)
 
 
 def _search(instance, graph, successors, node_limit, deadline, bound_value=None):
     """The baseline search: ``(solution, optimal, best_bound, nodes_explored)``.
 
+    ``successors`` is :func:`_successors`'s; the requests its count bound
+    already marks served are out of the search and out of its counts.
     ``bound_value``, where given, caps the optimistic value of every node.
     """
-    nexts, ev_next = successors
+    nexts, count_bound = successors
     params = instance.parameters
     k_total, shift_limit = params.workers, params.shift_limit_min
-    state = _SearchState()
-    fixed: list[tuple[tuple[int, int], ...]] = []  # closed routes of the earlier workers
-    count_bound = CountBound(ev_next)
     served = count_bound.served
+    base = len(served)  # served counts below are absolute, less base
+    state = _SearchState(best_count=base)
+    fixed: list[tuple[tuple[int, int], ...]] = []  # closed routes of the earlier workers
     mark, unmark = count_bound.mark, count_bound.unmark
 
     def out_of_budget() -> bool:
@@ -635,7 +615,7 @@ def _search(instance, graph, successors, node_limit, deadline, bound_value=None)
     # only the returned routes are timed
     solution = _routes_to_solution(instance, graph, _named(graph.nodes, state.best_routes))
     best_bound = state.best_count if optimal else max(state.frontier_bound, state.best_count)
-    return solution, optimal, best_bound, state.nodes
+    return solution, optimal, best_bound - base, state.nodes
 
 
 def brute_force(instance: Instance, graph: ActionGraph) -> Solution:
@@ -687,34 +667,40 @@ def heuristic_sequential(
 ) -> Solution:
     """Fix one exact single-worker route at a time over unserved requests.
 
-    The single-worker searches share ``time_limit_s``: each gets an even
-    share of the time the earlier ones left to it and the workers after it,
-    and none starts once the time is spent.  Raises ``ValueError`` for
+    Each worker runs the baseline search on one worker, over successor
+    lists built once, with the earlier workers' pairs marked served.  The
+    searches share ``time_limit_s``: each gets an even share of the time
+    the earlier ones left to it and the workers after it, and none starts
+    once the time is spent.  A search that proves no route remains ends the
+    answer; one that its share cuts short before any route leaves its
+    worker idle, and the next worker goes on.  Raises ``ValueError`` for
     limits that :class:`SolveOptions` rejects.
     """
     SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
-    remaining = set(available) if available is not None else {r.id for r in instance.requests}
+    allowed = set(available) if available is not None else {r.id for r in instance.requests}
     deadline = time.perf_counter() + time_limit_s if time_limit_s else None
     single = replace(instance, parameters=replace(instance.parameters, workers=1))
+    successors = _successors(single, graph, allowed)
 
     routes: list[Route] = []
     workers = instance.parameters.workers
     for k in range(workers):
-        if not remaining:
-            break
-        share = None
+        share_deadline = None
         if deadline is not None:
-            share = (deadline - time.perf_counter()) / (workers - k)
-            if share <= 0:
+            now = time.perf_counter()
+            if now >= deadline:
                 break
-        options = SolveOptions(node_limit=node_limit, time_limit_s=share)
-        result = solve_branch_and_bound(single, graph, options, available=remaining)
-        picked = result.solution.routes
-        if not picked or not picked[0].visits:
-            break
-        route = picked[0]
+            share_deadline = now + (deadline - now) / (workers - k)
+        solution, optimal, _, _ = _search(single, graph, successors, node_limit, share_deadline)
+        if not solution.routes:
+            if optimal:  # no route among the remaining requests
+                break
+            continue  # cut short by its share: the next worker goes on
+        route = solution.routes[0]
         routes.append(replace(route, worker_index=k))
-        remaining -= set(route.request_ids)
+        ids = route.request_ids
+        for pickup, delivery in zip(ids[0::2], ids[1::2]):
+            successors[1].mark(graph.node_index[pickup], graph.node_index[delivery])
     return Solution.from_routes(routes)
 
 

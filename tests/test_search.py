@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from itertools import permutations, product
 from unittest.mock import patch
 
@@ -21,6 +22,7 @@ from evrelocate import (
     Location,
     Request,
     RequestKind,
+    Solution,
     SolveOptions,
     brute_force,
     build_graph,
@@ -276,6 +278,32 @@ class TestHeuristic:
                 exact = brute_force(inst_k, graph)
                 assert heur.served_count <= exact.served_count
 
+    def test_stalled_worker_passes_on(self, monkeypatch):
+        # the first worker's search returns no route: cut short (not optimal), the later
+        # workers serve what a two-worker run serves; proved empty, the answer ends there
+        inst, graph = random_case(1, size=24)
+        inst = with_workers(inst, 3)
+        two_workers = heuristic_sequential(with_workers(inst, 2), graph)
+        search = evrelocate.search._search
+        for optimal in (False, True):
+            calls = []
+
+            def first_stalls(instance, graph, *args):
+                calls.append(instance.parameters.workers)
+                if len(calls) == 1:  # (solution, optimal, best_bound, nodes_explored)
+                    return Solution.empty(), optimal, 24, 1
+                return search(instance, graph, *args)
+
+            monkeypatch.setattr(evrelocate.search, "_search", first_stalls)
+            solution = heuristic_sequential(inst, graph)
+            if optimal:
+                assert calls == [1] and solution.served_count == 0
+                continue
+            assert calls == [1, 1, 1]
+            assert solution.served_count == two_workers.served_count > 0
+            assert {route.worker_index for route in solution.routes} == {1, 2}
+            assert check_solution(inst, graph, solution).passed
+
     def test_heuristic_solutions_pass_checker(self):
         for seed in range(6):
             inst, graph = random_case(seed)
@@ -472,6 +500,18 @@ def schedulable_request_sets(inst, graph):
     return sets
 
 
+def highs_calls(monkeypatch):
+    """A list that gains one entry per HiGHS solve the search module makes."""
+    solver, calls = evrelocate.search.highs, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(evrelocate.search, "highs", spy)
+    return calls
+
+
 def counted_calls(monkeypatch, name):
     """Replace ``evrelocate.search.<name>`` by a wrapper; returns the list of its calls' K."""
     original, calls = getattr(evrelocate.search, name), []
@@ -541,15 +581,18 @@ class TestRouteBound:
         assert lps == []  # every search ended: no LP
 
     def test_between_optimum_and_compact_bound_on_spread_instances(self, monkeypatch):
-        # with no search steps, the packing LP gives the bound from K=2 on
+        # the packing LP's bound lies between the optimum and the compact bound; with no
+        # capped search steps it is the goal of the search from K=2 on, which still proves
         monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 0)
         for cell, (inst, graph) in spread_cells():
             optimum = brute_force(inst, graph).served_count
             k, nodes = inst.parameters.workers, len(graph.nodes)
-            bound, routes = evrelocate.search._route_packing(route_columns(inst, graph), k, nodes)
-            assert optimum <= bound <= compute_upper_bound(inst, graph), cell
-            if routes is not None:  # an integral packing is a solution, so it is optimal
-                assert len(routes) <= k and 2 * sum(map(len, routes)) == bound == optimum, cell
+            pool = route_columns(inst, graph)
+            sizes = list(map(len, pool_routes(pool)))
+            lp = evrelocate.search._packing_lp(pool, sizes, nodes, k, None) if sizes else 0
+            assert optimum <= lp <= compute_upper_bound(inst, graph), cell
+            bound, routes = evrelocate.search._route_packing(pool, k, nodes)
+            assert len(routes) <= k and 2 * sum(map(len, routes)) == bound == optimum, cell
 
     @pytest.mark.parametrize("seed, lp_solves", [(1, 0), (2, 0), (3, 0), (100007, 1)])
     def test_paper_configuration_proves_at_the_root(self, monkeypatch, seed, lp_solves):
@@ -557,13 +600,7 @@ class TestRouteBound:
         graph = build_graph(inst, matrix_for_instance(inst))
         bounds = counted_calls(monkeypatch, "compute_upper_bound")
         warm_starts = counted_calls(monkeypatch, "heuristic_sequential")
-        solver, solves = evrelocate.search.highs, []
-
-        def counted_solver(*args, **kwargs):
-            solves.append(1)
-            return solver(*args, **kwargs)
-
-        monkeypatch.setattr(evrelocate.search, "highs", counted_solver)
+        solves = highs_calls(monkeypatch)
         for k in (1, 2, 3):
             inst_k = with_workers(inst, k)
             paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
@@ -573,7 +610,7 @@ class TestRouteBound:
             assert check_solution(inst_k, graph, paper.solution).passed, k
         assert bounds == []
         # the packing search settles every cell but seed 100007's K=3, where one LP
-        # meets the search's best packing: no dive and no sequential warm start runs
+        # meets the search's best packing: no sequential warm start runs
         assert len(solves) == lp_solves
         assert warm_starts == []
 
@@ -598,11 +635,12 @@ class TestRouteBound:
         assert packing(pool, 2, 9) == (6, [triangle[0], single])
         assert packing(pool, 3, 9) == (6, [triangle[0], single])
 
-    def test_dive_on_a_fractional_optimum(self, monkeypatch):
-        # the triangle and the single pair again, with no search steps: at K=2 the
-        # LP takes each two-pair route at one half, 7 served, rounded down to 6; one
-        # dive step fixes a two-pair route and reaches 6 with the single pair
+    def test_search_reaches_a_fractional_lp_bound(self, monkeypatch):
+        # the triangle and the single pair again, with no capped search steps: at K=2 the
+        # LP takes each two-pair route at one half, 7 served, rounded down to 6; the
+        # search, going on with that goal, reaches 6 with the single pair
         monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 0)
+        solves = highs_calls(monkeypatch)
         triangle = (((1, 2), (3, 4)), ((3, 4), (5, 6)), ((1, 2), (5, 6)))
         single = ((7, 8),)
         packing = evrelocate.search._route_packing
@@ -610,9 +648,12 @@ class TestRouteBound:
         bound, routes = packing(pool, 2, 9)
         assert bound == 6 and len(routes) == 2 and single in routes
         assert len({n for route in routes for pair in route for n in pair}) == 6
-        # without the single pair the LP's 6 cannot be reached: the dive gives up
-        assert packing(pool_of(triangle), 2, 9) == (6, None)
+        assert len(solves) == 1
+        # without the single pair the LP's 6 cannot be reached: the search ends and proves 4
+        assert packing(pool_of(triangle), 2, 9) == (4, [triangle[0]])
+        assert len(solves) == 2
         assert packing(pool, 1, 9) == (4, [triangle[0]])
+        assert len(solves) == 2
 
     def test_prefix_that_cannot_return_is_extended(self):
         # (p1, d1) cannot ride home within the shift; (p1, d1, p2, d2) can
@@ -642,7 +683,7 @@ class TestRouteBound:
         for seed in range(6):
             inst, graph = random_case(seed, size=12)
             allowed = {r.id for r in inst.requests}
-            root = recount(evrelocate.search._successors(inst, graph, allowed)[1], set())
+            root = evrelocate.search._next_pairs(inst, graph, allowed)[1]
             for k in (1, 2, 3):
                 inst_k = with_workers(inst, k)
                 paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
@@ -659,9 +700,9 @@ class TestRouteBound:
                 proved.append(paper.optimal)
         assert set(proved) == {False, True}
 
-    def test_short_dive_closed_by_the_packing_search(self, monkeypatch):
-        # every K>1 cell takes the LP, and no dive reaches its bound: the packing
-        # search, run again without its step cap, proves the optimum
+    def test_lp_cells_closed_by_the_packing_search(self, monkeypatch):
+        # with no capped search steps every K>1 cell takes one LP solve, and the packing
+        # search, going on with the LP's bound as its goal, proves the same optimum
         cells = [(seed, k) for seed in (1, 2, 3, 100007) for k in (1, 2, 3)]
         reference = {}
         for seed, k in cells:
@@ -669,22 +710,15 @@ class TestRouteBound:
             graph = build_graph(inst, matrix_for_instance(inst))
             expected = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
             reference[seed, k] = inst, graph, expected
-        packing_lp, uncapped = evrelocate.search._packing_lp, []
         monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 0)
-        monkeypatch.setattr(evrelocate.search, "_packing_lp", lambda *a: (packing_lp(*a)[0], None))
-        packing = evrelocate.search._route_packing
-
-        def spy(*args, capped=True):
-            uncapped.append(not capped)
-            return packing(*args, capped=capped)
-
-        monkeypatch.setattr(evrelocate.search, "_route_packing", spy)
+        solves = highs_calls(monkeypatch)
         for (seed, k), (inst, graph, expected) in reference.items():
+            solves.clear()
             result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
             assert result.optimal and result.nodes_explored == 1, (seed, k)
             assert result.solution.served_count == result.best_bound == expected.best_bound
             assert check_solution(inst, graph, result.solution).passed, (seed, k)
-        assert uncapped.count(True) == 2 * len(reference) // 3  # every K>1 cell
+            assert len(solves) == (k > 1), (seed, k)
 
     def test_k1_packing_is_the_largest_column(self):
         inst, graph = random_case(4, size=24)
@@ -859,6 +893,23 @@ class TestStoppingRule:
         assert len(result.solution.routes) == k
         assert check_solution(with_workers(inst, k), graph, result.solution).passed
 
+    def test_bound_runs_first_past_the_cap(self):
+        # past ROUTE_CAP the compact bound gets its share before the sequential heuristic:
+        # at 80 requests the enumeration takes about 0.13 s and the compact LP 0.07 s
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=80, seed=1)), 2)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        result = solve_branch_and_bound(inst, graph, SolveOptions(time_limit_s=0.5, **PAPER))
+        assert result.solution.served_count <= result.best_bound <= 34
+        assert check_solution(inst, graph, result.solution).passed
+
+    def test_search_gets_the_rest_past_the_cap(self, case_200):
+        # at K=1 the compact LP (about 0.9 s at 200 requests) stops at its share, and the
+        # baseline search gets the rest of the limit
+        inst, graph = case_200
+        result = solve_branch_and_bound(with_workers(inst, 1), graph, SolveOptions(time_limit_s=0.3, **PAPER))
+        assert result.solution.served_count > 0
+        assert check_solution(with_workers(inst, 1), graph, result.solution).passed
+
     @pytest.mark.parametrize("size, k", [(200, 1), (200, 3), (48, 3)])
     def test_paper_configuration_keeps_its_time_limit(self, monkeypatch, size, k):
         # HiGHS gets only the time left and none starts without it, and the route
@@ -882,18 +933,27 @@ class TestStoppingRule:
         inst, graph = random_case(1, size=24)
         inst = with_workers(inst, 3)
         stopped = OptimizeResult(status=1, message="Time limit reached", fun=None, x=None)
-        monkeypatch.setattr(evrelocate.search, "highs", lambda *a, **kw: stopped)
-        assert compute_upper_bound(inst, graph, time_limit_s=1.0) is None
-        columns = route_columns(inst, graph)
-        # past the step cap: no bound, and the search's best packing as the routes
+
+        def runs_out(*args, options, **kwargs):  # HiGHS spends its time and stops
+            time.sleep(options.get("time_limit", 0.0))
+            return stopped
+
+        monkeypatch.setattr(evrelocate.search, "highs", runs_out)
+        assert compute_upper_bound(inst, graph, time_limit_s=0.01) is None
+        columns, nodes = route_columns(inst, graph), len(graph.nodes)
+        packing = evrelocate.search._route_packing
+        # the oracle: a step cap the search never reaches
+        monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 10**9)
+        optimum, _ = packing(columns, 3, nodes)
+        # past the step cap the LP stops at the deadline, and so does the search after it:
+        # no bound, and the best packing of the capped steps as the routes
         monkeypatch.setattr(evrelocate.search, "PACKING_STEPS", 10)
-        bound, routes = evrelocate.search._route_packing(columns, 3, len(graph.nodes))
+        bound, routes = packing(columns, 3, nodes, time.perf_counter() + 0.05)
         assert bound is None and 0 < len(routes) <= 3
-        # the solve runs the packing search on without its step cap, which needs no LP
-        result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
-        optimum, _ = evrelocate.search._route_packing(columns, 3, len(graph.nodes), capped=False)
-        assert result.optimal and result.solution.served_count == result.best_bound == optimum
         assert optimum >= 2 * sum(map(len, routes))
+        # with no deadline the search goes on after the stopped LP and proves the optimum
+        result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
+        assert result.optimal and result.solution.served_count == result.best_bound == optimum
         assert check_solution(inst, graph, result.solution).passed
 
     @pytest.mark.parametrize(
