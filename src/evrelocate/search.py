@@ -52,14 +52,14 @@ K-worker search never runs.
 
 The enumeration gives up past ``ROUTE_CAP`` request sets, or once the
 deadline passes (it reads the clock every 512 prefixes).  Then
-:func:`compute_upper_bound` runs first, on at most ``BOUND_SHARE`` of the
-time left, and the rest goes at K>1 to :func:`heuristic_sequential`,
-whose answer it is, and at K=1 to the baseline search, pruned by that
-bound.  HiGHS can overrun its limit by tens of milliseconds at 200
-requests, so what comes after the bound keeps no less than the other
-share, and the solve ends that much past its limit.  Every HiGHS solve
-gets only the time left and none starts without it; an LP that runs out
-of time gives no bound.  The paper configuration's
+:func:`compute_upper_bound` runs first on at most ``BOUND_SHARE`` of the
+time left, but only where ``COMPACT_LP_RATE`` says it finishes in that
+share: HiGHS cannot be stopped at its limit (it overruns by tens of
+milliseconds at 200 requests), and a bound cut short is no bound.  The
+rest of the time goes at K>1 to :func:`heuristic_sequential`, whose answer
+it is, and at K=1 to the baseline search, pruned by that bound.  Every
+HiGHS solve gets only the time left and none starts without it; an LP
+that runs out of time gives no bound.  The paper configuration's
 ``best_bound`` is the smallest bound that ran, the root's count bound
 (twice the smaller count of pickups and deliveries that an EV arc touches)
 among them, and ``optimal`` holds where the answer meets it.
@@ -272,18 +272,19 @@ def _next_pairs(instance: Instance, graph: ActionGraph, allowed: set[str]):
     return nexts, root
 
 
-def _successors(instance: Instance, graph: ActionGraph, allowed: set[str]):
-    """``(nexts, count_bound)`` of the baseline search.
+def _successors(instance: Instance, graph: ActionGraph, allowed: set[str], nexts=None):
+    """``(nexts, ev_next)`` of the baseline search.
 
-    ``nexts`` is :func:`_next_pairs`'s; ``count_bound`` is the
-    :class:`CountBound` over the EV arcs between ``allowed`` requests.
+    ``nexts`` is :func:`_next_pairs`'s, built here unless given; ``ev_next``
+    maps each ``allowed`` pickup to its EV arcs' ``allowed`` deliveries, for
+    :class:`CountBound`.
     """
     usable = np.array([False] + [node in allowed for node in graph.nodes[1:]])
     ev = graph.is_ev & usable[graph.src] & usable[graph.dst]
     ev_next: dict[int, list[int]] = {}
     for p, d in zip(graph.src[ev].tolist(), graph.dst[ev].tolist()):
         ev_next.setdefault(p, []).append(d)
-    return _next_pairs(instance, graph, allowed)[0], CountBound(ev_next)
+    return _next_pairs(instance, graph, allowed)[0] if nexts is None else nexts, ev_next
 
 
 def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
@@ -295,8 +296,12 @@ def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
 ROUTE_CAP = 20_000
 
 #: Past ``ROUTE_CAP`` the compact bound gets at most this share of the time left, and the
-#: search or the sequential heuristic after it the rest, and no less than the other share.
+#: search or the sequential heuristic after it the rest.
 BOUND_SHARE = 0.5
+
+#: Seconds :func:`compute_upper_bound` takes per ``arcs ** 1.5`` of the graph: at most
+#: 1.1e-6 over 80-200 requests (generator seeds 1-3, 0.06-1.0 s, on a 2-core x86-64 host).
+COMPACT_LP_RATE = 1.2e-6
 
 
 def _past(deadline: float | None) -> bool:
@@ -521,9 +526,9 @@ def solve_branch_and_bound(
 def _from_routes(instance, graph, allowed, node_limit, deadline):
     """The paper configuration: ``(solution, optimal, best_bound, nodes_explored)``.
 
-    The packing of the route pool; past the route cap the compact bound,
-    then the sequential heuristic, or at K=1 the baseline search pruned by
-    that bound (see the module docstring).
+    The packing of the route pool; past the route cap the compact bound
+    where it fits in its share, then the sequential heuristic, or at K=1
+    the baseline search pruned by that bound (see the module docstring).
     """
     params = instance.parameters
     k_total, node_count = params.workers, len(graph.nodes)
@@ -535,12 +540,11 @@ def _from_routes(instance, graph, allowed, node_limit, deadline):
     else:
         left = _time_left(deadline)
         bound = None
-        if left != 0:
+        if left is None or COMPACT_LP_RATE * len(graph.src) ** 1.5 <= BOUND_SHARE * left:
             bound = compute_upper_bound(instance, graph, None if left is None else BOUND_SHARE * left)
-        if left is not None:  # HiGHS can overrun its share; what comes after keeps the other
-            deadline = time.perf_counter() + max(_time_left(deadline), (1 - BOUND_SHARE) * left)
         if k_total == 1:
-            return _search(instance, graph, _successors(instance, graph, allowed), node_limit, deadline, bound)
+            successors = _successors(instance, graph, allowed, nexts)
+            return _search(instance, graph, successors, node_limit, deadline, bound)
         rest = _time_left(deadline)
         solution = Solution.empty()
         if rest != 0:
@@ -554,17 +558,15 @@ def _from_routes(instance, graph, allowed, node_limit, deadline):
 def _search(instance, graph, successors, node_limit, deadline, bound_value=None):
     """The baseline search: ``(solution, optimal, best_bound, nodes_explored)``.
 
-    ``successors`` is :func:`_successors`'s; the requests its count bound
-    already marks served are out of the search and out of its counts.
     ``bound_value``, where given, caps the optimistic value of every node.
     """
-    nexts, count_bound = successors
+    nexts, ev_next = successors
     params = instance.parameters
     k_total, shift_limit = params.workers, params.shift_limit_min
-    served = count_bound.served
-    base = len(served)  # served counts below are absolute, less base
-    state = _SearchState(best_count=base)
+    state = _SearchState()
     fixed: list[tuple[tuple[int, int], ...]] = []  # closed routes of the earlier workers
+    count_bound = CountBound(ev_next)
+    served = count_bound.served
     mark, unmark = count_bound.mark, count_bound.unmark
 
     def out_of_budget() -> bool:
@@ -615,7 +617,7 @@ def _search(instance, graph, successors, node_limit, deadline, bound_value=None)
     # only the returned routes are timed
     solution = _routes_to_solution(instance, graph, _named(graph.nodes, state.best_routes))
     best_bound = state.best_count if optimal else max(state.frontier_bound, state.best_count)
-    return solution, optimal, best_bound - base, state.nodes
+    return solution, optimal, best_bound, state.nodes
 
 
 def brute_force(instance: Instance, graph: ActionGraph) -> Solution:
@@ -667,40 +669,39 @@ def heuristic_sequential(
 ) -> Solution:
     """Fix one exact single-worker route at a time over unserved requests.
 
-    Each worker runs the baseline search on one worker, over successor
-    lists built once, with the earlier workers' pairs marked served.  The
-    searches share ``time_limit_s``: each gets an even share of the time
-    the earlier ones left to it and the workers after it, and none starts
-    once the time is spent.  A search that proves no route remains ends the
-    answer; one that its share cuts short before any route leaves its
-    worker idle, and the next worker goes on.  Raises ``ValueError`` for
+    The single-worker searches share ``time_limit_s``: each gets an even
+    share of the time the earlier ones left to it and the workers after it,
+    and none starts once the time is spent.  A search that its share cuts
+    short before any route leaves its worker idle, and the next worker goes
+    on; any other search without a route ends the answer: none is left, or
+    the node limit would stop every worker alike.  Raises ``ValueError`` for
     limits that :class:`SolveOptions` rejects.
     """
     SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
-    allowed = set(available) if available is not None else {r.id for r in instance.requests}
+    remaining = set(available) if available is not None else {r.id for r in instance.requests}
     deadline = time.perf_counter() + time_limit_s if time_limit_s else None
     single = replace(instance, parameters=replace(instance.parameters, workers=1))
-    successors = _successors(single, graph, allowed)
 
     routes: list[Route] = []
     workers = instance.parameters.workers
     for k in range(workers):
-        share_deadline = None
+        if not remaining:
+            break
+        share = None
         if deadline is not None:
-            now = time.perf_counter()
-            if now >= deadline:
+            share = (deadline - time.perf_counter()) / (workers - k)
+            if share <= 0:
                 break
-            share_deadline = now + (deadline - now) / (workers - k)
-        solution, optimal, _, _ = _search(single, graph, successors, node_limit, share_deadline)
-        if not solution.routes:
-            if optimal:  # no route among the remaining requests
-                break
-            continue  # cut short by its share: the next worker goes on
-        route = solution.routes[0]
+        options = SolveOptions(node_limit=node_limit, time_limit_s=share)
+        result = solve_branch_and_bound(single, graph, options, available=remaining)
+        picked = result.solution.routes
+        if not picked or not picked[0].visits:
+            if result.optimal or share is None or result.elapsed_s < share:
+                break  # none is left, or the node limit would stop every worker alike
+            continue  # its share ran out: the next worker goes on
+        route = picked[0]
         routes.append(replace(route, worker_index=k))
-        ids = route.request_ids
-        for pickup, delivery in zip(ids[0::2], ids[1::2]):
-            successors[1].mark(graph.node_index[pickup], graph.node_index[delivery])
+        remaining -= set(route.request_ids)
     return Solution.from_routes(routes)
 
 

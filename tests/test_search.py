@@ -24,6 +24,7 @@ from evrelocate import (
     RequestKind,
     Solution,
     SolveOptions,
+    SolveResult,
     brute_force,
     build_graph,
     build_milp,
@@ -279,25 +280,27 @@ class TestHeuristic:
                 assert heur.served_count <= exact.served_count
 
     def test_stalled_worker_passes_on(self, monkeypatch):
-        # the first worker's search returns no route: cut short (not optimal), the later
-        # workers serve what a two-worker run serves; proved empty, the answer ends there
+        # the first worker's search returns no route: cut short by its share, the later
+        # workers serve what a two-worker run serves; proved empty, or stopped by the node
+        # limit, which would stop every worker alike, the answer ends there
         inst, graph = random_case(1, size=24)
         inst = with_workers(inst, 3)
         two_workers = heuristic_sequential(with_workers(inst, 2), graph)
-        search = evrelocate.search._search
-        for optimal in (False, True):
+        solve = evrelocate.search.solve_branch_and_bound
+        for optimal, limits in ((False, {"time_limit_s": 60.0}), (True, {}), (False, {"node_limit": 10**6})):
             calls = []
 
-            def first_stalls(instance, graph, *args):
+            def first_stalls(instance, graph, options, **kwargs):
                 calls.append(instance.parameters.workers)
-                if len(calls) == 1:  # (solution, optimal, best_bound, nodes_explored)
-                    return Solution.empty(), optimal, 24, 1
-                return search(instance, graph, *args)
+                if len(calls) == 1:  # its whole share spent, or none of it
+                    spent = options.time_limit_s or 0.0
+                    return SolveResult(Solution.empty(), optimal, 24, 1, elapsed_s=spent)
+                return solve(instance, graph, options, **kwargs)
 
-            monkeypatch.setattr(evrelocate.search, "_search", first_stalls)
-            solution = heuristic_sequential(inst, graph)
-            if optimal:
-                assert calls == [1] and solution.served_count == 0
+            monkeypatch.setattr(evrelocate.search, "solve_branch_and_bound", first_stalls)
+            solution = heuristic_sequential(inst, graph, **limits)
+            if optimal or "node_limit" in limits:
+                assert calls == [1] and solution.served_count == 0, limits
                 continue
             assert calls == [1, 1, 1]
             assert solution.served_count == two_workers.served_count > 0
@@ -683,7 +686,7 @@ class TestRouteBound:
         for seed in range(6):
             inst, graph = random_case(seed, size=12)
             allowed = {r.id for r in inst.requests}
-            root = evrelocate.search._next_pairs(inst, graph, allowed)[1]
+            root = recount(evrelocate.search._successors(inst, graph, allowed)[1], set())
             for k in (1, 2, 3):
                 inst_k = with_workers(inst, k)
                 paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
@@ -902,12 +905,13 @@ class TestStoppingRule:
         assert result.solution.served_count <= result.best_bound <= 34
         assert check_solution(inst, graph, result.solution).passed
 
-    def test_search_gets_the_rest_past_the_cap(self, case_200):
-        # at K=1 the compact LP (about 0.9 s at 200 requests) stops at its share, and the
-        # baseline search gets the rest of the limit
+    def test_search_gets_the_rest_past_the_cap(self, monkeypatch, case_200):
+        # at K=1 the compact LP (about 1 s at 200 requests) cannot finish in its share, so
+        # it does not run and the baseline search gets the whole limit
         inst, graph = case_200
+        solves = highs_calls(monkeypatch)
         result = solve_branch_and_bound(with_workers(inst, 1), graph, SolveOptions(time_limit_s=0.3, **PAPER))
-        assert result.solution.served_count > 0
+        assert solves == [] and result.solution.served_count > 0
         assert check_solution(with_workers(inst, 1), graph, result.solution).passed
 
     @pytest.mark.parametrize("size, k", [(200, 1), (200, 3), (48, 3)])
