@@ -1,19 +1,15 @@
 """Generate a random instance and solve it exactly, then validate.
 
-The baseline branch-and-bound search extends worker routes one
-pickup/delivery pair at a time and carries each route's schedule prefix,
-which gives the scheduler's verdicts in O(1) per pair, so any returned
-route set is feasible by construction; the scheduler times the returned
-routes, and the raw-constraint checker re-verifies them from scratch as a
-belt-and-braces step.  The paper configuration enumerates every
-schedulable single-worker route once and packs at most K of them with
-disjoint requests; it proves the same count without entering the K-worker
-search (one node).
+The solve enumerates every schedulable single-worker route once, carrying
+each route's schedule prefix, which gives the scheduler's verdicts in O(1)
+per pair, and packs at most K of the routes with disjoint requests; the
+largest packing is the optimum, proved without a K-worker search (one
+node).  The scheduler times the returned routes, and the raw-constraint
+checker re-verifies them from scratch as a belt-and-braces step.
 """
 
 from evrelocate import (
     GeneratorConfig,
-    SolveOptions,
     build_graph,
     check_solution,
     generate_instance,
@@ -29,7 +25,7 @@ result = solve_branch_and_bound(instance, graph)
 solution = result.solution
 
 total = len(instance.requests)
-print(f"served {solution.served_count}/{total} requests "
+print(f"served {solution.served_count}/{total} requests, bound {result.best_bound} "
       f"(optimal proven: {result.optimal}, {result.nodes_explored} nodes)")
 
 for route in solution.routes:
@@ -43,11 +39,3 @@ for route in solution.routes:
 
 report = check_solution(instance, graph, solution)
 print(f"\nvalidation: {len(report.rows)} rows checked, passed={report.passed}")
-
-paper = solve_branch_and_bound(
-    instance,
-    graph,
-    SolveOptions(use_upper_bound=True, use_warm_start=True, break_worker_symmetry=True),
-)
-print(f"paper configuration: served {paper.solution.served_count}, bound {paper.best_bound} "
-      f"(optimal proven: {paper.optimal}, {paper.nodes_explored} nodes)")

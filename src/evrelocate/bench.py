@@ -3,13 +3,12 @@
 Instances place pickup and delivery requests on a fixed set of parking
 stations (nine synthetic stations by default, Euclidean distances with a
 detour factor) with random charge levels and random time bounds between
-8:00 and 15:00.  Experiments solve each instance for several worker counts
-twice: the baseline search (CPU1) and the paper configuration (CPU2), which
-answers from the route pool, the best packing of single-worker routes (at
+8:00 and 15:00.  Experiments solve each instance once for several worker
+counts, from the route pool, the best packing of single-worker routes (at
 20 requests enumerating the routes and packing them, mostly by an exact
 search with no LP, take milliseconds), then report per-instance rows and
-per-size averages with the relative CPU improvement.  Each K is solved on
-a copy of the instance that carries it, under one per-solve
+per-size averages of the served percentage and the CPU time.  Each K is
+solved on a copy of the instance that carries it, under one per-solve
 ``time_limit_s``.
 """
 
@@ -121,12 +120,8 @@ class ExperimentRecord:
     workers: int
     served_pct: float
     objective: int
-    cpu1_s: float
-    cpu2_s: float
-    improv_pct: float
-    optimal_baseline: bool
-    optimal_speedup: bool
-    objective_baseline: int
+    cpu_s: float
+    optimal: bool
 
 
 def run_experiment(
@@ -134,17 +129,14 @@ def run_experiment(
     k_values: list[int],
     time_limit_s: float | None = 8.0,
 ) -> list[ExperimentRecord]:
-    """Solve every (instance, K) cell in the baseline and the paper configuration.
+    """Solve every (instance, K) cell once.
 
-    A (K-1)-worker answer is a K-worker answer, so where the paper
-    configuration's answer for K serves fewer than the previous K's, the
-    previous one is kept: the reported served percentage is non-decreasing
-    in K even when a time limit stops a solve early.  When both
-    configurations prove optimality their objectives must agree.
+    A (K-1)-worker answer is a K-worker answer, so where the answer for K
+    serves fewer than the previous K's, the previous one is kept: the
+    reported served percentage is non-decreasing in K even when a time
+    limit stops a solve early.
     """
-    baseline_options = SolveOptions(time_limit_s=time_limit_s)
-    switch = dict(use_upper_bound=True, use_warm_start=True, break_worker_symmetry=True)
-    paper = SolveOptions(time_limit_s=time_limit_s, **switch)
+    options = SolveOptions(time_limit_s=time_limit_s)
     records: list[ExperimentRecord] = []
     for name, instance in named_instances:
         matrix = matrix_for_instance(instance)
@@ -153,27 +145,11 @@ def run_experiment(
         previous: Solution | None = None
         for k in sorted(k_values):
             instance_k = replace(instance, parameters=replace(instance.parameters, workers=k))
-
             begin = time.perf_counter()
-            baseline = solve_branch_and_bound(instance_k, graph, baseline_options)
-            cpu1 = time.perf_counter() - begin
-
-            begin = time.perf_counter()
-            speedup = solve_branch_and_bound(instance_k, graph, paper)
-            cpu2 = time.perf_counter() - begin
-
-            if (
-                baseline.optimal
-                and speedup.optimal
-                and baseline.solution.served_count != speedup.solution.served_count
-            ):
-                raise RuntimeError(
-                    f"configurations disagree on {name} K={k}: "
-                    f"{baseline.solution.served_count} vs {speedup.solution.served_count}"
-                )
-
-            if previous is None or speedup.solution.served_count >= previous.served_count:
-                previous = speedup.solution
+            result = solve_branch_and_bound(instance_k, graph, options)
+            cpu = time.perf_counter() - begin
+            if previous is None or result.solution.served_count >= previous.served_count:
+                previous = result.solution
             objective = previous.served_count
             records.append(
                 ExperimentRecord(
@@ -182,12 +158,8 @@ def run_experiment(
                     workers=k,
                     served_pct=100.0 * objective / total if total else 0.0,
                     objective=objective,
-                    cpu1_s=cpu1,
-                    cpu2_s=cpu2,
-                    improv_pct=(cpu1 - cpu2) / cpu1 * 100.0 if cpu1 > 0 else 0.0,
-                    optimal_baseline=baseline.optimal,
-                    optimal_speedup=speedup.optimal,
-                    objective_baseline=baseline.solution.served_count,
+                    cpu_s=cpu,
+                    optimal=result.optimal,
                 )
             )
     return records
@@ -225,28 +197,23 @@ def emit_report(records: list[ExperimentRecord], fmt: str = "text") -> str:
 
     header = ["Instance", "Req"]
     for k in k_values:
-        header += [f"K={k} Served", "CPU1", "CPU2", "Improv"]
+        header += [f"K={k} Served", "CPU"]
     lines = ["\t".join(header)]
     for name in sorted(by_instance):
         cells = [name, str(next(iter(by_instance[name].values())).request_count)]
         for k in k_values:
             rec = by_instance[name].get(k)
             if rec is None:
-                cells += ["-", "-", "-", "-"]
+                cells += ["-", "-"]
             else:
-                flag = "" if rec.optimal_speedup and rec.optimal_baseline else "*"
-                cells += [
-                    f"{rec.served_pct:.0f}%{flag}",
-                    f"{rec.cpu1_s:.2f}",
-                    f"{rec.cpu2_s:.2f}",
-                    f"{rec.improv_pct:.1f}%",
-                ]
+                flag = "" if rec.optimal else "*"
+                cells += [f"{rec.served_pct:.0f}%{flag}", f"{rec.cpu_s:.2f}"]
         lines.append("\t".join(cells))
 
     lines.append("")
     header2 = ["Requests"]
     for k in k_values:
-        header2 += [f"K={k} Served", "CPU1", "CPU2", "Improv"]
+        header2 += [f"K={k} Served", "CPU"]
     lines.append("\t".join(header2))
     sizes = sorted({rec.request_count for rec in records})
     for size in sizes:
@@ -254,13 +221,11 @@ def emit_report(records: list[ExperimentRecord], fmt: str = "text") -> str:
         for k in k_values:
             group = [r for r in records if r.request_count == size and r.workers == k]
             if not group:
-                cells += ["-", "-", "-", "-"]
+                cells += ["-", "-"]
                 continue
             cells += [
                 f"{np.mean([r.served_pct for r in group]):.0f}%",
-                f"{np.mean([r.cpu1_s for r in group]):.2f}",
-                f"{np.mean([r.cpu2_s for r in group]):.2f}",
-                f"{np.mean([r.improv_pct for r in group]):.1f}%",
+                f"{np.mean([r.cpu_s for r in group]):.2f}",
             ]
         lines.append("\t".join(cells))
     lines.append("")

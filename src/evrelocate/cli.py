@@ -80,9 +80,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         note = "heuristic"
     else:
-        names = ("use_upper_bound", "use_warm_start", "break_worker_symmetry")
-        switch = dict.fromkeys(names, args.paper)
-        options = SolveOptions(node_limit=args.node_limit, time_limit_s=args.time_limit, **switch)
+        options = SolveOptions(node_limit=args.node_limit, time_limit_s=args.time_limit)
         result = solve_branch_and_bound(instance, graph, options)
         solution = result.solution
         note = f"optimal={result.optimal} bound={result.best_bound} nodes={result.nodes_explored}"
@@ -154,13 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve", help="solve an instance")
+    p = sub.add_parser("solve", help="solve an instance: the best packing of single-worker routes")
     p.add_argument("--instance", required=True)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--heuristic", action="store_true", help="sequential heuristic, not exact")
-    p.add_argument("--paper", action="store_true", help="pack single-worker routes (paper configuration)")
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument(
+        "--node-limit", type=int, default=None,
+        help="prefixes the single-worker searches may enter past the route cap",
+    )
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_solve)
 

@@ -1,75 +1,60 @@
 """Exact and heuristic solving over the action graph.
 
-``solve_branch_and_bound`` has two configurations (:class:`SolveOptions`):
-the baseline search, and the paper configuration, which answers from the
-pool of single-worker routes.
-
-The baseline search grows worker routes depth first, one (pickup,
-delivery) pair at a time, over next-pair lists read once per solve from
-the graph's arrays (:func:`_next_pairs`).  Each node carries its route's
-prefix (:mod:`evrelocate.scheduling`), so a node costs O(1) scheduling: one
-``extend`` and one or two ``start_delay`` per candidate pair, which give
-the verdicts of ``schedule_route`` on the whole route bit for bit; only the
-returned routes are timed by ``schedule_route``.  A prefix is pruned only
-on conditions that no extension repairs (``extendable``: per-leg windows
-and charge, the pickup chain, the shift limit up to the last delivery).
-The bike leg back to the depot is charged only when a route is recorded as
-an incumbent or closed to start the next worker (``feasible``): one more
-pair can end a route nearer the depot.  A node is pruned on its count
-bound, ``served + 2 * min(open pickups, open deliveries)`` over the EV
-arcs between unserved requests (:class:`CountBound`, kept up to date in
-O(degree) as pairs are marked and unmarked).  The node limit and the
-deadline are tested on entering a node that could beat the incumbent and
-before each extension; once either trips, no further node is visited, and
-every open level adds its own optimistic value to the frontier bound.
-``best_bound`` stays a valid upper bound because the optimistic value
-never rises below a node: an extension serves two more requests but closes
-at least one open pickup and one open delivery, and a worker switch
-changes neither term.  ``nodes_explored`` is at most ``node_limit + 1``.
-
-The paper configuration first enumerates every schedulable single-worker
-route once (:func:`_route_columns`), depth first over the same next-pair
-lists with ``extend`` and ``start_delay`` inlined on the same floats,
-keeping the first route of each distinct request set; it prunes only
-prefixes that are not extendable, so the enumeration is complete.  The
-pool is one flat list of node indices, route after route in pair order,
-with column pointers: the packing search and the packing LP read it, and
-only the routes a solve returns become pairs.  Every K-worker answer is a
-packing of at most K schedulable routes with disjoint request sets, and
-every such packing is a K-worker answer, so the largest packing is the
-optimum (:func:`_route_packing`).  An exact search
-finds it: depth first over the routes, largest first, with the routes
-still disjoint from the chosen ones as one bit set, it cuts a branch once
-the free slots times the size of its largest candidate cannot beat the
-best packing, and stops once its best packing reaches an upper bound, so a
-search that ends has proved its best packing.  K=1 takes one step, and
-most cells at K=2-3 end within ``PACKING_STEPS`` branches.  Past that cap
-the packing LP (at most K routes, each request in at most one), rounded
-down to an even count, is the bound and the search's goal, and the search
-goes on under the deadline until its best packing meets that bound or it
-ends.  The answer is read at the root (``nodes_explored`` is 1): the
-K-worker search never runs.
+Every solve answers from the pool of single-worker routes.  It first
+enumerates every schedulable single-worker route once
+(:func:`_route_columns`), depth first over per-node next-pair lists read
+once per solve from the graph's arrays (:func:`_next_pairs`), with
+``extend`` and ``start_delay`` (:mod:`evrelocate.scheduling`) inlined on the
+same floats, keeping the first route of each distinct request set.  A
+prefix is pruned only on conditions that no extension repairs
+(``extendable``: per-leg windows and charge, the pickup chain, the shift
+limit up to the last delivery), so the enumeration is complete; the bike
+leg back to the depot only decides whether a route closes, since one more
+pair can end a route nearer the depot.  The pool is one flat list of node
+indices, route after route in pair order, with column pointers: the
+packing search and the packing LP read it, and only the routes a solve
+returns become pairs, timed by ``schedule_route``.  Every K-worker answer
+is a packing of at most K schedulable routes with disjoint request sets,
+and every such packing is a K-worker answer, so the largest packing is the
+optimum (:func:`_route_packing`).  An exact search finds it: depth first
+over the routes, largest first, with the routes still disjoint from the
+chosen ones as one bit set, it cuts a branch once the free slots times the
+size of its largest candidate cannot beat the best packing, and stops once
+its best packing reaches an upper bound, so a search that ends has proved
+its best packing.  K=1 takes one step, and most cells at K=2-3 end within
+``PACKING_STEPS`` branches.  Past that cap the packing LP (at most K
+routes, each request in at most one), rounded down to an even count, is the
+bound and the search's goal, and the search goes on under the deadline
+until its best packing meets that bound or it ends.  The answer is read at
+the root: ``nodes_explored`` is 1.
 
 The enumeration gives up past ``ROUTE_CAP`` request sets, or once the
 deadline passes (it reads the clock every 512 prefixes).  Then
 :func:`compute_upper_bound` runs first on at most ``BOUND_SHARE`` of the
 time left, but only where ``COMPACT_LP_RATE`` says it finishes in that
 share: HiGHS cannot be stopped at its limit (it overruns by tens of
-milliseconds at 200 requests), and a bound cut short is no bound.  The
-rest of the time goes at K>1 to :func:`heuristic_sequential`, whose answer
-it is, and at K=1 to the baseline search, pruned by that bound.  Every
-HiGHS solve gets only the time left and none starts without it; an LP
-that runs out of time gives no bound.  The paper configuration's
-``best_bound`` is the smallest bound that ran, the root's count bound
-(twice the smaller count of pickups and deliveries that an EV arc touches)
-among them, and ``optimal`` holds where the answer meets it.
+milliseconds at 200 requests), and a bound cut short is no bound.  The rest
+of the time goes to :func:`heuristic_sequential`, whose answer it is.  Its
+single-worker search (:func:`_longest_route`) is the enumeration's own loop
+with a second leaf, which keeps only the longest closed route: it counts
+the prefixes it enters against ``node_limit`` and stops once its route
+meets the bound it is told.  The first worker's search covers every
+request, so when it ends no route serves more than its route, and K times
+that count is a bound too: at K=1 a search that ends proves its route.
+Every HiGHS solve gets only the time left and none starts without it; an
+LP that runs out of time gives no bound.  ``best_bound`` is the smallest
+bound that ran, the root's count bound (twice the smaller count of pickups
+and deliveries that an EV arc touches) among them, ``optimal`` holds where
+the answer meets it, and ``nodes_explored`` is the prefixes the
+single-worker searches entered.
 
 ``brute_force`` is the desk-scale oracle: plain enumeration of all
 pairings, partitions and orderings, with no bounding logic shared with the
-search.  ``heuristic_sequential`` fixes one exact single-worker route at a
-time, on a one-worker copy of the instance.  ``compute_upper_bound`` is the
-LP relaxation of the K-worker model of :func:`evrelocate.milp.build_milp`.
-Every function here reads K from ``instance.parameters.workers``.
+search.  ``heuristic_sequential`` fixes one longest single-worker route at
+a time over the requests the earlier workers left.  ``compute_upper_bound``
+is the LP relaxation of the K-worker model of
+:func:`evrelocate.milp.build_milp`.  Every function here reads K from
+``instance.parameters.workers``.
 
 That bound is valid by construction, for any distance matrix: every route
 set the scheduler accepts satisfies every row of the model (its big-M
@@ -97,20 +82,20 @@ from scipy.sparse import csc_array
 from .actiongraph import ActionGraph, build_graph  # noqa: F401
 from .domain import DEPOT_NODE, TIME_TOL, Instance, Route, Solution
 from . import milp
-from .scheduling import Prefix, extend, leg_bounds, schedule_route, start_delay
+from .scheduling import extend, leg_bounds, schedule_route
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """The configuration of a solve and its limits.
+    """The limits of a solve.
 
-    ``use_upper_bound``, ``use_warm_start`` and ``break_worker_symmetry``
-    are one switch spelled three ways: all on select the paper
-    configuration, all off the baseline search (see the module docstring),
-    and a mix raises ``ValueError``.  They stay three fields only because
-    the benchmark passes them by name.  The limits are a positive integer
-    ``node_limit`` (of baseline search nodes) and a positive, finite
-    ``time_limit_s``; anything else raises ``ValueError``.
+    ``node_limit`` is a positive integer: the prefixes that the
+    single-worker searches past ``ROUTE_CAP`` may enter, all together.
+    ``time_limit_s`` is positive and finite.  Anything else raises
+    ``ValueError``.  ``use_upper_bound``, ``use_warm_start`` and
+    ``break_worker_symmetry`` are accepted and read by nothing: every solve
+    answers from the route pool (see the module docstring).  They stay
+    only because the benchmark passes them by name.
     """
 
     use_upper_bound: bool = False
@@ -120,12 +105,6 @@ class SolveOptions:
     time_limit_s: float | None = None
 
     def __post_init__(self) -> None:
-        switch = (self.use_upper_bound, self.use_warm_start, self.break_worker_symmetry)
-        if len(set(map(bool, switch))) > 1:
-            raise ValueError(
-                "use_upper_bound, use_warm_start and break_worker_symmetry must be all on "
-                "(the paper configuration) or all off (the baseline search)"
-            )
         limit = self.node_limit
         if limit is not None and (
             isinstance(limit, bool) or not isinstance(limit, Integral) or limit <= 0
@@ -150,92 +129,18 @@ class SolveResult:
     elapsed_s: float
 
 
-@dataclass
-class _SearchState:
-    best_count: int = 0
-    best_routes: tuple[tuple[tuple[int, int], ...], ...] = ()  # node-index pairs per route
-    nodes: int = 0
-    aborted: bool = False
-    frontier_bound: int = 0
-
-
-class CountBound:
-    """How many more requests the open EV arcs can serve, kept as pairs are marked.
-
-    A pickup is *open* while it is unserved and has an EV arc to an unserved
-    delivery; a delivery is open while it is unserved and has an EV arc from
-    an unserved pickup.  Every further pair joins an open pickup to an open
-    delivery, so at most ``2 * min(open pickups, open deliveries)`` more
-    requests can be served.  Marking or unmarking a pair touches only the
-    two nodes' EV neighbours.
-    """
-
-    def __init__(self, ev_next: dict[int, list[int]]) -> None:
-        self.served: set[int] = set()
-        size = 1 + max([*ev_next, *(d for ds in ev_next.values() for d in ds)], default=-1)
-        # both directions of every EV arc, per node index
-        self._neighbours: list[list[int]] = [[] for _ in range(size)]
-        for p, ds in ev_next.items():
-            self._neighbours[p] += ds
-            for d in ds:
-                self._neighbours[d].append(p)
-        # per node, its EV neighbours that are still unserved
-        self._degree = [len(ns) for ns in self._neighbours]
-        # open pickups, open deliveries
-        self._open = [
-            sum(1 for p in ev_next if self._degree[p]),
-            sum(1 for n, ns in enumerate(self._neighbours) if ns and n not in ev_next),
-        ]
-
-    def mark(self, pickup: int, delivery: int) -> None:
-        """Mark served an unserved pair joined by an EV arc."""
-        degree, served, opened = self._degree, self.served, self._open
-        for node, side in ((pickup, 0), (delivery, 1)):
-            if degree[node]:
-                opened[side] -= 1
-            served.add(node)
-            for other in self._neighbours[node]:
-                left = degree[other] = degree[other] - 1
-                if not left and other not in served:
-                    opened[1 - side] -= 1
-
-    def unmark(self, pickup: int, delivery: int) -> None:
-        """Undo the latest ``mark`` not yet undone, which must be of this pair."""
-        degree, served, opened = self._degree, self.served, self._open
-        for node, side in ((delivery, 1), (pickup, 0)):
-            for other in self._neighbours[node]:
-                if not degree[other] and other not in served:
-                    opened[1 - side] += 1
-                degree[other] += 1
-            served.discard(node)
-            if degree[node]:
-                opened[side] += 1
-
-    def value(self) -> int:
-        """At most this many more requests can be served."""
-        return 2 * min(self._open)
-
-
 def _routes_to_solution(instance: Instance, graph: ActionGraph, routes) -> Solution:
-    """One route per worker, each (pickup, delivery) id pairs the scheduler accepts, timed by it."""
+    """Route k for worker k, each (pickup, delivery) id pairs the scheduler accepts, timed by it.
+
+    An empty route leaves its worker idle.
+    """
     timed = []
     for worker, pairs in enumerate(routes):
-        sched = schedule_route(instance, graph, list(pairs))
-        visits = tuple((rid, sched.visit_times[rid]) for pair in pairs for rid in pair)
-        timed.append(Route(worker, visits, sched.depot_departure_min, sched.depot_return_min))
+        if pairs:
+            sched = schedule_route(instance, graph, list(pairs))
+            visits = tuple((rid, sched.visit_times[rid]) for pair in pairs for rid in pair)
+            timed.append(Route(worker, visits, sched.depot_departure_min, sched.depot_return_min))
     return Solution.from_routes(timed)
-
-
-def _child(route, prefix, pair, leg, ride, ride_home, shift_limit):
-    """``(route, prefix, feasible)`` one pair below ``route``; None if it is not extendable.
-
-    ``leg`` is the pair's ``(low, up, op)``; ``ride_home`` is None without an arc home.
-    """
-    prefix = extend(prefix, *leg, ride, shift_limit)
-    if prefix is None or start_delay(prefix) is None:
-        return None
-    feasible = ride_home is not None and start_delay(prefix, ride_home) is not None
-    return route + (pair,), prefix, feasible
 
 
 def _next_pairs(instance: Instance, graph: ActionGraph, allowed: set[str]):
@@ -272,21 +177,6 @@ def _next_pairs(instance: Instance, graph: ActionGraph, allowed: set[str]):
     return nexts, root
 
 
-def _successors(instance: Instance, graph: ActionGraph, allowed: set[str], nexts=None):
-    """``(nexts, ev_next)`` of the baseline search.
-
-    ``nexts`` is :func:`_next_pairs`'s, built here unless given; ``ev_next``
-    maps each ``allowed`` pickup to its EV arcs' ``allowed`` deliveries, for
-    :class:`CountBound`.
-    """
-    usable = np.array([False] + [node in allowed for node in graph.nodes[1:]])
-    ev = graph.is_ev & usable[graph.src] & usable[graph.dst]
-    ev_next: dict[int, list[int]] = {}
-    for p, d in zip(graph.src[ev].tolist(), graph.dst[ev].tolist()):
-        ev_next.setdefault(p, []).append(d)
-    return _next_pairs(instance, graph, allowed)[0] if nexts is None else nexts, ev_next
-
-
 def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
     """Routes of node-index pairs as request-id pairs."""
     return [[(nodes[p], nodes[d]) for p, d in route] for route in routes]
@@ -296,7 +186,7 @@ def _named(nodes: tuple[str, ...], routes) -> list[list[tuple[str, str]]]:
 ROUTE_CAP = 20_000
 
 #: Past ``ROUTE_CAP`` the compact bound gets at most this share of the time left, and the
-#: search or the sequential heuristic after it the rest.
+#: sequential heuristic after it the rest.
 BOUND_SHARE = 0.5
 
 #: Seconds :func:`compute_upper_bound` takes per ``arcs ** 1.5`` of the graph: at most
@@ -314,39 +204,52 @@ def _time_left(deadline: float | None) -> float | None:
     return None if deadline is None else max(0.0, deadline - time.perf_counter())
 
 
-def _route_columns(nexts, shift_limit: float, deadline=None):
-    """``(nodes, starts)``: one schedulable single-worker route per distinct request set.
+def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, goal=None):
+    """``(nodes, starts, best, entered, stopped)``: depth first over every schedulable single-worker route.
 
-    Column ``c`` is the first route found with its request set, as node
-    indices in pair order (pickup, delivery, pickup, ...):
-    ``nodes[starts[c]:starts[c + 1]]``.  Depth first over ``nexts`` (see
-    :func:`_next_pairs`), with :func:`extend` and :func:`start_delay`
-    inlined on the same floats.  None past ``ROUTE_CAP`` sets, or once
+    Over ``nexts`` (see :func:`_next_pairs`) without the nodes marked in
+    ``taken``, with :func:`extend` and ``start_delay`` inlined on the
+    same floats; a route is a tuple of node indices in pair order (pickup,
+    delivery, pickup, ...).  Without ``goal`` each closed route of a new
+    request set joins the pool ``(nodes, starts)`` (see
+    :func:`_route_columns`), and the walk stops past ``ROUTE_CAP`` sets.
+    With one only the first longest closed route is kept, as ``best``, and
+    the walk stops once it serves ``goal`` requests.  ``entered`` counts the
+    prefixes entered; the walk stops past ``node_limit`` of them, or once
     ``deadline`` has passed: the clock is read every 512 prefixes.
     """
     nodes, starts, seen = [], [0], set()
-    entered = 0
+    longest, best, entered = goal is not None, (), 0
+    limit = math.inf if node_limit is None else node_limit
+    check = min(limit + 1, 512)  # the next count of prefixes at which the limits are read
 
     def grow(used, route, home, first, latest, chain, cap, budget, drive) -> bool:
-        # route (node indices) has the Prefix (first, ..., drive) and rides `home` back
-        nonlocal entered
+        # route has the Prefix (first, ..., drive) and rides `home` back; False stops the walk
+        nonlocal entered, best, check
         entered += 1
-        if not entered % 512 and _past(deadline):
-            return False
+        if entered == check:
+            if entered > limit or _past(deadline):
+                return False
+            check = min(limit + 1, entered + 512)
         span = budget - drive
         spread = latest - first
         excess = spread - span
         if chain > span + TIME_TOL or excess > TIME_TOL and excess > cap + TIME_TOL:
             return True  # not extendable
-        if home is not None and used not in seen:
+        if home is not None and (len(route) > len(best) if longest else used not in seen):
             span -= home
             excess = spread - span
             if chain <= span + TIME_TOL and (excess <= TIME_TOL or excess <= cap + TIME_TOL):
-                seen.add(used)
-                nodes.extend(route)
-                starts.append(len(nodes))
-                if len(seen) > ROUTE_CAP:
-                    return False
+                if longest:
+                    best = route
+                    if len(route) >= goal:
+                        return False
+                else:
+                    seen.add(used)
+                    nodes.extend(route)
+                    starts.append(len(nodes))
+                    if len(seen) > ROUTE_CAP:
+                        return False
         for ride, legs in nexts[route[-1]]:
             travel = drive + ride
             reach, chained = latest + travel, chain + travel
@@ -365,10 +268,37 @@ def _route_columns(nexts, shift_limit: float, deadline=None):
 
     for ride, legs in nexts[0]:
         for bits, p, d, low, up, op, ride_home in legs:
+            if taken & bits:
+                continue
             prefix = extend(None, low, up, op, ride, shift_limit)
-            if prefix is not None and not grow(bits, (p, d), ride_home, *prefix):
-                return None
-    return nodes, starts
+            if prefix is not None and not grow(taken | bits, (p, d), ride_home, *prefix):
+                return nodes, starts, best, entered, True
+    return nodes, starts, best, entered, False
+
+
+def _route_columns(nexts, shift_limit: float, deadline=None):
+    """``(nodes, starts)``: one schedulable single-worker route per distinct request set.
+
+    Column ``c`` is the first route found with its request set, as node
+    indices in pair order: ``nodes[starts[c]:starts[c + 1]]``
+    (:func:`_walk`).  None past ``ROUTE_CAP`` sets, or once ``deadline`` has
+    passed.
+    """
+    nodes, starts, _, _, stopped = _walk(nexts, shift_limit, deadline)
+    return None if stopped else (nodes, starts)
+
+
+def _longest_route(nexts, shift_limit: float, deadline, taken: int, node_limit, goal: int):
+    """``(route, entered, ended)``: the first longest schedulable route without the nodes in ``taken``.
+
+    :func:`_walk` keeping only its longest closed route, which serves
+    ``len(route)`` requests.  ``goal`` must bound what any such route
+    serves.  ``ended``: the walk ran to its end, or its route meets
+    ``goal``; either way no route serves more.  Otherwise ``node_limit``
+    or ``deadline`` stopped it, and ``route`` is the longest found.
+    """
+    _, _, route, entered, stopped = _walk(nexts, shift_limit, deadline, taken, node_limit, goal)
+    return route, entered, not stopped or len(route) >= goal
 
 
 #: The exact packing search gives up past this many branches, and the packing LP takes over.
@@ -507,117 +437,32 @@ def solve_branch_and_bound(
     *,
     available: set[str] | None = None,
 ) -> SolveResult:
-    """The answer of the configuration ``options`` selects, over the ``available`` requests.
+    """The best packing of the route pool over the ``available`` requests (see the module docstring).
 
-    When a limit stops a solve early ``optimal`` is False and
-    ``best_bound`` is still a valid upper bound on the true optimum.
+    Past ``ROUTE_CAP`` the compact bound where it fits in its share, then
+    the sequential heuristic.  When a limit stops a solve early ``optimal``
+    is False and ``best_bound`` is still a valid upper bound on the true
+    optimum.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
     allowed = available if available is not None else {r.id for r in instance.requests}
-    if options.use_upper_bound:
-        answer = _from_routes(instance, graph, allowed, options.node_limit, deadline)
-    else:
-        answer = _search(instance, graph, _successors(instance, graph, allowed), options.node_limit, deadline)
-    return SolveResult(*answer, elapsed_s=time.perf_counter() - start)
-
-
-def _from_routes(instance, graph, allowed, node_limit, deadline):
-    """The paper configuration: ``(solution, optimal, best_bound, nodes_explored)``.
-
-    The packing of the route pool; past the route cap the compact bound
-    where it fits in its share, then the sequential heuristic, or at K=1
-    the baseline search pruned by that bound (see the module docstring).
-    """
     params = instance.parameters
-    k_total, node_count = params.workers, len(graph.nodes)
     nexts, root = _next_pairs(instance, graph, allowed)
     pool = _route_columns(nexts, params.shift_limit_min, deadline)
     if pool is not None:
-        bound, routes = _route_packing(pool, k_total, node_count, deadline)
-        solution = _routes_to_solution(instance, graph, _named(graph.nodes, routes))
+        packed, routes = _route_packing(pool, params.workers, len(graph.nodes), deadline)
+        bound = root if packed is None else min(packed, root)
+        solution, nodes = _routes_to_solution(instance, graph, _named(graph.nodes, routes)), 1
     else:
         left = _time_left(deadline)
-        bound = None
+        compact = None
         if left is None or COMPACT_LP_RATE * len(graph.src) ** 1.5 <= BOUND_SHARE * left:
-            bound = compute_upper_bound(instance, graph, None if left is None else BOUND_SHARE * left)
-        if k_total == 1:
-            successors = _successors(instance, graph, allowed, nexts)
-            return _search(instance, graph, successors, node_limit, deadline, bound)
-        rest = _time_left(deadline)
-        solution = Solution.empty()
-        if rest != 0:
-            solution = heuristic_sequential(
-                instance, graph, available=allowed, node_limit=node_limit, time_limit_s=rest
-            )
-    bound = root if bound is None else min(bound, root)
-    return solution, solution.served_count == bound, bound, 1
-
-
-def _search(instance, graph, successors, node_limit, deadline, bound_value=None):
-    """The baseline search: ``(solution, optimal, best_bound, nodes_explored)``.
-
-    ``bound_value``, where given, caps the optimistic value of every node.
-    """
-    nexts, ev_next = successors
-    params = instance.parameters
-    k_total, shift_limit = params.workers, params.shift_limit_min
-    state = _SearchState()
-    fixed: list[tuple[tuple[int, int], ...]] = []  # closed routes of the earlier workers
-    count_bound = CountBound(ev_next)
-    served = count_bound.served
-    mark, unmark = count_bound.mark, count_bound.unmark
-
-    def out_of_budget() -> bool:
-        if not state.aborted:
-            over_nodes = node_limit is not None and state.nodes > node_limit
-            over_time = deadline is not None and time.perf_counter() > deadline
-            state.aborted = over_nodes or over_time
-        return state.aborted
-
-    def expand(route: tuple, prefix: Prefix | None, feasible: bool) -> None:
-        last = route[-1][1] if route else 0
-        for ride, legs in nexts[last]:
-            for _, p, d, low, up, op, ride_home in legs:
-                if p in served or d in served:
-                    continue
-                if out_of_budget():
-                    return
-                child = _child(route, prefix, (p, d), (low, up, op), ride, ride_home, shift_limit)
-                if child is None:
-                    continue
-                mark(p, d)
-                visit(*child)
-                unmark(p, d)
-        if feasible and len(fixed) + 1 < k_total and not out_of_budget():
-            fixed.append(route)
-            visit((), None, False)
-            fixed.pop()
-
-    def visit(route: tuple, prefix: Prefix | None, feasible: bool) -> None:
-        # prefix is None at a route's start; otherwise the route may be open,
-        # unable yet to return to the depot (not feasible)
-        state.nodes += 1
-        if (prefix is None or feasible) and len(served) > state.best_count:
-            state.best_count = len(served)
-            state.best_routes = tuple(fixed) + ((route,) if route else ())
-        optimistic = len(served) + count_bound.value()
-        if bound_value is not None:
-            optimistic = min(optimistic, bound_value)
-        if optimistic > state.best_count and not out_of_budget():
-            expand(route, prefix, feasible)
-        if state.aborted:
-            # this level's unexplored branches can serve no more than optimistic
-            state.frontier_bound = max(state.frontier_bound, optimistic)
-
-    visit((), None, False)
-
-    optimal = not state.aborted
-    # only the returned routes are timed
-    solution = _routes_to_solution(instance, graph, _named(graph.nodes, state.best_routes))
-    best_bound = state.best_count if optimal else max(state.frontier_bound, state.best_count)
-    return solution, optimal, best_bound, state.nodes
+            compact = compute_upper_bound(instance, graph, None if left is None else BOUND_SHARE * left)
+        bound = root if compact is None else min(compact, root)
+        solution, bound, nodes = _sequential(instance, graph, nexts, bound, options.node_limit, deadline)
+    return SolveResult(solution, solution.served_count == bound, bound, nodes, time.perf_counter() - start)
 
 
 def brute_force(instance: Instance, graph: ActionGraph) -> Solution:
@@ -667,42 +512,57 @@ def heuristic_sequential(
     node_limit: int | None = None,
     time_limit_s: float | None = None,
 ) -> Solution:
-    """Fix one exact single-worker route at a time over unserved requests.
+    """Fix one longest single-worker route at a time over the requests the earlier workers left.
 
-    The single-worker searches share ``time_limit_s``: each gets an even
-    share of the time the earlier ones left to it and the workers after it,
-    and none starts once the time is spent.  A search that its share cuts
-    short before any route leaves its worker idle, and the next worker goes
-    on; any other search without a route ends the answer: none is left, or
-    the node limit would stop every worker alike.  Raises ``ValueError`` for
-    limits that :class:`SolveOptions` rejects.
+    Every worker's search walks the same next-pair lists with the requests
+    already served masked out, and stops once its route meets what the
+    root count bound leaves (see :func:`_sequential`).  At K=1 its answer
+    is exact where the search ends.  Raises ``ValueError`` for limits that
+    :class:`SolveOptions` rejects.
     """
     SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
-    remaining = set(available) if available is not None else {r.id for r in instance.requests}
     deadline = time.perf_counter() + time_limit_s if time_limit_s else None
-    single = replace(instance, parameters=replace(instance.parameters, workers=1))
+    allowed = set(available) if available is not None else {r.id for r in instance.requests}
+    nexts, root = _next_pairs(instance, graph, allowed)
+    return _sequential(instance, graph, nexts, root, node_limit, deadline)[0]
 
-    routes: list[Route] = []
-    workers = instance.parameters.workers
+
+def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
+    """``(solution, bound, entered)``: one :func:`_longest_route` per worker over ``nexts``.
+
+    ``bound`` bounds the answer, and each search's goal is what it leaves.
+    It comes back lowered to K times the first route where the first
+    search, which covers every request, ends.  The searches share
+    ``deadline``: each gets an even share of the time the earlier ones left
+    to it and the workers after it, and none starts once the time is spent.
+    They share ``node_limit`` too, as one budget of ``entered`` prefixes.
+    A search that its share or the node limit cuts short before any route
+    leaves its worker idle, and the next worker goes on while time and
+    budget remain; a search that ends without a route ends the answer.
+    """
+    workers, shift_limit = instance.parameters.workers, instance.parameters.shift_limit_min
+    routes, taken, served, entered = [], 0, 0, 0
     for k in range(workers):
-        if not remaining:
+        limit = None if node_limit is None else node_limit - entered
+        if served >= bound or limit is not None and limit <= 0:
             break
-        share = None
+        stop = None
         if deadline is not None:
             share = (deadline - time.perf_counter()) / (workers - k)
             if share <= 0:
                 break
-        options = SolveOptions(node_limit=node_limit, time_limit_s=share)
-        result = solve_branch_and_bound(single, graph, options, available=remaining)
-        picked = result.solution.routes
-        if not picked or not picked[0].visits:
-            if result.optimal or share is None or result.elapsed_s < share:
-                break  # none is left, or the node limit would stop every worker alike
-            continue  # its share ran out: the next worker goes on
-        route = picked[0]
-        routes.append(replace(route, worker_index=k))
-        remaining -= set(route.request_ids)
-    return Solution.from_routes(routes)
+            stop = time.perf_counter() + share
+        route, count, ended = _longest_route(nexts, shift_limit, stop, taken, limit, bound - served)
+        entered += count
+        if ended and not k:  # no route serves more, and no worker
+            bound = min(bound, workers * len(route))
+        if not route and ended:
+            break  # none is left
+        routes.append(tuple(zip(route[::2], route[1::2])))
+        served += len(route)
+        for node in route:
+            taken |= 1 << node
+    return _routes_to_solution(instance, graph, _named(graph.nodes, routes)), bound, entered
 
 
 def compute_upper_bound(

@@ -284,7 +284,7 @@ def test_criterion_8_pipeline_scale():
             monotone = False
     _verdict(
         8,
-        elapsed < 600.0 and "Improv" in report and monotone and len(records) == 30,
+        elapsed < 600.0 and "CPU" in report and monotone and len(records) == 30,
         f"bench over sizes {{10,20}} x 5 seeds x K in {{1,2,3}} finished in "
-        f"{elapsed:.0f}s with Improv column and served% weakly increasing in K",
+        f"{elapsed:.0f}s with CPU column and served% weakly increasing in K",
     )

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from evrelocate import (
     GeneratorConfig,
     RequestKind,
+    brute_force,
+    build_graph,
     emit_report,
     generate_instance,
     instance_to_json,
+    matrix_for_instance,
     parse_report_csv,
     run_experiment,
 )
@@ -66,12 +71,15 @@ class TestGenerator:
         assert len(used) > 1
 
 
-def small_records():
-    instances = [
+def small_instances():
+    return [
         (f"t6_{seed}", generate_instance(GeneratorConfig(request_total=6, seed=seed)))
         for seed in (1, 2)
     ]
-    return run_experiment(instances, [1, 2], time_limit_s=10.0)
+
+
+def small_records():
+    return run_experiment(small_instances(), [1, 2], time_limit_s=10.0)
 
 
 class TestExperiment:
@@ -88,30 +96,25 @@ class TestExperiment:
             assert cells[2].served_pct >= cells[1].served_pct
 
     def test_configurations_agree_when_optimal(self):
+        # a proved cell serves what the brute-force oracle serves
+        instances = dict(small_instances())
         for rec in small_records():
-            if rec.optimal_baseline and rec.optimal_speedup:
-                assert rec.objective == rec.objective_baseline
+            if rec.optimal:
+                inst = instances[rec.instance_name]
+                inst = replace(inst, parameters=replace(inst.parameters, workers=rec.workers))
+                graph = build_graph(inst, matrix_for_instance(inst))
+                assert rec.objective == brute_force(inst, graph).served_count
 
 
 class TestReports:
-    def test_improvement_arithmetic(self):
+    def test_served_and_cpu_columns(self):
         rec = ExperimentRecord(
-            instance_name="x",
-            request_count=10,
-            workers=2,
-            served_pct=80.0,
-            objective=8,
-            cpu1_s=100.0,
-            cpu2_s=14.0,
-            improv_pct=(100.0 - 14.0) / 100.0 * 100.0,
-            optimal_baseline=True,
-            optimal_speedup=True,
-            objective_baseline=8,
+            instance_name="x", request_count=10, workers=2, served_pct=80.0, objective=8,
+            cpu_s=0.014, optimal=False,
         )
-        assert rec.improv_pct == pytest.approx(86.0)
         text = emit_report([rec], "text")
-        assert "Improv" in text
-        assert "86.0%" in text
+        assert text.splitlines()[0].split("\t") == ["Instance", "Req", "K=2 Served", "CPU"]
+        assert "x\t10\t80%*\t0.01" in text
 
     def test_single_record_report_has_data_and_average_rows(self):
         records = small_records()[:1]

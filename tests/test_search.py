@@ -14,7 +14,7 @@ from scipy.sparse import diags
 
 import evrelocate.search
 from evrelocate.cli import main
-from evrelocate.scheduling import leg_bounds
+from evrelocate.scheduling import extend, leg_bounds, start_delay
 from evrelocate import (
     DEFAULT_PARAMETERS,
     GeneratorConfig,
@@ -22,9 +22,7 @@ from evrelocate import (
     Location,
     Request,
     RequestKind,
-    Solution,
     SolveOptions,
-    SolveResult,
     brute_force,
     build_graph,
     build_milp,
@@ -179,7 +177,9 @@ class TestBranchAndBound:
                 assert bb.optimal
                 assert bb.solution.served_count == oracle.served_count, (seed, k)
 
-    def test_node_limit_yields_flagged_incumbent(self):
+    def test_node_limit_yields_flagged_incumbent(self, monkeypatch):
+        # the node limit stops the single-worker searches past the route cap
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
         inst, graph = random_case(3)
         result = solve_branch_and_bound(inst, graph, SolveOptions(node_limit=1))
         assert not result.optimal
@@ -200,7 +200,7 @@ class TestBranchAndBound:
             assert report.passed, (seed, report.failures())
 
     def test_option_combinations_preserve_objective(self):
-        # the two configurations, the baseline search and the paper's, prove one optimum
+        # the three switches are read by nothing: with or without them, one optimum
         for seed in range(8):
             inst, graph = random_case(seed)
             for k in (2, 3):
@@ -281,28 +281,27 @@ class TestHeuristic:
 
     def test_stalled_worker_passes_on(self, monkeypatch):
         # the first worker's search returns no route: cut short by its share, the later
-        # workers serve what a two-worker run serves; proved empty, or stopped by the node
-        # limit, which would stop every worker alike, the answer ends there
+        # workers serve what a two-worker run serves; ended empty, or stopped by the node
+        # limit, which the workers share, the answer ends there
         inst, graph = random_case(1, size=24)
         inst = with_workers(inst, 3)
         two_workers = heuristic_sequential(with_workers(inst, 2), graph)
-        solve = evrelocate.search.solve_branch_and_bound
-        for optimal, limits in ((False, {"time_limit_s": 60.0}), (True, {}), (False, {"node_limit": 10**6})):
+        search = evrelocate.search._longest_route
+        for ended, limits in ((False, {"time_limit_s": 60.0}), (True, {}), (False, {"node_limit": 10**6})):
             calls = []
 
-            def first_stalls(instance, graph, options, **kwargs):
-                calls.append(instance.parameters.workers)
-                if len(calls) == 1:  # its whole share spent, or none of it
-                    spent = options.time_limit_s or 0.0
-                    return SolveResult(Solution.empty(), optimal, 24, 1, elapsed_s=spent)
-                return solve(instance, graph, options, **kwargs)
+            def first_stalls(nexts, shift_limit, deadline, taken, node_limit, goal):
+                calls.append(taken)
+                if len(calls) == 1:  # its share or its node budget spent, or none of it
+                    return (), (node_limit or 0) + 1, ended
+                return search(nexts, shift_limit, deadline, taken, node_limit, goal)
 
-            monkeypatch.setattr(evrelocate.search, "solve_branch_and_bound", first_stalls)
+            monkeypatch.setattr(evrelocate.search, "_longest_route", first_stalls)
             solution = heuristic_sequential(inst, graph, **limits)
-            if optimal or "node_limit" in limits:
-                assert calls == [1] and solution.served_count == 0, limits
+            if ended or "node_limit" in limits:
+                assert calls == [0] and solution.served_count == 0, limits
                 continue
-            assert calls == [1, 1, 1]
+            assert len(calls) == 3 and calls[:2] == [0, 0]
             assert solution.served_count == two_workers.served_count > 0
             assert {route.worker_index for route in solution.routes} == {1, 2}
             assert check_solution(inst, graph, solution).passed
@@ -334,15 +333,14 @@ class TestUpperBound:
                 assert heur <= exact <= bound, (seed, k, heur, exact, bound)
 
     def test_upper_bound_never_blocks_optimum(self, monkeypatch):
-        # past the route cap at K=1 the compact bound prunes the search
+        # past the route cap at K=1 the compact bound is the single-worker search's goal
+        cases = [(with_workers(inst, 1), graph) for inst, graph in map(random_case, range(8))]
+        pooled = [solve_branch_and_bound(inst, graph) for inst, graph in cases]
         monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
         bounds = counted_calls(monkeypatch, "compute_upper_bound")
-        for seed in range(8):
-            inst, graph = random_case(seed)
-            inst = with_workers(inst, 1)
-            capped = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
-            plain = solve_branch_and_bound(inst, graph)
-            assert capped.optimal
+        for (inst, graph), plain in zip(cases, pooled):
+            capped = solve_branch_and_bound(inst, graph)
+            assert capped.optimal and plain.optimal
             assert capped.solution.served_count == plain.solution.served_count
         assert bounds == [1] * 8
 
@@ -422,7 +420,7 @@ def pool_of(routes):
     return nodes, starts
 
 
-def reference_columns(inst, graph):
+def reference_columns(inst, graph, made=None):
     """Mask of each request set -> its first route: the pool by plain calls, no cap.
 
     The enumeration the flat pool replaced: successor lists read from the
@@ -445,11 +443,26 @@ def reference_columns(inst, graph):
             ride_home[i] = op
         else:
             rides[i].append((j, op))
-    return reference_pool(legs, rides, ride_home, inst.parameters.shift_limit_min)
+    return reference_pool(legs, rides, ride_home, inst.parameters.shift_limit_min, made)
 
 
-def reference_pool(legs, rides, ride_home, shift_limit):
-    """Mask -> first route over successor lists, by ``_child`` (``extend`` and ``start_delay``) on every pair."""
+def child(route, prefix, pair, leg, ride, ride_home, shift_limit):
+    """``(route, prefix, feasible)`` one pair below ``route``; None if it is not extendable.
+
+    ``leg`` is the pair's ``(low, up, op)``; ``ride_home`` is None without an arc home.
+    """
+    prefix = extend(prefix, *leg, ride, shift_limit)
+    if prefix is None or start_delay(prefix) is None:
+        return None
+    feasible = ride_home is not None and start_delay(prefix, ride_home) is not None
+    return route + (pair,), prefix, feasible
+
+
+def reference_pool(legs, rides, ride_home, shift_limit, made=None):
+    """Mask -> first route over successor lists, by :func:`child` on every pair.
+
+    ``made``, where given, gains ``(route, child)`` for every pair tried below ``route``.
+    """
     columns = {}
 
     def grow(route, prefix, used, last):
@@ -459,13 +472,16 @@ def reference_pool(legs, rides, ride_home, shift_limit):
             for d, leg in legs[p]:
                 if used >> d & 1:
                     continue
-                child = evrelocate.search._child(route, prefix, (p, d), leg, ride, ride_home[d], shift_limit)
-                if child is None:
+                made_here = child(route, prefix, (p, d), leg, ride, ride_home[d], shift_limit)
+                if made is not None:
+                    made.append((route + ((p, d),), made_here))
+                if made_here is None:
                     continue
+                child_route, child_prefix, feasible = made_here
                 mask = used | 1 << p | 1 << d
-                if child[2] and mask not in columns:
-                    columns[mask] = child[0]
-                grow(child[0], child[1], mask, d)
+                if feasible and mask not in columns:
+                    columns[mask] = child_route
+                grow(child_route, child_prefix, mask, d)
 
     grow((), None, 0, 0)
     return columns
@@ -602,18 +618,17 @@ class TestRouteBound:
         inst = generate_instance(GeneratorConfig(request_total=24, seed=seed))
         graph = build_graph(inst, matrix_for_instance(inst))
         bounds = counted_calls(monkeypatch, "compute_upper_bound")
-        warm_starts = counted_calls(monkeypatch, "heuristic_sequential")
+        warm_starts = counted_calls(monkeypatch, "_sequential")
         solves = highs_calls(monkeypatch)
         for k in (1, 2, 3):
             inst_k = with_workers(inst, k)
             paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
-            default = solve_branch_and_bound(inst_k, graph, SolveOptions(node_limit=20_000))
             assert paper.optimal and paper.nodes_explored == 1, k
-            assert paper.best_bound == paper.solution.served_count >= default.solution.served_count
+            assert paper.best_bound == paper.solution.served_count
             assert check_solution(inst_k, graph, paper.solution).passed, k
         assert bounds == []
         # the packing search settles every cell but seed 100007's K=3, where one LP
-        # meets the search's best packing: no sequential warm start runs
+        # meets the search's best packing: the sequential heuristic never runs
         assert len(solves) == lp_solves
         assert warm_starts == []
 
@@ -679,29 +694,60 @@ class TestRouteBound:
             assert result.solution.served_count == result.best_bound, k
 
     def test_past_the_cap_falls_back(self, monkeypatch):
-        # K=2-3: the sequential heuristic's answer against the smaller of the compact
-        # bound and the root's count bound; K=1: the search pruned by the compact bound
-        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
-        proved = []
+        # the sequential heuristic's answer against the smallest of the compact bound, the
+        # root's count bound and K times the longest route, which the first worker's search
+        # finds when it ends; at K=1 that proves the pool's optimum
+        cells = []
         for seed in range(6):
             inst, graph = random_case(seed, size=12)
-            allowed = {r.id for r in inst.requests}
-            root = recount(evrelocate.search._successors(inst, graph, allowed)[1], set())
             for k in (1, 2, 3):
                 inst_k = with_workers(inst, k)
-                paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
-                served = paper.solution.served_count
-                assert check_solution(inst_k, graph, paper.solution).passed, (seed, k)
-                if k == 1:
-                    default = solve_branch_and_bound(inst_k, graph)
-                    assert paper.optimal and served == default.solution.served_count, seed
-                    continue
-                assert served == heuristic_sequential(inst_k, graph).served_count, (seed, k)
-                bound = min(compute_upper_bound(inst_k, graph), root)
-                assert paper.best_bound == bound, (seed, k)
-                assert paper.optimal == (served == bound) and paper.nodes_explored == 1, (seed, k)
-                proved.append(paper.optimal)
+                cells.append(((seed, k), inst_k, graph, solve_branch_and_bound(inst_k, graph)))
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
+        proved = []
+        for cell, inst, graph, pooled in cells:
+            k = inst.parameters.workers
+            result = solve_branch_and_bound(inst, graph)
+            served = result.solution.served_count
+            assert check_solution(inst, graph, result.solution).passed, cell
+            assert served == heuristic_sequential(inst, graph).served_count, cell
+            longest = 2 * max(map(len, reference_columns(inst, graph).values()), default=0)
+            root = recount(graph)
+            assert result.best_bound == min(compute_upper_bound(inst, graph), root, k * longest), cell
+            assert result.optimal == (served == result.best_bound) and result.nodes_explored >= 1, cell
+            if k == 1:
+                assert result.optimal and served == pooled.solution.served_count, cell
+            proved.append(result.optimal)
         assert set(proved) == {False, True}
+
+    @pytest.mark.parametrize("size, seeds", [(24, range(100000, 100010)), (40, range(5))])
+    def test_k1_past_the_cap_proves_the_optimum(self, monkeypatch, size, seeds):
+        # one single-worker search, run to its end or to the compact bound, proves K=1
+        cells = [(with_workers(inst, 1), graph) for inst, graph in (random_case(seed, size) for seed in seeds)]
+        pooled = [solve_branch_and_bound(inst, graph) for inst, graph in cells]
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
+        for (inst, graph), expected in zip(cells, pooled):
+            result = solve_branch_and_bound(inst, graph)
+            assert result.optimal and result.nodes_explored >= 1
+            assert result.solution.served_count == result.best_bound == expected.best_bound
+            assert check_solution(inst, graph, result.solution).passed
+
+    @pytest.mark.parametrize("family", ["spread", "generator-24", "generator-40"])
+    def test_longest_route_is_the_largest_reference_column(self, family):
+        # the enumeration's loop kept to its longest route, run to its end: the first of the
+        # reference pool's largest columns
+        if family == "spread":
+            cells = [case for _, case in spread_cells()]
+        else:
+            size = int(family.split("-")[1])
+            cells = [random_case(seed, size=size) for seed in {24: range(100000, 100010), 40: range(5)}[size]]
+        for inst, graph in cells:
+            nexts, _ = evrelocate.search._next_pairs(inst, graph, {r.id for r in inst.requests})
+            shift_limit = inst.parameters.shift_limit_min
+            route, entered, ended = evrelocate.search._longest_route(nexts, shift_limit, None, 0, None, math.inf)
+            largest = max(reference_columns(inst, graph).values(), key=len, default=())
+            assert ended and route == tuple(n for pair in largest for n in pair)
+            assert entered >= len(route) // 2
 
     def test_lp_cells_closed_by_the_packing_search(self, monkeypatch):
         # with no capped search steps every K>1 cell takes one LP solve, and the packing
@@ -732,50 +778,13 @@ class TestRouteBound:
         assert evrelocate.search._route_packing(pool_of([]), 2, len(graph.nodes)) == (0, [])
 
 
-def recount(ev_next, served):
-    """The count bound from scratch: a rescan of every EV arc."""
-    open_pickups = 0
-    open_deliveries = set()
-    for p, ds in ev_next.items():
-        if p in served:
-            continue
-        open_ds = [d for d in ds if d not in served]
-        if open_ds:
-            open_pickups += 1
-            open_deliveries.update(open_ds)
-    return 2 * min(open_pickups, len(open_deliveries))
-
-
-class TestCountBound:
-    def test_matches_recount_under_random_marks(self):
-        rng = random.Random(0)
-        for _ in range(200):
-            pickups = list(range(1, rng.randint(1, 9)))  # node indices, as the search has them
-            deliveries = list(range(10, rng.randint(10, 18)))
-            density = rng.random()
-            ev_next = {}
-            for p in pickups:
-                ds = [d for d in deliveries if rng.random() < density]
-                if ds:
-                    ev_next[p] = ds
-            bound = evrelocate.search.CountBound(ev_next)
-            marked = []
-            assert bound.value() == recount(ev_next, set())
-            for _ in range(30):
-                arcs = [
-                    (p, d)
-                    for p, ds in ev_next.items()
-                    for d in ds
-                    if p not in bound.served and d not in bound.served
-                ]
-                if arcs and (not marked or rng.random() < 0.6):
-                    pair = rng.choice(arcs)
-                    bound.mark(*pair)
-                    marked.append(pair)
-                elif marked:
-                    bound.unmark(*marked.pop())
-                assert bound.served == {n for pair in marked for n in pair}
-                assert bound.value() == recount(ev_next, bound.served)
+def recount(graph):
+    """The root's count bound from scratch: twice the smaller count of pickups and deliveries on EV arcs."""
+    pickups, deliveries = set(), set()
+    for p, d in zip(graph.src[graph.is_ev].tolist(), graph.dst[graph.is_ev].tolist()):
+        pickups.add(p)
+        deliveries.add(d)
+    return 2 * min(len(pickups), len(deliveries))
 
 
 @pytest.fixture(scope="module")
@@ -784,12 +793,11 @@ def case_200():
     return inst, build_graph(inst, matrix_for_instance(inst))
 
 
-
 class TestSearchUnchanged:
-    """The search tree of the whole-route scheduler it replaced, cell by cell.
+    """Pinned answers, cell by cell.
 
-    The paper configuration's cells are proved at the root by the route
-    packing bound and its incumbent, so they pin one node each.
+    Every cell is proved at the root by the route packing and its bound, so
+    it pins one node, with the three switches or without them.
     """
 
     @pytest.mark.parametrize(
@@ -799,29 +807,30 @@ class TestSearchUnchanged:
             (100000, True, 1, (6, 6, True, 1)),
             (100000, True, 2, (10, 10, True, 1)),
             (100000, True, 3, (14, 14, True, 1)),
-            (100000, False, 1, (6, 6, True, 160)),
-            (100000, False, 2, (10, 10, True, 12811)),
-            (100000, False, 3, (12, 18, False, 20001)),
+            (100000, False, 1, (6, 6, True, 1)),
+            (100000, False, 2, (10, 10, True, 1)),
+            (100000, False, 3, (14, 14, True, 1)),
             (100001, True, 1, (6, 6, True, 1)),
             (100001, True, 2, (12, 12, True, 1)),
-            (100001, False, 1, (6, 6, True, 436)),
-            (100001, False, 2, (12, 22, False, 20001)),
-            (100001, False, 3, (14, 22, False, 20001)),
+            (100001, False, 1, (6, 6, True, 1)),
+            (100001, False, 2, (12, 12, True, 1)),
+            (100001, False, 3, (16, 16, True, 1)),
             (100002, True, 1, (6, 6, True, 1)),
             (100002, True, 2, (10, 10, True, 1)),
-            (100002, False, 1, (6, 6, True, 366)),
-            (100002, False, 2, (10, 20, False, 20001)),
-            (100002, False, 3, (12, 20, False, 20001)),
+            (100002, False, 1, (6, 6, True, 1)),
+            (100002, False, 2, (10, 10, True, 1)),
+            (100002, False, 3, (12, 12, True, 1)),
             (100003, True, 1, (6, 6, True, 1)),
             (100003, True, 2, (10, 10, True, 1)),
             (100003, True, 3, (14, 14, True, 1)),
-            (100003, False, 1, (6, 6, True, 264)),
-            (100003, False, 2, (10, 10, True, 15043)),
-            (100003, False, 3, (12, 18, False, 20001)),
+            (100003, False, 1, (6, 6, True, 1)),
+            (100003, False, 2, (10, 10, True, 1)),
+            (100003, False, 3, (14, 14, True, 1)),
         ],
     )
     def test_node_limited_cells_pinned(self, seed, paper, k, expected):
-        # paper: the speedups with a 100 000-node limit; default: a 20 000-node limit
+        # SolveOptions() proves at the root too; paper: the switches and a 100 000-node
+        # limit, default: none and a 20 000-node limit, which the pool reads neither of
         inst = with_workers(generate_instance(GeneratorConfig(request_total=24, seed=seed)), k)
         graph = build_graph(inst, matrix_for_instance(inst))
         options = SolveOptions(node_limit=100_000, **PAPER) if paper else SolveOptions(node_limit=20_000)
@@ -830,52 +839,38 @@ class TestSearchUnchanged:
         assert got == expected
         assert check_solution(inst, graph, result.solution).passed
 
-    def test_carried_verdicts_equal_schedule_route(self, monkeypatch):
-        # every child the baseline search makes, extendable or not, against a
-        # fresh schedule of its whole route: a prefix gone stale on backtrack
-        # or at a worker switch shows as a verdict that differs
-        child = evrelocate.search._child
-        calls = []
-
-        def spy(route, prefix, pair, *args):
-            made = child(route, prefix, pair, *args)
-            calls.append((route + (pair,), made))
-            return made
-
+    def test_carried_verdicts_equal_schedule_route(self):
+        # every child the reference enumeration makes, extendable or not, against a
+        # fresh schedule of its whole route: a prefix gone stale on backtrack shows as
+        # a verdict that differs; the pool equals that enumeration column for column, and
+        # its columns and the longest route, each scheduled whole, are feasible
         verdicts = set()
-        # the paper configuration's pool (no baseline child); past the route cap (0)
-        # its sequential heuristic's single-worker searches; the baseline's worker switches
-        cases = ((40, 3, 2, True, 20_000), (40, 3, 3, True, 0), (60, 1, 2, False, 20_000))
-        for size, seed, k, paper, cap in cases:
-            inst = with_workers(generate_instance(GeneratorConfig(request_total=size, seed=seed)), k)
+        for size, seed in ((24, 100000), (40, 3), (40, 4)):
+            inst = generate_instance(GeneratorConfig(request_total=size, seed=seed))
             graph = build_graph(inst, matrix_for_instance(inst))
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(evrelocate.search, "_child", spy)
-                patch.setattr(evrelocate.search, "ROUTE_CAP", cap)
-                options = SolveOptions(node_limit=3000, **(PAPER if paper else {}))
-                solve_branch_and_bound(inst, graph, options)
-            if paper and cap:  # the pool makes no baseline child
-                assert calls == []
-            else:
-                assert len(calls) > 3000
-            for route, made in calls:
+            made = []
+            reference_columns(inst, graph, made)
+            assert len(made) > 150
+            for route, child_made in made[:6000]:
                 pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
                 fresh = schedule_route(inst, graph, pairs)
-                carried = (made is not None, made is not None and made[2])
-                assert carried == (fresh.extendable, fresh.feasible), (size, seed, k, pairs)
-                assert made is None or made[0] == route
+                carried = (child_made is not None, child_made is not None and child_made[2])
+                assert carried == (fresh.extendable, fresh.feasible), (size, seed, pairs)
+                assert child_made is None or child_made[0] == route
                 verdicts.add(carried)
-            if paper and cap:  # the pool's verdicts: every column, scheduled whole, is feasible
-                for route in pool_routes(route_columns(inst, graph)):
-                    pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
-                    assert schedule_route(inst, graph, pairs).feasible, (size, seed, k, pairs)
+            nexts, _ = evrelocate.search._next_pairs(inst, graph, {r.id for r in inst.requests})
+            longest, _, _ = evrelocate.search._longest_route(nexts, 300.0, None, 0, None, math.inf)
+            for route in [*pool_routes(route_columns(inst, graph)), tuple(zip(longest[::2], longest[1::2]))]:
+                pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
+                assert schedule_route(inst, graph, pairs).feasible, (size, seed, pairs)
         assert verdicts == {(False, False), (True, False), (True, True)}
 
 
 class TestStoppingRule:
-    def test_node_limit_overshoots_by_at_most_one(self):
-        inst, graph = random_case(1, size=24)
+    def test_node_limit_overshoots_by_at_most_one(self, monkeypatch):
+        # past the route cap the single-worker searches share the node limit
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
+        inst, graph = random_case(1, size=40)
         for k in (2, 3):
             for limit in (500, 2000):
                 result = solve_branch_and_bound(
@@ -907,7 +902,7 @@ class TestStoppingRule:
 
     def test_search_gets_the_rest_past_the_cap(self, monkeypatch, case_200):
         # at K=1 the compact LP (about 1 s at 200 requests) cannot finish in its share, so
-        # it does not run and the baseline search gets the whole limit
+        # it does not run and the single-worker search gets the rest of the limit
         inst, graph = case_200
         solves = highs_calls(monkeypatch)
         result = solve_branch_and_bound(with_workers(inst, 1), graph, SolveOptions(time_limit_s=0.3, **PAPER))
@@ -977,9 +972,7 @@ class TestStoppingRule:
     )
     def test_malformed_limits_rejected(self, capsys, name, value):
         if name.startswith("use_") or name == "break_worker_symmetry":
-            # one switch spelled three ways: a mix is neither configuration
-            with pytest.raises(ValueError, match=f"{name}.* must be all on"):
-                SolveOptions(**{name: value})
+            # the switches are read by nothing, and the CLI has no flag for them
             flag = {"use_upper_bound": "--upper-bound", "use_warm_start": "--warm-start"}
             with pytest.raises(SystemExit) as exited:
                 main(["solve", "--instance", "x.json", flag.get(name, "--symmetry-breaking")])
@@ -1022,8 +1015,10 @@ class TestStoppingRule:
         solve_branch_and_bound(inst, graph, SolveOptions(node_limit=200))
         assert built == [True]
 
-    def test_frontier_bound_valid_when_stopped_early(self):
-        # the spread cells of test_bound_valid_and_optimum_completes_on_spread_instances
+    def test_frontier_bound_valid_when_stopped_early(self, monkeypatch):
+        # the spread cells of test_bound_valid_and_optimum_completes_on_spread_instances,
+        # past the route cap, where the node limit stops the single-worker searches
+        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
         cells = product((False, True), (10, 30, 60), (1, 3, 9), (6, 8, 10), (1, 2, 3))
         for cell in cells:
             explicit, footprint, stations, size, k = cell
@@ -1069,13 +1064,10 @@ def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size,
     assert pool_routes(route_columns(inst, graph)) == list(reference_columns(inst, graph).values())
     optimum = brute_force(inst, graph).served_count
     result = solve_branch_and_bound(inst, graph)
-    assert result.optimal
-    assert result.solution.served_count == optimum
-    paper = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
     with patch.object(evrelocate.search, "PACKING_STEPS", 0):  # the packing LP from K=2 on
-        lp_paper = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
-    for solved in (paper, lp_paper):
-        assert solved.optimal and solved.nodes_explored == 1  # the K-worker search never runs
+        lp_result = solve_branch_and_bound(inst, graph)
+    for solved in (result, lp_result):
+        assert solved.optimal and solved.nodes_explored == 1  # read at the root
         assert solved.solution.served_count == solved.best_bound == optimum
         assert check_solution(inst, graph, solved.solution).passed
     model = build_milp(inst, graph)
