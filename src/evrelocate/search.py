@@ -37,10 +37,11 @@ milliseconds at 200 requests), and a bound cut short is no bound.  The rest
 of the time goes to :func:`heuristic_sequential`, whose answer it is.  Its
 single-worker search (:func:`_longest_route`) is the enumeration's own loop
 with a second leaf, which keeps only the longest closed route: it counts
-the prefixes it enters against ``node_limit`` and stops once its route
-meets the bound it is told.  The first worker's search covers every
-request, so when it ends no route serves more than its route, and K times
-that count is a bound too: at K=1 a search that ends proves its route.
+the prefixes it enters against its share of ``node_limit`` and stops once
+its route meets the bound it is told.  The first worker's search covers
+every request, so when it ends no route serves more than its route, and K
+times that count is a bound too: at K=1 a search that ends proves its
+route.
 Every HiGHS solve gets only the time left and none starts without it; an
 LP that runs out of time gives no bound.  ``best_bound`` is the smallest
 bound that ran, the root's count bound (twice the smaller count of pickups
@@ -90,7 +91,8 @@ class SolveOptions:
     """The limits of a solve.
 
     ``node_limit`` is a positive integer: the prefixes that the
-    single-worker searches past ``ROUTE_CAP`` may enter, all together.
+    single-worker searches past ``ROUTE_CAP`` may enter, split among them
+    as the time is (see :func:`_sequential`).
     ``time_limit_s`` is positive and finite.  Anything else raises
     ``ValueError``.  ``use_upper_bound``, ``use_warm_start`` and
     ``break_worker_symmetry`` are accepted and read by nothing: every solve
@@ -143,36 +145,35 @@ def _routes_to_solution(instance: Instance, graph: ActionGraph, routes) -> Solut
     return Solution.from_routes(timed)
 
 
-def _next_pairs(instance: Instance, graph: ActionGraph, allowed: set[str]):
+def _next_pairs(instance: Instance, graph: ActionGraph):
     """``(nexts, root)``: per node index, the pairs a route may take next; the root count bound.
 
     ``nexts[n]`` holds ``(ride, legs)`` for each bike ride of ``ride``
-    minutes from ``n`` to an ``allowed`` pickup ``p``, in node order:
-    ``legs`` holds ``(bits, p, d, low, up, op, ride_home)`` for each EV leg
-    ``(low, up, op)`` from ``p`` to an ``allowed`` delivery ``d`` whose
-    charge margin holds, in node order; ``bits`` marks ``p`` and ``d``, and
+    minutes from ``n`` to a pickup ``p``, in node order: ``legs`` holds
+    ``(bits, p, d, low, up, op, ride_home)`` for each EV leg
+    ``(low, up, op)`` from ``p`` to a delivery ``d`` whose charge margin
+    holds, in node order; ``bits`` marks ``p`` and ``d``, and
     ``ride_home`` is None where ``d`` has no arc to the depot.  ``root`` is
     twice the smaller count of pickups and deliveries that an EV arc
-    between ``allowed`` requests touches.
+    touches.
     """
     graph.arc_position(DEPOT_NODE, DEPOT_NODE)  # schedule_route's lookups, built before any deadline
     tau, charge, src, dst, minutes = graph.tau, graph.charge, graph.src, graph.dst, graph.op_time_min
-    usable = np.array([False] + [node in allowed for node in graph.nodes[1:]])
-    ev = graph.is_ev & usable[src] & usable[dst]
+    ev = graph.is_ev
     pick, drop, drive = src[ev], dst[ev], minutes[ev]
     root = 2 * min(len(set(pick.tolist())), len(set(drop.tolist())))
     low, up, fits = leg_bounds(
         instance.parameters, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
     )
     home = dict(zip(src[dst == 0].tolist(), minutes[dst == 0].tolist()))  # no EV arc ends at the depot
-    legs = [[] for _ in usable]
+    legs = [[] for _ in graph.nodes]
     for p, d, lo, hi, op in zip(*(c[fits].tolist() for c in (pick, drop, low, up, drive))):
         legs[p].append((1 << p | 1 << d, p, d, lo, hi, op, home.get(d)))
     # one tuple of legs per pickup, shared by its rides: tuples of numbers the garbage collector
     # stops tracking, while lists in every ride would bring its next full collection forward
     legs = [tuple(pairs) for pairs in legs]
-    nexts = [[] for _ in usable]
-    for n, p, ride in zip(*(c[~graph.is_ev & usable[dst]].tolist() for c in (src, dst, minutes))):
+    nexts = [[] for _ in graph.nodes]
+    for n, p, ride in zip(*(c[~ev & (dst > 0)].tolist() for c in (src, dst, minutes))):  # rides to pickups
         nexts[n].append((ride, legs[p]))
     return nexts, root
 
@@ -434,10 +435,8 @@ def solve_branch_and_bound(
     instance: Instance,
     graph: ActionGraph,
     options: SolveOptions | None = None,
-    *,
-    available: set[str] | None = None,
 ) -> SolveResult:
-    """The best packing of the route pool over the ``available`` requests (see the module docstring).
+    """The best packing of the route pool (see the module docstring).
 
     Past ``ROUTE_CAP`` the compact bound where it fits in its share, then
     the sequential heuristic.  When a limit stops a solve early ``optimal``
@@ -447,9 +446,8 @@ def solve_branch_and_bound(
     options = options or SolveOptions()
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
-    allowed = available if available is not None else {r.id for r in instance.requests}
     params = instance.parameters
-    nexts, root = _next_pairs(instance, graph, allowed)
+    nexts, root = _next_pairs(instance, graph)
     pool = _route_columns(nexts, params.shift_limit_min, deadline)
     if pool is not None:
         packed, routes = _route_packing(pool, params.workers, len(graph.nodes), deadline)
@@ -508,7 +506,6 @@ def heuristic_sequential(
     instance: Instance,
     graph: ActionGraph,
     *,
-    available: set[str] | None = None,
     node_limit: int | None = None,
     time_limit_s: float | None = None,
 ) -> Solution:
@@ -522,8 +519,7 @@ def heuristic_sequential(
     """
     SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
     deadline = time.perf_counter() + time_limit_s if time_limit_s else None
-    allowed = set(available) if available is not None else {r.id for r in instance.requests}
-    nexts, root = _next_pairs(instance, graph, allowed)
+    nexts, root = _next_pairs(instance, graph)
     return _sequential(instance, graph, nexts, root, node_limit, deadline)[0]
 
 
@@ -531,33 +527,37 @@ def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
     """``(solution, bound, entered)``: one :func:`_longest_route` per worker over ``nexts``.
 
     ``bound`` bounds the answer, and each search's goal is what it leaves.
-    It comes back lowered to K times the first route where the first
-    search, which covers every request, ends.  The searches share
-    ``deadline``: each gets an even share of the time the earlier ones left
-    to it and the workers after it, and none starts once the time is spent.
-    They share ``node_limit`` too, as one budget of ``entered`` prefixes.
-    A search that its share or the node limit cuts short before any route
-    leaves its worker idle, and the next worker goes on while time and
-    budget remain; a search that ends without a route ends the answer.
+    It comes back lowered to K times the longest route where a search that
+    covers every request ends.  The searches share ``deadline`` and
+    ``node_limit``: each gets an even share of the time and of the
+    prefixes the earlier ones left to it and the workers after it, and none
+    starts once either is spent, so the searches enter at most one prefix
+    past ``node_limit`` together.  A search that its share cuts short
+    before any route leaves its worker idle, and the next gets all that is
+    left, since with an even share it would walk the same prefixes and stop
+    alike; a search without a route that ends, or that had all that was
+    left, ends the answer.
     """
     workers, shift_limit = instance.parameters.workers, instance.parameters.shift_limit_min
-    routes, taken, served, entered = [], 0, 0, 0
+    routes, taken, served, entered, stalled = [], 0, 0, 0, False
     for k in range(workers):
-        limit = None if node_limit is None else node_limit - entered
+        parts = 1 if stalled else workers - k
+        limit = None if node_limit is None else -((entered - node_limit) // parts)  # rounded up
         if served >= bound or limit is not None and limit <= 0:
             break
         stop = None
         if deadline is not None:
-            share = (deadline - time.perf_counter()) / (workers - k)
+            share = (deadline - time.perf_counter()) / parts
             if share <= 0:
                 break
             stop = time.perf_counter() + share
         route, count, ended = _longest_route(nexts, shift_limit, stop, taken, limit, bound - served)
         entered += count
-        if ended and not k:  # no route serves more, and no worker
+        if ended and not taken:  # no route serves more, and no worker
             bound = min(bound, workers * len(route))
-        if not route and ended:
-            break  # none is left
+        if not route and (ended or stalled):
+            break  # none is left, or no share is larger
+        stalled = not route
         routes.append(tuple(zip(route[::2], route[1::2])))
         served += len(route)
         for node in route:

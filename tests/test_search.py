@@ -280,28 +280,41 @@ class TestHeuristic:
                 assert heur.served_count <= exact.served_count
 
     def test_stalled_worker_passes_on(self, monkeypatch):
-        # the first worker's search returns no route: cut short by its share, the later
-        # workers serve what a two-worker run serves; ended empty, or stopped by the node
-        # limit, which the workers share, the answer ends there
+        # the first worker's search returns no route: cut short by its share of the time or
+        # of the node limit, the next worker gets all that is left, and the later workers
+        # serve what a two-worker run serves; ended empty, the answer ends there, and so it
+        # does where the next worker stalls too
         inst, graph = random_case(1, size=24)
         inst = with_workers(inst, 3)
         two_workers = heuristic_sequential(with_workers(inst, 2), graph)
         search = evrelocate.search._longest_route
-        for ended, limits in ((False, {"time_limit_s": 60.0}), (True, {}), (False, {"node_limit": 10**6})):
+        cases = (
+            (1, False, {"time_limit_s": 60.0}),
+            (1, True, {}),
+            (1, False, {"node_limit": 10**6}),
+            (2, False, {"node_limit": 10**6}),
+        )
+        for stalls, ended, limits in cases:
             calls = []
 
             def first_stalls(nexts, shift_limit, deadline, taken, node_limit, goal):
-                calls.append(taken)
-                if len(calls) == 1:  # its share or its node budget spent, or none of it
+                left = None if deadline is None else deadline - time.perf_counter()
+                calls.append((taken, node_limit, left))
+                if len(calls) <= stalls:  # its share or its node budget spent, or none of it
                     return (), (node_limit or 0) + 1, ended
                 return search(nexts, shift_limit, deadline, taken, node_limit, goal)
 
             monkeypatch.setattr(evrelocate.search, "_longest_route", first_stalls)
             solution = heuristic_sequential(inst, graph, **limits)
-            if ended or "node_limit" in limits:
-                assert calls == [0] and solution.served_count == 0, limits
+            if ended or stalls == 2:
+                assert [taken for taken, _, _ in calls] == [0] * stalls, limits
+                assert solution.served_count == 0, limits
                 continue
-            assert len(calls) == 3 and calls[:2] == [0, 0]
+            assert len(calls) == 3 and [taken for taken, _, _ in calls[:2]] == [0, 0]
+            if "node_limit" in limits:  # a third of the limit, then all that is left
+                assert [limit for _, limit, _ in calls[:2]] == [333_334, 666_665]
+            else:
+                assert calls[0][2] < 20.5 and calls[1][2] > 39.0
             assert solution.served_count == two_workers.served_count > 0
             assert {route.worker_index for route in solution.routes} == {1, 2}
             assert check_solution(inst, graph, solution).passed
@@ -402,7 +415,7 @@ def spread_cells(sizes=(6, 8, 10)):
 
 def route_columns(inst, graph):
     """The paper configuration's route pool, ``(nodes, starts)``."""
-    nexts, _ = evrelocate.search._next_pairs(inst, graph, {r.id for r in inst.requests})
+    nexts, _ = evrelocate.search._next_pairs(inst, graph)
     return evrelocate.search._route_columns(nexts, inst.parameters.shift_limit_min)
 
 
@@ -742,7 +755,7 @@ class TestRouteBound:
             size = int(family.split("-")[1])
             cells = [random_case(seed, size=size) for seed in {24: range(100000, 100010), 40: range(5)}[size]]
         for inst, graph in cells:
-            nexts, _ = evrelocate.search._next_pairs(inst, graph, {r.id for r in inst.requests})
+            nexts, _ = evrelocate.search._next_pairs(inst, graph)
             shift_limit = inst.parameters.shift_limit_min
             route, entered, ended = evrelocate.search._longest_route(nexts, shift_limit, None, 0, None, math.inf)
             largest = max(reference_columns(inst, graph).values(), key=len, default=())
@@ -858,7 +871,7 @@ class TestSearchUnchanged:
                 assert carried == (fresh.extendable, fresh.feasible), (size, seed, pairs)
                 assert child_made is None or child_made[0] == route
                 verdicts.add(carried)
-            nexts, _ = evrelocate.search._next_pairs(inst, graph, {r.id for r in inst.requests})
+            nexts, _ = evrelocate.search._next_pairs(inst, graph)
             longest, _, _ = evrelocate.search._longest_route(nexts, 300.0, None, 0, None, math.inf)
             for route in [*pool_routes(route_columns(inst, graph)), tuple(zip(longest[::2], longest[1::2]))]:
                 pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
@@ -868,7 +881,7 @@ class TestSearchUnchanged:
 
 class TestStoppingRule:
     def test_node_limit_overshoots_by_at_most_one(self, monkeypatch):
-        # past the route cap the single-worker searches share the node limit
+        # past the route cap the single-worker searches split the node limit
         monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
         inst, graph = random_case(1, size=40)
         for k in (2, 3):
@@ -878,6 +891,8 @@ class TestStoppingRule:
                 )
                 assert not result.optimal
                 assert result.nodes_explored <= limit + 1, (k, limit)
+                # each worker has its own share of the limit, so each serves a route
+                assert len(result.solution.routes) == k, (k, limit)
 
     @pytest.mark.parametrize("k, paper", [(1, False), (3, True)])
     def test_time_limit_stops_search(self, case_200, k, paper):
