@@ -7,7 +7,8 @@ detour factor) with random charge levels and random time bounds between
 counts, from the route pool, the best packing of single-worker routes (at
 20 requests enumerating the routes and packing them, mostly by an exact
 search with no LP, take milliseconds), then report per-instance rows and
-per-size averages of the served percentage and the CPU time.  Each K is
+per-size averages of the served percentage, the proven upper bound on it
+(``best_bound``) and the CPU time.  Each K is
 solved on a copy of the instance that carries it, under one per-solve
 ``time_limit_s``.
 """
@@ -120,6 +121,7 @@ class ExperimentRecord:
     workers: int
     served_pct: float
     objective: int
+    best_bound: int
     cpu_s: float
     optimal: bool
 
@@ -158,6 +160,7 @@ def run_experiment(
                     workers=k,
                     served_pct=100.0 * objective / total if total else 0.0,
                     objective=objective,
+                    best_bound=result.best_bound,
                     cpu_s=cpu,
                     optimal=result.optimal,
                 )
@@ -197,23 +200,24 @@ def emit_report(records: list[ExperimentRecord], fmt: str = "text") -> str:
 
     header = ["Instance", "Req"]
     for k in k_values:
-        header += [f"K={k} Served", "CPU"]
+        header += [f"K={k} Served", "Bound", "CPU"]
     lines = ["\t".join(header)]
     for name in sorted(by_instance):
         cells = [name, str(next(iter(by_instance[name].values())).request_count)]
         for k in k_values:
             rec = by_instance[name].get(k)
             if rec is None:
-                cells += ["-", "-"]
+                cells += ["-", "-", "-"]
             else:
                 flag = "" if rec.optimal else "*"
-                cells += [f"{rec.served_pct:.0f}%{flag}", f"{rec.cpu_s:.2f}"]
+                bound = _share(rec.best_bound, rec)
+                cells += [f"{rec.served_pct:.0f}%{flag}", f"{bound:.0f}%", f"{rec.cpu_s:.2f}"]
         lines.append("\t".join(cells))
 
     lines.append("")
     header2 = ["Requests"]
     for k in k_values:
-        header2 += [f"K={k} Served", "CPU"]
+        header2 += [f"K={k} Served", "Bound", "CPU"]
     lines.append("\t".join(header2))
     sizes = sorted({rec.request_count for rec in records})
     for size in sizes:
@@ -221,16 +225,22 @@ def emit_report(records: list[ExperimentRecord], fmt: str = "text") -> str:
         for k in k_values:
             group = [r for r in records if r.request_count == size and r.workers == k]
             if not group:
-                cells += ["-", "-"]
+                cells += ["-", "-", "-"]
                 continue
             cells += [
                 f"{np.mean([r.served_pct for r in group]):.0f}%",
+                f"{np.mean([_share(r.best_bound, r) for r in group]):.0f}%",
                 f"{np.mean([r.cpu_s for r in group]):.2f}",
             ]
         lines.append("\t".join(cells))
     lines.append("")
-    lines.append("* not proven optimal within limits")
+    lines.append("* not proven optimal within limits; Bound: the proven upper bound on the served share")
     return "\n".join(lines) + "\n"
+
+
+def _share(count: int, rec: ExperimentRecord) -> float:
+    """``count`` requests as a percentage of the record's requests."""
+    return 100.0 * count / rec.request_count if rec.request_count else 0.0
 
 
 def parse_report_csv(text: str) -> list[ExperimentRecord]:

@@ -42,6 +42,27 @@ its route meets the bound it is told.  The first worker's search covers
 every request, so when it ends no route serves more than its route, and K
 times that count is a bound too: at K=1 a search that ends proves its
 route.
+
+Before the single-worker searches, a completion table
+(:func:`_completion_table`) is built: a longest-path DP over the
+time-ordered pairs, in the style of resource-constrained labelling
+(Feillet, Dejax, Gendreau & Gueguen 2004), giving per delivery, grid time
+and count ``j`` a lower bound on the earliest return to the depot after
+``j`` or more pairs.  A search cuts a prefix once the pairs that would beat
+its best route cannot be served and home by the prefix's first service
+plus the shift left and its start-delay cap.  Three relaxations keep the
+cut valid.  The grid rounds every time down, and a later time never
+returns sooner: waiting is allowed, and each leg's window already holds
+both battery conditions.  The start-delay cap is frozen at the prefix's,
+which more pairs only shrink.  The served mask is left out, so one table
+serves every worker; that only adds chains, and within a route the arcs'
+time order keeps a chain from repeating a request.  The table is built
+level by level on at most ``BOUND_SHARE`` of the time left.  A table cut
+short still bounds every longer chain, by its last level's earliest last
+delivery plus the shortest ride home.  Its root, twice the most pairs that
+a first leg from the depot can add and still be home within the shift,
+times K, is a bound too, which a search stopped early still reports.
+
 Every HiGHS solve gets only the time left and none starts without it; an
 LP that runs out of time gives no bound.  ``best_bound`` is the smallest
 bound that ran, the root's count bound (twice the smaller count of pickups
@@ -145,6 +166,17 @@ def _routes_to_solution(instance: Instance, graph: ActionGraph, routes) -> Solut
     return Solution.from_routes(timed)
 
 
+def _legs(instance: Instance, graph: ActionGraph):
+    """``(pick, drop, low, up, op)``: the EV legs whose charge margin holds, as arrays in arc order."""
+    ev = graph.is_ev
+    pick, drop, drive = graph.src[ev], graph.dst[ev], graph.op_time_min[ev]
+    tau, charge = graph.tau, graph.charge
+    low, up, fits = leg_bounds(
+        instance.parameters, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
+    )
+    return pick[fits], drop[fits], low[fits], up[fits], drive[fits]
+
+
 def _next_pairs(instance: Instance, graph: ActionGraph):
     """``(nexts, root)``: per node index, the pairs a route may take next; the root count bound.
 
@@ -152,22 +184,17 @@ def _next_pairs(instance: Instance, graph: ActionGraph):
     minutes from ``n`` to a pickup ``p``, in node order: ``legs`` holds
     ``(bits, p, d, low, up, op, ride_home)`` for each EV leg
     ``(low, up, op)`` from ``p`` to a delivery ``d`` whose charge margin
-    holds, in node order; ``bits`` marks ``p`` and ``d``, and
+    holds, in node order (:func:`_legs`); ``bits`` marks ``p`` and ``d``, and
     ``ride_home`` is None where ``d`` has no arc to the depot.  ``root`` is
     twice the smaller count of pickups and deliveries that an EV arc
     touches.
     """
     graph.arc_position(DEPOT_NODE, DEPOT_NODE)  # schedule_route's lookups, built before any deadline
-    tau, charge, src, dst, minutes = graph.tau, graph.charge, graph.src, graph.dst, graph.op_time_min
-    ev = graph.is_ev
-    pick, drop, drive = src[ev], dst[ev], minutes[ev]
-    root = 2 * min(len(set(pick.tolist())), len(set(drop.tolist())))
-    low, up, fits = leg_bounds(
-        instance.parameters, tau[pick], charge[pick], tau[drop], charge[drop], graph.distance_km[ev], drive
-    )
+    src, dst, minutes, ev = graph.src, graph.dst, graph.op_time_min, graph.is_ev
+    root = 2 * min(len(set(src[ev].tolist())), len(set(dst[ev].tolist())))
     home = dict(zip(src[dst == 0].tolist(), minutes[dst == 0].tolist()))  # no EV arc ends at the depot
     legs = [[] for _ in graph.nodes]
-    for p, d, lo, hi, op in zip(*(c[fits].tolist() for c in (pick, drop, low, up, drive))):
+    for p, d, lo, hi, op in zip(*(c.tolist() for c in _legs(instance, graph))):
         legs[p].append((1 << p | 1 << d, p, d, lo, hi, op, home.get(d)))
     # one tuple of legs per pickup, shared by its rides: tuples of numbers the garbage collector
     # stops tracking, while lists in every ride would bring its next full collection forward
@@ -205,7 +232,95 @@ def _time_left(deadline: float | None) -> float | None:
     return None if deadline is None else max(0.0, deadline - time.perf_counter())
 
 
-def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, goal=None):
+#: Minutes per cell of the completion table's time grid (:func:`_completion_table`).  Set by
+#: measurement at 200 requests (generator seeds 1-20, K=1, a 2-core x86-64 host): table plus
+#: proving walk took 44 ms in the median and 0.41 s at most at 5 minutes, 122 ms and 0.46 s
+#: at 2.5, and 29 ms and 0.90 s at 10, where the coarser table cuts less.
+TABLE_STEP = 5.0
+
+#: Seconds :func:`_completion_table` takes to make its first level, per leg or ride and grid
+#: cell: 1.4e-8 to 2.1e-8 over 100-400 requests (generator seeds 1-3, a 2-core x86-64 host).
+#: Where that does not fit before its deadline no table is made, and the walk keeps the time.
+TABLE_RATE = 2.5e-8
+
+
+def _completion_table(instance: Instance, graph: ActionGraph, deadline):
+    """``(levels, start, cells, root)``: how soon a worker can be home after more pairs.
+
+    Cell ``i`` is the time ``start + i * TABLE_STEP``.  ``levels[j][d * cells + i]``
+    is at most the earliest return to the depot of a worker who has served
+    delivery ``d`` by cell ``i``'s time and then serves ``j`` or more pairs;
+    past the last level the last one bounds it.  ``root`` is twice the most
+    pairs that a route can serve and be home within the shift, or None
+    where the levels stop too soon to tell.  A level is two gathers: per
+    pickup and cell, the least over its legs of the level before at the
+    leg's delivery and arrival cell; per delivery and cell, the least of
+    that over its rides.  Arrival cells are rounded down, and each level
+    carries the earliest last delivery and the earliest return, neither
+    ever earlier from a later time, so every value is a lower bound.  The
+    levels stop once no longer chain exists, or once ``deadline`` passes;
+    then the last level also bounds every longer chain, by its earliest
+    last delivery plus the shortest ride home.  None where no leg exists,
+    or where ``TABLE_RATE`` says that the first level does not fit before
+    ``deadline``.
+    """
+    pick, drop, low, up, op = _legs(instance, graph)
+    if not len(pick):
+        return None
+    src, dst, minutes = graph.src, graph.dst, graph.op_time_min
+    nodes, start = len(graph.nodes), low.min()
+    cells = int((up.max() + TIME_TOL + op.max() - start) // TABLE_STEP) + 1
+    left, rides = _time_left(deadline), np.count_nonzero(~graph.is_ev & (src > 0) & (dst > 0))
+    if left is not None and TABLE_RATE * (len(pick) + rides) * cells > left:
+        return None
+    size = nodes * cells  # flat (node, cell) index; row `size` of `reach` stays inf, a missed window
+
+    def cell(t):  # rounded down, as t is never before start
+        return np.minimum((t - start) / TABLE_STEP, cells - 1).astype(np.intp)
+
+    grid = start + TABLE_STEP * np.arange(cells)
+    service = np.maximum(low[:, None], grid)  # per leg and arrival cell at its pickup
+    arrive = drop[:, None] * cells + cell(service + op[:, None])
+    at_leg = np.where(service <= up[:, None] + TIME_TOL, arrive, size)
+    pickups, by_pickup = np.unique(pick, return_index=True)  # legs come grouped by pickup
+    row = np.full(nodes, -1)
+    row[pickups] = np.arange(len(pickups))
+    ride = ~graph.is_ev & (src > 0) & (row[dst] >= 0)  # from deliveries to pickups with legs
+    steps = minutes[ride, None] // TABLE_STEP * TABLE_STEP  # the ride rounded down to whole cells
+    at_ride = row[dst[ride], None] * cells + cell(grid + steps)
+    deliveries, by_delivery = np.unique(src[ride], return_index=True)
+    home = np.full(nodes, np.inf)
+    home[src[dst == 0]] = minutes[dst == 0]
+    reach = np.full((size + 1, 2), np.inf)  # per (node, cell): the earliest last delivery and return
+    reach[:size, 0] = np.tile(grid, nodes)
+    reach[:size, 1] = reach[:size, 0] + np.repeat(home, cells)
+    levels = [reach[:size, 1]]
+    for _ in pickups:  # no route has more pairs
+        if _past(deadline) or np.isinf(reach[:size, 0]).all():
+            break
+        # take, unlike indexing, gathers both columns of a row at once
+        at_pickup = np.minimum.reduceat(reach.take(at_leg, axis=0), by_pickup).reshape(-1, 2)
+        reach = np.full((size + 1, 2), np.inf)
+        at_delivery = np.minimum.reduceat(at_pickup.take(at_ride, axis=0), by_delivery)
+        reach[:size].reshape(nodes, cells, 2)[deliveries] = at_delivery
+        levels.append(reach[:size, 1])
+    levels[-1] = np.minimum(levels[-1], reach[:size, 0] + home.min())
+    levels = np.minimum.accumulate(levels[::-1])[::-1]  # j or more pairs
+
+    # every first leg from the depot, as extend times it: home by its first service plus the shift
+    # left and its start-delay cap
+    from_depot = ~graph.is_ev & (src == 0)
+    depot = np.full(nodes, np.inf)
+    depot[dst[from_depot]] = minutes[from_depot]
+    first = np.maximum(low, depot[pick])
+    fits = first <= up + TIME_TOL  # never without a ride from the depot
+    leave, first, up, drop, op = (column[fits] for column in (depot[pick], first, up, drop, op))
+    latest = first + instance.parameters.shift_limit_min - leave + np.maximum(up - first, 0.0) + 2 * TIME_TOL
+    most = int((levels[:, drop * cells + cell(first + op)] <= latest).sum(axis=0).max(initial=0))  # pairs
+    return [level.tolist() for level in levels], start, cells, None if most == len(levels) else 2 * most
+
+
+def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, goal=None, table=None):
     """``(nodes, starts, best, entered, stopped)``: depth first over every schedulable single-worker route.
 
     Over ``nexts`` (see :func:`_next_pairs`) without the nodes marked in
@@ -215,14 +330,21 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
     request set joins the pool ``(nodes, starts)`` (see
     :func:`_route_columns`), and the walk stops past ``ROUTE_CAP`` sets.
     With one only the first longest closed route is kept, as ``best``, and
-    the walk stops once it serves ``goal`` requests.  ``entered`` counts the
-    prefixes entered; the walk stops past ``node_limit`` of them, or once
-    ``deadline`` has passed: the clock is read every 512 prefixes.
+    the walk stops once it serves ``goal`` requests; with a ``table`` too
+    (:func:`_completion_table`) it cuts a prefix once the pairs more that
+    would beat ``best`` cannot be served and home by its first service plus
+    the shift left and its start-delay cap, which more pairs only shrink.
+    ``entered`` counts the prefixes entered; the walk stops past
+    ``node_limit`` of them, or once ``deadline`` has passed: the clock is
+    read every 512 prefixes.
     """
     nodes, starts, seen = [], [0], set()
     longest, best, entered = goal is not None, (), 0
     limit = math.inf if node_limit is None else node_limit
     check = min(limit + 1, 512)  # the next count of prefixes at which the limits are read
+    if table is not None:
+        levels, start, cells, _ = table
+        top, last, step, slack = len(levels) - 1, cells - 1, TABLE_STEP, 2 * TIME_TOL
 
     def grow(used, route, home, first, latest, chain, cap, budget, drive) -> bool:
         # route has the Prefix (first, ..., drive) and rides `home` back; False stops the walk
@@ -251,6 +373,13 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
                     starts.append(len(nodes))
                     if len(seen) > ROUTE_CAP:
                         return False
+        if table is not None:
+            more = (len(best) - len(route)) // 2 + 1  # the pairs that would beat best
+            if more > 0:
+                i = int((latest + drive - start) / step)  # the last delivery's cell
+                home_by = levels[more if more < top else top][route[-1] * cells + (i if i < cells else last)]
+                if home_by > first + budget + (cap if cap > 0.0 else 0.0) + slack:
+                    return True  # no such completion is home within the shift
         for ride, legs in nexts[route[-1]]:
             travel = drive + ride
             reach, chained = latest + travel, chain + travel
@@ -289,16 +418,17 @@ def _route_columns(nexts, shift_limit: float, deadline=None):
     return None if stopped else (nodes, starts)
 
 
-def _longest_route(nexts, shift_limit: float, deadline, taken: int, node_limit, goal: int):
+def _longest_route(nexts, shift_limit: float, deadline, taken: int, node_limit, goal: int, table=None):
     """``(route, entered, ended)``: the first longest schedulable route without the nodes in ``taken``.
 
     :func:`_walk` keeping only its longest closed route, which serves
-    ``len(route)`` requests.  ``goal`` must bound what any such route
-    serves.  ``ended``: the walk ran to its end, or its route meets
-    ``goal``; either way no route serves more.  Otherwise ``node_limit``
-    or ``deadline`` stopped it, and ``route`` is the longest found.
+    ``len(route)`` requests, cut by ``table`` where one is given.  ``goal``
+    must bound what any such route serves.  ``ended``: the walk ran to its
+    end, or its route meets ``goal``; either way no route serves more.
+    Otherwise ``node_limit`` or ``deadline`` stopped it, and ``route`` is
+    the longest found.
     """
-    _, _, route, entered, stopped = _walk(nexts, shift_limit, deadline, taken, node_limit, goal)
+    _, _, route, entered, stopped = _walk(nexts, shift_limit, deadline, taken, node_limit, goal, table)
     return route, entered, not stopped or len(route) >= goal
 
 
@@ -512,9 +642,10 @@ def heuristic_sequential(
     """Fix one longest single-worker route at a time over the requests the earlier workers left.
 
     Every worker's search walks the same next-pair lists with the requests
-    already served masked out, and stops once its route meets what the
-    root count bound leaves (see :func:`_sequential`).  At K=1 its answer
-    is exact where the search ends.  Raises ``ValueError`` for limits that
+    already served masked out, cut by one completion table, and stops once
+    its route meets what the root count bound, or K times the table's
+    root, leaves (see :func:`_sequential`).  At K=1 its answer is exact
+    where the search ends.  Raises ``ValueError`` for limits that
     :class:`SolveOptions` rejects.
     """
     SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
@@ -527,18 +658,25 @@ def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
     """``(solution, bound, entered)``: one :func:`_longest_route` per worker over ``nexts``.
 
     ``bound`` bounds the answer, and each search's goal is what it leaves.
-    It comes back lowered to K times the longest route where a search that
-    covers every request ends.  The searches share ``deadline`` and
-    ``node_limit``: each gets an even share of the time and of the
-    prefixes the earlier ones left to it and the workers after it, and none
-    starts once either is spent, so the searches enter at most one prefix
-    past ``node_limit`` together.  A search that its share cuts short
-    before any route leaves its worker idle, and the next gets all that is
-    left, since with an even share it would walk the same prefixes and stop
-    alike; a search without a route that ends, or that had all that was
-    left, ends the answer.
+    First :func:`_completion_table` is built on at most ``BOUND_SHARE`` of
+    the time left; every search is cut by it, and K times its root lowers
+    ``bound``.  ``bound`` comes back lowered to K times the longest route
+    too, where a search that covers every request ends.  The searches
+    share ``deadline`` and ``node_limit``: each gets an even share of the
+    time and of the prefixes the earlier ones left to it and the workers
+    after it, and none starts once either is spent, so the searches enter
+    at most one prefix past ``node_limit`` together.  A search that its
+    share cuts short before any route leaves its worker idle, and the next
+    gets all that is left, since with an even share it would walk the same
+    prefixes and stop alike; a search without a route that ends, or that
+    had all that was left, ends the answer.
     """
     workers, shift_limit = instance.parameters.workers, instance.parameters.shift_limit_min
+    left = _time_left(deadline)
+    stop = None if left is None else time.perf_counter() + BOUND_SHARE * left
+    table = _completion_table(instance, graph, stop)
+    if table is not None and table[3] is not None:
+        bound = min(bound, workers * table[3])  # no route serves more than the table's root
     routes, taken, served, entered, stalled = [], 0, 0, 0, False
     for k in range(workers):
         parts = 1 if stalled else workers - k
@@ -551,7 +689,7 @@ def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
             if share <= 0:
                 break
             stop = time.perf_counter() + share
-        route, count, ended = _longest_route(nexts, shift_limit, stop, taken, limit, bound - served)
+        route, count, ended = _longest_route(nexts, shift_limit, stop, taken, limit, bound - served, table)
         entered += count
         if ended and not taken:  # no route serves more, and no worker
             bound = min(bound, workers * len(route))

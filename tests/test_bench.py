@@ -110,11 +110,12 @@ class TestReports:
     def test_served_and_cpu_columns(self):
         rec = ExperimentRecord(
             instance_name="x", request_count=10, workers=2, served_pct=80.0, objective=8,
-            cpu_s=0.014, optimal=False,
+            best_bound=9, cpu_s=0.014, optimal=False,
         )
         text = emit_report([rec], "text")
-        assert text.splitlines()[0].split("\t") == ["Instance", "Req", "K=2 Served", "CPU"]
-        assert "x\t10\t80%*\t0.01" in text
+        assert text.splitlines()[0].split("\t") == ["Instance", "Req", "K=2 Served", "Bound", "CPU"]
+        assert "x\t10\t80%*\t90%\t0.01" in text
+        assert "10\t80%\t90%\t0.01" in text  # the per-size average row
 
     def test_single_record_report_has_data_and_average_rows(self):
         records = small_records()[:1]
@@ -127,6 +128,8 @@ class TestReports:
         records = small_records()
         text = emit_report(records, "csv")
         assert parse_report_csv(text) == records
+        assert all(r.objective <= r.best_bound for r in records)
+        assert "best_bound" in text.splitlines()[0].split(",")
 
     def test_json_report(self):
         import json
@@ -135,6 +138,7 @@ class TestReports:
         doc = json.loads(emit_report(records, "json"))
         assert len(doc) == len(records)
         assert doc[0]["instance_name"] == records[0].instance_name
+        assert [row["best_bound"] for row in doc] == [r.best_bound for r in records]
 
     def test_averages_match_hand_mean(self):
         records = small_records()

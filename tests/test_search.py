@@ -14,6 +14,7 @@ from scipy.sparse import diags
 
 import evrelocate.search
 from evrelocate.cli import main
+from evrelocate.domain import TIME_TOL
 from evrelocate.scheduling import extend, leg_bounds, start_delay
 from evrelocate import (
     DEFAULT_PARAMETERS,
@@ -99,6 +100,27 @@ def far_delivery_case():
     params = dataclasses.replace(DEFAULT_PARAMETERS, workers=1)
     inst = Instance(params, depot, requests, {"type": "euclidean", "detour_factor": 1.0})
     return inst, build_graph(inst, matrix_for_instance(inst))
+
+
+def no_way_home_case():
+    """From d1, one pair more ends at d2, which has no ride home, and two pairs more end at d3.
+
+    p2's charge cannot reach d3's, and the ride from a to b is too long to
+    reach p3 from d1, so a completion table cut after one level must bound
+    the two-pair return by more than the one-pair returns.
+    """
+    requests = [
+        pickup("p1", "a", 1.0, 480.0),
+        delivery("d1", "a", 0.0, 490.0),
+        pickup("p2", "a", 0.3, 500.0),
+        delivery("d2", "b", 0.0, 580.0),
+        pickup("p3", "b", 1.0, 590.0),
+        delivery("d3", "c", 0.9, 700.0),
+    ]
+    inst = make_instance(requests)
+    entries = {("depot", s): 1.0 for s in "abc"} | {("a", "depot"): 1.0, ("b", "depot"): np.inf, ("c", "depot"): 1.0}
+    matrix = make_matrix(["depot", "a", "b", "c"], entries, default=30.0)
+    return inst, build_graph(inst, matrix)
 
 
 def k_worker_lp_bound(instance, graph):
@@ -297,12 +319,12 @@ class TestHeuristic:
         for stalls, ended, limits in cases:
             calls = []
 
-            def first_stalls(nexts, shift_limit, deadline, taken, node_limit, goal):
+            def first_stalls(nexts, shift_limit, deadline, taken, node_limit, goal, table):
                 left = None if deadline is None else deadline - time.perf_counter()
                 calls.append((taken, node_limit, left))
                 if len(calls) <= stalls:  # its share or its node budget spent, or none of it
                     return (), (node_limit or 0) + 1, ended
-                return search(nexts, shift_limit, deadline, taken, node_limit, goal)
+                return search(nexts, shift_limit, deadline, taken, node_limit, goal, table)
 
             monkeypatch.setattr(evrelocate.search, "_longest_route", first_stalls)
             solution = heuristic_sequential(inst, graph, **limits)
@@ -806,6 +828,154 @@ def case_200():
     return inst, build_graph(inst, matrix_for_instance(inst))
 
 
+def completion_table(inst, graph, levels=None):
+    """The completion table; with ``levels``, cut after that many levels, as a passed deadline cuts it."""
+    if levels is None:
+        return evrelocate.search._completion_table(inst, graph, None)
+    reads = iter(range(10**6))  # the table reads the clock once before each level
+    with patch.object(evrelocate.search, "_past", lambda deadline: next(reads) >= levels):
+        return evrelocate.search._completion_table(inst, graph, None)
+
+
+def assert_table_keeps_the_longest_route(inst, graph):
+    """With no limit the walk cut by the completion table finds the plain walk's route and verdict.
+
+    For the first worker and for a second one, which the first one's route
+    leaves out, with the whole table and with one cut after one and two
+    levels; the root of a table that ran to its end is at least that route.
+    """
+    nexts, _ = evrelocate.search._next_pairs(inst, graph)
+    shift, longest = inst.parameters.shift_limit_min, evrelocate.search._longest_route
+    first = longest(nexts, shift, None, 0, None, math.inf)
+    taken = sum(1 << n for n in first[0])
+    second = longest(nexts, shift, None, taken, None, math.inf)
+    for levels in (None, 1, 2):
+        table = completion_table(inst, graph, levels)
+        if table is None:  # no EV leg
+            assert first[0] == ()
+            continue
+        for mask, (route, _, ended) in ((0, first), (taken, second)):
+            cut = longest(nexts, shift, None, mask, None, math.inf, table)
+            assert (cut[0], cut[2]) == (route, ended), levels
+        root = table[3]
+        assert root is not None or levels is not None
+        assert root is None or root >= len(first[0]), levels
+
+
+def earliest_returns(nexts, ride_home, node, at, pairs=0, best=None):
+    """Per count ``m``, the earliest return home after ``m`` or more pairs, from ``node`` at ``at``.
+
+    Plain recursion over the walk's next-pair lists with exact times, the
+    shift, the pickup chain and the start delay left out as the completion
+    table leaves them out: ``{m: minutes}``.
+    """
+    best = {} if best is None else best
+    if ride_home is not None:
+        for m in range(pairs + 1):
+            best[m] = min(best.get(m, math.inf), at + ride_home)
+    for ride, legs in nexts[node]:
+        for _, _, d, low, up, op, home in legs:
+            service = max(low, at + ride)
+            if service <= up + TIME_TOL:
+                earliest_returns(nexts, home, d, service + op, pairs + 1, best)
+    return best
+
+
+def assert_table_below_earliest_returns(inst, graph):
+    """Every value of the completion table, whole or cut after one or two levels, is at most the
+    earliest return it bounds, at every delivery and every cell of the grid."""
+    nexts, _ = evrelocate.search._next_pairs(inst, graph)
+    home = dict(zip(graph.src[graph.dst == 0].tolist(), graph.op_time_min[graph.dst == 0].tolist()))
+    tables = [completion_table(inst, graph, levels) for levels in (None, 1, 2)]
+    if tables[0] is None:
+        return
+    _, start, cells, _ = tables[0]
+    for d in np.flatnonzero(~graph.is_pickup[1:]) + 1:
+        for i in range(cells):
+            best = earliest_returns(nexts, home.get(d), d, start + i * evrelocate.search.TABLE_STEP)
+            for rows, _, _, _ in tables:
+                for m, minutes in best.items():
+                    assert rows[min(m, len(rows) - 1)][d * cells + i] <= minutes + 1e-9, (d, i, m)
+
+
+class TestCompletionTable:
+    """The single-worker search past the route cap, cut where no completion beats its best route."""
+
+    @pytest.mark.parametrize("family", ["spread", "generator-24", "generator-40", "far-delivery"])
+    def test_cut_keeps_the_longest_route(self, family):
+        if family == "spread":
+            cells = [case for _, case in spread_cells()]
+        elif family == "far-delivery":
+            cells = [far_delivery_case(), no_way_home_case()]
+        else:
+            size = int(family.split("-")[1])
+            cells = [random_case(seed, size=size) for seed in {24: range(100000, 100010), 40: range(5)}[size]]
+        for inst, graph in cells:
+            assert_table_keeps_the_longest_route(inst, graph)
+
+    @pytest.mark.parametrize("step", [1.0, 10.0])
+    def test_any_grid_step_keeps_the_longest_route(self, monkeypatch, step):
+        monkeypatch.setattr(evrelocate.search, "TABLE_STEP", step)
+        for size, seed in ((12, 1), (24, 100003), (40, 2)):
+            assert_table_keeps_the_longest_route(*random_case(seed, size=size))
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        footprint=st.sampled_from((10.0, 30.0, 60.0)),
+        stations=st.integers(1, 9),
+        size=st.sampled_from((2, 4, 6, 8, 12, 16)),
+        explicit=st.booleans(),
+    )
+    def test_cut_keeps_the_longest_route_on_the_property_family(self, seed, footprint, stations, size, explicit):
+        inst, graph = spread_case(seed, size, footprint, stations, 1, explicit)
+        assert_table_keeps_the_longest_route(inst, graph)
+        if size <= 8:
+            assert_table_below_earliest_returns(inst, graph)
+
+    @pytest.mark.parametrize("step", [1.0, 5.0, 10.0])
+    def test_values_below_the_earliest_returns(self, monkeypatch, step):
+        monkeypatch.setattr(evrelocate.search, "TABLE_STEP", step)
+        for inst, graph in [no_way_home_case(), far_delivery_case(), random_case(1, size=12), random_case(2, size=16)]:
+            assert_table_below_earliest_returns(inst, graph)
+
+    def test_no_table_where_its_first_level_does_not_fit(self, case_200):
+        # at 200 requests a first level takes about 13 ms, and the walk keeps a shorter time
+        inst, graph = case_200
+        assert evrelocate.search._completion_table(inst, graph, time.perf_counter() + 0.001) is None
+        table = evrelocate.search._completion_table(inst, graph, time.perf_counter() + 1.0)
+        assert table is not None and table[3] == 18
+
+    def test_k1_at_200_requests_proves(self, case_200):
+        # with no limit the compact bound runs first (26), and the table's root (18) is the optimum
+        inst, graph = case_200
+        inst = with_workers(inst, 1)
+        result = solve_branch_and_bound(inst, graph)
+        assert (result.solution.served_count, result.best_bound, result.optimal) == (18, 18, True)
+        assert check_solution(inst, graph, result.solution).passed
+
+    @pytest.mark.parametrize("seed, optimum", [(1, 18), (2, 16), (3, 22)])
+    def test_k1_at_200_requests_proves_within_a_second(self, seed, optimum):
+        # the anytime budget, where the compact bound cannot run in its share
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=200, seed=seed)), 1)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        result = solve_branch_and_bound(inst, graph, SolveOptions(time_limit_s=1.0))
+        assert (result.solution.served_count, result.best_bound, result.optimal) == (optimum, optimum, True)
+        assert result.elapsed_s < 1.0
+        assert check_solution(inst, graph, result.solution).passed
+
+    def test_stopped_walk_reports_the_table_bound(self, case_200):
+        # the node limit stops the walk before it finds a route of 18, and the bound is K times
+        # the table's root, far below the root count bound
+        inst, graph = case_200
+        for k in (1, 3):
+            inst_k = with_workers(inst, k)
+            result = solve_branch_and_bound(inst_k, graph, SolveOptions(time_limit_s=1.0, node_limit=100))
+            assert not result.optimal and result.nodes_explored <= 101
+            assert result.solution.served_count <= result.best_bound == 18 * k < recount(graph)
+            assert check_solution(inst_k, graph, result.solution).passed
+
+
 class TestSearchUnchanged:
     """Pinned answers, cell by cell.
 
@@ -896,8 +1066,11 @@ class TestStoppingRule:
 
     @pytest.mark.parametrize("k, paper", [(1, False), (3, True)])
     def test_time_limit_stops_search(self, case_200, k, paper):
+        # at K=1 the completion table lets the walk prove within about 4 500 prefixes and
+        # 0.15 s (test_k1_at_200_requests_proves), so a node limit stops it first there
         inst, graph = case_200
-        options = SolveOptions(time_limit_s=0.3, **(PAPER if paper else {}))
+        limits = {"node_limit": 1000} if k == 1 else {}
+        options = SolveOptions(time_limit_s=0.3, **limits, **(PAPER if paper else {}))
         result = solve_branch_and_bound(with_workers(inst, k), graph, options)
         assert not result.optimal
         assert result.elapsed_s < 0.8
