@@ -4,13 +4,12 @@ Instances place pickup and delivery requests on a fixed set of parking
 stations (nine synthetic stations by default, Euclidean distances with a
 detour factor) with random charge levels and random time bounds between
 8:00 and 15:00.  Experiments solve each instance once for several worker
-counts, from the route pool, the best packing of single-worker routes (at
-20 requests enumerating the routes and packing them, mostly by an exact
-search with no LP, take milliseconds), then report per-instance rows and
-per-size averages of the served percentage, the proven upper bound on it
-(``best_bound``) and the CPU time.  Each K is
-solved on a copy of the instance that carries it, under one per-solve
-``time_limit_s``.
+counts: K=1 by one walk for the longest single-worker route, K>=2 by the
+best packing of the route pool (at 20 requests either takes milliseconds),
+then report per-instance rows and per-size averages of the served
+percentage, the proven upper bound on it (``best_bound``) and the CPU
+time.  Each K is solved on a copy of the instance that carries it, under
+one per-solve ``time_limit_s``.
 """
 
 from __future__ import annotations

@@ -1,54 +1,45 @@
 """Exact and heuristic solving over the action graph.
 
-Every solve answers from the pool of single-worker routes.  It first
-enumerates every schedulable single-worker route once
-(:func:`_route_columns`), depth first over per-node next-pair lists read
-once per solve from the graph's arrays (:func:`_next_pairs`), with
-``extend`` and ``start_delay`` (:mod:`evrelocate.scheduling`) inlined on the
-same floats, keeping the first route of each distinct request set.  A
-prefix is pruned only on conditions that no extension repairs
-(``extendable``: per-leg windows and charge, the pickup chain, the shift
-limit up to the last delivery), so the enumeration is complete; the bike
-leg back to the depot only decides whether a route closes, since one more
-pair can end a route nearer the depot.  The pool is one flat list of node
-indices, route after route in pair order, with column pointers: the
-packing search and the packing LP read it, and only the routes a solve
-returns become pairs, timed by ``schedule_route``.  Every K-worker answer
-is a packing of at most K schedulable routes with disjoint request sets,
-and every such packing is a K-worker answer, so the largest packing is the
-optimum (:func:`_route_packing`).  An exact search finds it: depth first
-over the routes, largest first, with the routes still disjoint from the
-chosen ones as one bit set, it cuts a branch once the free slots times the
-size of its largest candidate cannot beat the best packing, and stops once
-its best packing reaches an upper bound, so a search that ends has proved
-its best packing.  K=1 takes one step, and most cells at K=2-3 end within
-``PACKING_STEPS`` branches.  Past that cap the packing LP (at most K
-routes, each request in at most one), rounded down to an even count, is the
-bound and the search's goal, and the search goes on under the deadline
+Every route is found by one depth-first walk (:func:`_walk`) over per-node
+next-pair lists read once per solve from the graph's arrays
+(:func:`_next_pairs`), with ``extend`` and ``start_delay``
+(:mod:`evrelocate.scheduling`) inlined on the same floats.  A prefix is
+pruned only on conditions that no extension repairs (``extendable``:
+per-leg windows and charge, the pickup chain, the shift limit up to the
+last delivery), so the walk is complete; the bike leg back to the depot
+only decides whether a route closes, since one more pair can end a route
+nearer the depot.  Only the routes a solve returns become pairs, timed by
+``schedule_route``.
+
+K=1 has one path: the walk kept to its first longest closed route
+(:func:`_longest_route`), cut by the completion table below, which stops
+once its route meets the root count bound or the table's root.  A walk
+that ends proves its route: no route pool is made and no LP runs.
+
+From K=2 on the walk keeps the first route of each distinct request set:
+the pool (:func:`_route_columns`), one flat list of node indices with
+column pointers.  Every K-worker answer is a packing of at most K
+schedulable routes with disjoint request sets, and every such packing is a
+K-worker answer, so the largest packing is the optimum
+(:func:`_route_packing`).  An exact search finds it, depth first over the
+routes, largest first; past ``PACKING_STEPS`` branches the packing LP (at
+most K routes, each request in at most one), rounded down to an even
+count, is its bound and goal, and the search goes on under the deadline
 until its best packing meets that bound or it ends.  The answer is read at
-the root: ``nodes_explored`` is 1.
+the root: ``nodes_explored`` is 1.  The enumeration gives up past
+``ROUTE_CAP`` request sets, or once the deadline passes (the walk reads
+the clock every 512 prefixes).  Then :func:`compute_upper_bound` runs on
+at most ``BOUND_SHARE`` of the time left where ``COMPACT_LP_RATE`` says it
+finishes there (HiGHS cannot be stopped at its limit, and a bound cut
+short is no bound), and :func:`heuristic_sequential` answers: one walk per
+worker over the requests the earlier ones left.  The first worker's walk
+covers every request, so when it ends K times its count is a bound too.
 
-The enumeration gives up past ``ROUTE_CAP`` request sets, or once the
-deadline passes (it reads the clock every 512 prefixes).  Then
-:func:`compute_upper_bound` runs first on at most ``BOUND_SHARE`` of the
-time left, but only where ``COMPACT_LP_RATE`` says it finishes in that
-share: HiGHS cannot be stopped at its limit (it overruns by tens of
-milliseconds at 200 requests), and a bound cut short is no bound.  The rest
-of the time goes to :func:`heuristic_sequential`, whose answer it is.  Its
-single-worker search (:func:`_longest_route`) is the enumeration's own loop
-with a second leaf, which keeps only the longest closed route: it counts
-the prefixes it enters against its share of ``node_limit`` and stops once
-its route meets the bound it is told.  The first worker's search covers
-every request, so when it ends no route serves more than its route, and K
-times that count is a bound too: at K=1 a search that ends proves its
-route.
-
-Before the single-worker searches, a completion table
-(:func:`_completion_table`) is built: a longest-path DP over the
-time-ordered pairs, in the style of resource-constrained labelling
+The completion table (:func:`_completion_table`) is a longest-path DP over
+the time-ordered pairs, in the style of resource-constrained labelling
 (Feillet, Dejax, Gendreau & Gueguen 2004), giving per delivery, grid time
 and count ``j`` a lower bound on the earliest return to the depot after
-``j`` or more pairs.  A search cuts a prefix once the pairs that would beat
+``j`` or more pairs.  A walk cuts a prefix once the pairs that would beat
 its best route cannot be served and home by the prefix's first service
 plus the shift left and its start-delay cap.  Three relaxations keep the
 cut valid.  The grid rounds every time down, and a later time never
@@ -56,34 +47,42 @@ returns sooner: waiting is allowed, and each leg's window already holds
 both battery conditions.  The start-delay cap is frozen at the prefix's,
 which more pairs only shrink.  The served mask is left out, so one table
 serves every worker; that only adds chains, and within a route the arcs'
-time order keeps a chain from repeating a request.  The table is built
-level by level on at most ``BOUND_SHARE`` of the time left.  A table cut
-short still bounds every longer chain, by its last level's earliest last
-delivery plus the shortest ride home.  Its root, twice the most pairs that
-a first leg from the depot can add and still be home within the shift,
-times K, is a bound too, which a search stopped early still reports.
+time order keeps a chain from repeating a request.
+
+At K=1 the walk makes the table at its second clock read (1 024
+prefixes), so a walk that ends sooner makes none: most walks that pass the
+first read end before the second (at 24 requests 30 of 35 in 100), and a
+long walk loses only 512 uncut prefixes.  From K=2 on the table is made
+before the walks, which share the time.  It is made level by level on at most
+``BOUND_SHARE`` of the time left, cell-major (rows are grid cells, columns
+nodes), so that every reduction runs along the contiguous axis.  A level
+is computed only over the rows that can gather a finite entry of the level
+before: a row's least gathered index is never below the row before's, so
+these rows are a prefix, and every later row holds no chain, as it would
+if computed.  So each value is the one a full computation gives, and a
+lower bound.  A table cut short still bounds every longer chain, by its
+last level's earliest last delivery plus the shortest ride home.  Its
+root, twice the most pairs that a first leg from the depot can add and
+still be home within the shift, times K, is a bound too, which a solve
+stopped early still reports: where no walk made the table and the answer
+is not proved, it is made at the end.
 
 Every HiGHS solve gets only the time left and none starts without it; an
 LP that runs out of time gives no bound.  ``best_bound`` is the smallest
 bound that ran, the root's count bound (twice the smaller count of pickups
 and deliveries that an EV arc touches) among them, ``optimal`` holds where
-the answer meets it, and ``nodes_explored`` is the prefixes the
-single-worker searches entered.
+the answer meets it, and ``nodes_explored`` is the prefixes the walks
+entered.  ``brute_force`` is the desk-scale oracle: plain enumeration of
+all pairings, partitions and orderings, with no bounding logic shared with
+the search.  Every function here reads K from ``instance.parameters.workers``.
 
-``brute_force`` is the desk-scale oracle: plain enumeration of all
-pairings, partitions and orderings, with no bounding logic shared with the
-search.  ``heuristic_sequential`` fixes one longest single-worker route at
-a time over the requests the earlier workers left.  ``compute_upper_bound``
-is the LP relaxation of the K-worker model of
-:func:`evrelocate.milp.build_milp`.  Every function here reads K from
-``instance.parameters.workers``.
-
-That bound is valid by construction, for any distance matrix: every route
-set the scheduler accepts satisfies every row of the model (its big-M
-values come from time windows that contain every schedulable visit time),
-so the model's optimum, and its LP relaxation above that, is at least the
-largest servable count.  The workers are interchangeable, so the LP is
-solved on one worker copy (see :func:`compute_upper_bound`).  Served counts
+``compute_upper_bound``, the LP relaxation of the K-worker model of
+:func:`evrelocate.milp.build_milp`, is valid by construction, for any
+distance matrix: every route set the scheduler accepts satisfies every row
+of the model (its big-M values come from time windows that contain every
+schedulable visit time), so the model's optimum, and its LP relaxation
+above that, is at least the largest servable count.  The workers are
+interchangeable, so the LP is solved on one worker copy.  Served counts
 are even, so the LP value is rounded down to an even number.
 """
 
@@ -92,6 +91,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations, permutations, product
 from numbers import Integral, Real
 
@@ -112,8 +112,8 @@ class SolveOptions:
     """The limits of a solve.
 
     ``node_limit`` is a positive integer: the prefixes that the
-    single-worker searches past ``ROUTE_CAP`` may enter, split among them
-    as the time is (see :func:`_sequential`).
+    single-worker walks at K=1 or past ``ROUTE_CAP`` may enter, split among
+    them as the time is (see :func:`_sequential`).
     ``time_limit_s`` is positive and finite.  Anything else raises
     ``ValueError``.  ``use_upper_bound``, ``use_warm_start`` and
     ``break_worker_symmetry`` are accepted and read by nothing: every solve
@@ -250,19 +250,18 @@ def _completion_table(instance: Instance, graph: ActionGraph, deadline):
     Cell ``i`` is the time ``start + i * TABLE_STEP``.  ``levels[j][d * cells + i]``
     is at most the earliest return to the depot of a worker who has served
     delivery ``d`` by cell ``i``'s time and then serves ``j`` or more pairs;
-    past the last level the last one bounds it.  ``root`` is twice the most
-    pairs that a route can serve and be home within the shift, or None
-    where the levels stop too soon to tell.  A level is two gathers: per
-    pickup and cell, the least over its legs of the level before at the
-    leg's delivery and arrival cell; per delivery and cell, the least of
-    that over its rides.  Arrival cells are rounded down, and each level
-    carries the earliest last delivery and the earliest return, neither
-    ever earlier from a later time, so every value is a lower bound.  The
-    levels stop once no longer chain exists, or once ``deadline`` passes;
-    then the last level also bounds every longer chain, by its earliest
-    last delivery plus the shortest ride home.  None where no leg exists,
-    or where ``TABLE_RATE`` says that the first level does not fit before
-    ``deadline``.
+    past the last level the last one bounds it.  Levels 1 to ``root / 2 - 1``
+    are lists, the rest arrays.  ``root`` is twice the most pairs that a
+    route can serve and be home within the shift, or None where the levels
+    stop too soon to tell.  A level is two gathers over (cell, node) rows
+    of the last level's finite prefix: per cell and pickup, the least over
+    its legs of the level before at the leg's arrival cell and delivery;
+    per cell and delivery, the least of that over its rides.  Arrival cells
+    are rounded down, and each level carries the earliest last delivery and
+    the earliest return, so every value is a lower bound.  The levels stop
+    once no longer chain exists, or once ``deadline`` passes (see the
+    module docstring).  None where no leg exists, or where ``TABLE_RATE``
+    says that the first level does not fit before ``deadline``.
     """
     pick, drop, low, up, op = _legs(instance, graph)
     if not len(pick):
@@ -273,39 +272,52 @@ def _completion_table(instance: Instance, graph: ActionGraph, deadline):
     left, rides = _time_left(deadline), np.count_nonzero(~graph.is_ev & (src > 0) & (dst > 0))
     if left is not None and TABLE_RATE * (len(pick) + rides) * cells > left:
         return None
-    size = nodes * cells  # flat (node, cell) index; row `size` of `reach` stays inf, a missed window
+    size = cells * nodes  # flat (cell, node) index; `reach`'s row `cells` stays inf, a missed window
 
     def cell(t):  # rounded down, as t is never before start
         return np.minimum((t - start) / TABLE_STEP, cells - 1).astype(np.intp)
 
     grid = start + TABLE_STEP * np.arange(cells)
-    service = np.maximum(low[:, None], grid)  # per leg and arrival cell at its pickup
-    arrive = drop[:, None] * cells + cell(service + op[:, None])
-    at_leg = np.where(service <= up[:, None] + TIME_TOL, arrive, size)
+    # per arrival cell at the pickup (row) and leg: service at max(low, the cell's time) arrives in the
+    # later of the two services' cells, and legs share few drive times
+    ops, by_op = np.unique(op, return_inverse=True)
+    at_leg = np.maximum(cell(grid[:, None] + ops).take(by_op, axis=1), cell(low + op)) * nodes + drop
+    at_leg[grid[:, None] > np.where(low <= up + TIME_TOL, up + TIME_TOL, -np.inf)] = size  # past the window
     pickups, by_pickup = np.unique(pick, return_index=True)  # legs come grouped by pickup
     row = np.full(nodes, -1)
     row[pickups] = np.arange(len(pickups))
     ride = ~graph.is_ev & (src > 0) & (row[dst] >= 0)  # from deliveries to pickups with legs
-    steps = minutes[ride, None] // TABLE_STEP * TABLE_STEP  # the ride rounded down to whole cells
-    at_ride = row[dst[ride], None] * cells + cell(grid + steps)
+    steps, by_steps = np.unique(minutes[ride] // TABLE_STEP * TABLE_STEP, return_inverse=True)  # whole cells
+    at_ride = (cell(grid[:, None] + steps) * len(pickups)).take(by_steps, axis=1) + row[dst[ride]]
     deliveries, by_delivery = np.unique(src[ride], return_index=True)
+    # a row's least gathered index is never below the row before's, so the rows that can gather a
+    # finite entry of the level before are a prefix, found by bisection
+    least_leg, least_ride = at_leg.min(axis=1), at_ride.min(axis=1, initial=cells * len(pickups))
     home = np.full(nodes, np.inf)
     home[src[dst == 0]] = minutes[dst == 0]
-    reach = np.full((size + 1, 2), np.inf)  # per (node, cell): the earliest last delivery and return
-    reach[:size, 0] = np.tile(grid, nodes)
-    reach[:size, 1] = reach[:size, 0] + np.repeat(home, cells)
-    levels = [reach[:size, 1]]
-    for _ in pickups:  # no route has more pairs
-        if _past(deadline) or np.isinf(reach[:size, 0]).all():
-            break
-        # take, unlike indexing, gathers both columns of a row at once
-        at_pickup = np.minimum.reduceat(reach.take(at_leg, axis=0), by_pickup).reshape(-1, 2)
-        reach = np.full((size + 1, 2), np.inf)
-        at_delivery = np.minimum.reduceat(at_pickup.take(at_ride, axis=0), by_delivery)
-        reach[:size].reshape(nodes, cells, 2)[deliveries] = at_delivery
-        levels.append(reach[:size, 1])
-    levels[-1] = np.minimum(levels[-1], reach[:size, 0] + home.min())
-    levels = np.minimum.accumulate(levels[::-1])[::-1]  # j or more pairs
+    reach = np.full((2, cells + 1, nodes), np.inf)  # per cell and node: the earliest last delivery and return
+    reach[0, :cells] = grid[:, None]
+    reach[1, :cells] = grid[:, None] + home
+    levels = np.empty((len(pickups) + 1, nodes, cells))  # node-major, as the walk reads them
+    levels[0] = reach[1, :cells].T
+    at_pickup = np.full((2, cells, len(pickups)), np.inf)
+    flat_reach, flat_pickup = reach.reshape(2, -1), at_pickup.reshape(2, -1)  # views, as both are reused
+    made, finite = 1, cells  # the levels made, and the rows of the last one with a finite entry
+    while made <= len(pickups) and finite and not _past(deadline):  # no route has more pairs
+        rows = np.searchsorted(least_leg, finite * nodes)
+        at_pickup[:, rows:] = np.inf
+        at_pickup[:, :rows] = np.minimum.reduceat(flat_reach.take(at_leg[:rows], axis=1), by_pickup, axis=2)
+        rows = np.searchsorted(least_ride, rows * len(pickups))
+        at_delivery = np.minimum.reduceat(flat_pickup.take(at_ride[:rows], axis=1), by_delivery, axis=2)
+        reach[:] = np.inf
+        reach[:, :rows, deliveries] = at_delivery
+        finite = int(np.flatnonzero(np.isfinite(at_delivery[0]).any(axis=1)).max(initial=-1)) + 1
+        levels[made] = reach[1, :cells].T
+        made += 1
+    levels = levels[:made]
+    np.minimum(levels[-1], reach[0, :cells].T + home.min(), out=levels[-1])
+    for j in range(made - 2, -1, -1):  # j or more pairs
+        np.minimum(levels[j], levels[j + 1], out=levels[j])
 
     # every first leg from the depot, as extend times it: home by its first service plus the shift
     # left and its start-delay cap
@@ -316,8 +328,10 @@ def _completion_table(instance: Instance, graph: ActionGraph, deadline):
     fits = first <= up + TIME_TOL  # never without a ride from the depot
     leave, first, up, drop, op = (column[fits] for column in (depot[pick], first, up, drop, op))
     latest = first + instance.parameters.shift_limit_min - leave + np.maximum(up - first, 0.0) + 2 * TIME_TOL
-    most = int((levels[:, drop * cells + cell(first + op)] <= latest).sum(axis=0).max(initial=0))  # pairs
-    return [level.tolist() for level in levels], start, cells, None if most == len(levels) else 2 * most
+    most = int((levels[:, drop, cell(first + op)] <= latest).sum(axis=0).max(initial=0))  # pairs
+    # a walk reads only levels 1 to most - 1 (see _walk)
+    levels = [level.tolist() if 0 < j < most else level for j, level in enumerate(levels.reshape(made, -1))]
+    return levels, start, cells, None if most == len(levels) else 2 * most
 
 
 def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, goal=None, table=None):
@@ -330,30 +344,42 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
     request set joins the pool ``(nodes, starts)`` (see
     :func:`_route_columns`), and the walk stops past ``ROUTE_CAP`` sets.
     With one only the first longest closed route is kept, as ``best``, and
-    the walk stops once it serves ``goal`` requests; with a ``table`` too
-    (:func:`_completion_table`) it cuts a prefix once the pairs more that
-    would beat ``best`` cannot be served and home by its first service plus
-    the shift left and its start-delay cap, which more pairs only shrink.
-    ``entered`` counts the prefixes entered; the walk stops past
-    ``node_limit`` of them, or once ``deadline`` has passed: the clock is
-    read every 512 prefixes.
+    the walk stops once it serves ``goal`` requests.  ``table`` is a
+    completion table (:func:`_completion_table`), or a function called at
+    the walk's second clock read that makes one (or None).  From then on the
+    walk cuts a prefix once the pairs more that would beat ``best`` cannot
+    be served and home by its first service plus the shift left and its
+    start-delay cap, which more pairs only shrink, and ``goal`` is lowered
+    to the table's root.  ``entered`` counts the prefixes entered; the walk
+    stops past ``node_limit`` of them, or once ``deadline`` has passed: the
+    clock is read every 512 prefixes.  ``stopped``: a limit or
+    ``ROUTE_CAP`` stopped the walk before its end.
     """
     nodes, starts, seen = [], [0], set()
     longest, best, entered = goal is not None, (), 0
     limit = math.inf if node_limit is None else node_limit
-    check = min(limit + 1, 512)  # the next count of prefixes at which the limits are read
-    if table is not None:
-        levels, start, cells, _ = table
-        top, last, step, slack = len(levels) - 1, cells - 1, TABLE_STEP, 2 * TIME_TOL
+    given = table is not None and not callable(table)  # a table given cuts from the first prefix on
+    make = (lambda: table) if given else table
+    check = min(limit + 1, 1 if given else 512)  # the next count of prefixes at which the limits are read
+    levels = start = cells = top = last = None  # the completion table's, once the walk has one
+    step, slack = TABLE_STEP, 2 * TIME_TOL
 
     def grow(used, route, home, first, latest, chain, cap, budget, drive) -> bool:
         # route has the Prefix (first, ..., drive) and rides `home` back; False stops the walk
-        nonlocal entered, best, check
+        nonlocal entered, best, check, make, levels, start, cells, top, last, goal
         entered += 1
         if entered == check:
             if entered > limit or _past(deadline):
                 return False
             check = min(limit + 1, entered + 512)
+            if make is not None and (given or entered > 512):  # most walks past one read end before two
+                made, make = make(), None
+                if made is not None:  # it cuts the walk from now on
+                    levels, start, cells, root = made
+                    top, last = len(levels) - 1, cells - 1
+                    goal = goal if root is None else min(goal, root)  # so no level past root / 2 - 1 is read
+                    if len(best) >= goal:
+                        return False
         span = budget - drive
         spread = latest - first
         excess = spread - span
@@ -373,7 +399,7 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
                     starts.append(len(nodes))
                     if len(seen) > ROUTE_CAP:
                         return False
-        if table is not None:
+        if levels is not None:
             more = (len(best) - len(route)) // 2 + 1  # the pairs that would beat best
             if more > 0:
                 i = int((latest + drive - start) / step)  # the last delivery's cell
@@ -402,7 +428,7 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
                 continue
             prefix = extend(None, low, up, op, ride, shift_limit)
             if prefix is not None and not grow(taken | bits, (p, d), ride_home, *prefix):
-                return nodes, starts, best, entered, True
+                return nodes, starts, best, entered, not longest or len(best) < goal
     return nodes, starts, best, entered, False
 
 
@@ -422,14 +448,14 @@ def _longest_route(nexts, shift_limit: float, deadline, taken: int, node_limit, 
     """``(route, entered, ended)``: the first longest schedulable route without the nodes in ``taken``.
 
     :func:`_walk` keeping only its longest closed route, which serves
-    ``len(route)`` requests, cut by ``table`` where one is given.  ``goal``
-    must bound what any such route serves.  ``ended``: the walk ran to its
-    end, or its route meets ``goal``; either way no route serves more.
-    Otherwise ``node_limit`` or ``deadline`` stopped it, and ``route`` is
-    the longest found.
+    ``len(route)`` requests, cut by ``table`` where one is given or made.
+    ``goal`` must bound what any such route serves.  ``ended``: the walk
+    ran to its end, or its route meets ``goal`` or the table's root; either
+    way no route serves more.  Otherwise ``node_limit`` or ``deadline``
+    stopped it, and ``route`` is the longest found.
     """
     _, _, route, entered, stopped = _walk(nexts, shift_limit, deadline, taken, node_limit, goal, table)
-    return route, entered, not stopped or len(route) >= goal
+    return route, entered, not stopped
 
 
 #: The exact packing search gives up past this many branches, and the packing LP takes over.
@@ -467,11 +493,10 @@ def _route_packing(pool, k_total: int, node_count: int, deadline=None):
     order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
     size = [sizes[c] for c in order]
     everything = (1 << len(order)) - 1
-    if k_total > 1:  # K=1 takes the largest column and needs no clash sets
-        member = np.zeros((node_count, len(order)), dtype=bool)  # per node, its columns
-        member[np.asarray(nodes, dtype=np.intp), np.repeat(np.arange(len(order)), np.diff(starts))] = True
-        rows = np.packbits(member[:, order], axis=1, bitorder="little")
-        holders = [int.from_bytes(row.tobytes(), "little") for row in rows]  # per node
+    member = np.zeros((node_count, len(order)), dtype=bool)  # per node, its columns
+    member[np.asarray(nodes, dtype=np.intp), np.repeat(np.arange(len(order)), np.diff(starts))] = True
+    rows = np.packbits(member[:, order], axis=1, bitorder="little")
+    holders = [int.from_bytes(row.tobytes(), "little") for row in rows]  # per node
     apart: list[int | None] = [None] * len(order)  # per rank, the ranks disjoint from it
 
     best_total, best_chosen, chosen, bound = 0, [], [], None
@@ -566,29 +591,29 @@ def solve_branch_and_bound(
     graph: ActionGraph,
     options: SolveOptions | None = None,
 ) -> SolveResult:
-    """The best packing of the route pool (see the module docstring).
+    """At K=1 one longest-route walk, from K=2 on the best packing of the route pool.
 
     Past ``ROUTE_CAP`` the compact bound where it fits in its share, then
-    the sequential heuristic.  When a limit stops a solve early ``optimal``
-    is False and ``best_bound`` is still a valid upper bound on the true
-    optimum.
+    the sequential heuristic (see the module docstring).  When a limit
+    stops a solve early ``optimal`` is False and ``best_bound`` is still a
+    valid upper bound on the true optimum.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
     params = instance.parameters
-    nexts, root = _next_pairs(instance, graph)
-    pool = _route_columns(nexts, params.shift_limit_min, deadline)
+    nexts, bound = _next_pairs(instance, graph)
+    pool = None if params.workers == 1 else _route_columns(nexts, params.shift_limit_min, deadline)
     if pool is not None:
         packed, routes = _route_packing(pool, params.workers, len(graph.nodes), deadline)
-        bound = root if packed is None else min(packed, root)
+        bound = bound if packed is None else min(packed, bound)
         solution, nodes = _routes_to_solution(instance, graph, _named(graph.nodes, routes)), 1
     else:
         left = _time_left(deadline)
-        compact = None
-        if left is None or COMPACT_LP_RATE * len(graph.src) ** 1.5 <= BOUND_SHARE * left:
+        fits = left is None or COMPACT_LP_RATE * len(graph.src) ** 1.5 <= BOUND_SHARE * left
+        if params.workers > 1 and fits:
             compact = compute_upper_bound(instance, graph, None if left is None else BOUND_SHARE * left)
-        bound = root if compact is None else min(compact, root)
+            bound = bound if compact is None else min(compact, bound)
         solution, bound, nodes = _sequential(instance, graph, nexts, bound, options.node_limit, deadline)
     return SolveResult(solution, solution.served_count == bound, bound, nodes, time.perf_counter() - start)
 
@@ -658,25 +683,35 @@ def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
     """``(solution, bound, entered)``: one :func:`_longest_route` per worker over ``nexts``.
 
     ``bound`` bounds the answer, and each search's goal is what it leaves.
-    First :func:`_completion_table` is built on at most ``BOUND_SHARE`` of
-    the time left; every search is cut by it, and K times its root lowers
-    ``bound``.  ``bound`` comes back lowered to K times the longest route
-    too, where a search that covers every request ends.  The searches
-    share ``deadline`` and ``node_limit``: each gets an even share of the
-    time and of the prefixes the earlier ones left to it and the workers
-    after it, and none starts once either is spent, so the searches enter
-    at most one prefix past ``node_limit`` together.  A search that its
-    share cuts short before any route leaves its worker idle, and the next
-    gets all that is left, since with an even share it would walk the same
-    prefixes and stop alike; a search without a route that ends, or that
-    had all that was left, ends the answer.
+    :func:`_completion_table` is made once, on at most ``BOUND_SHARE`` of
+    the time left: at K=1 at the search's second clock read, or at the end
+    where the search made none and the answer does not meet ``bound``;
+    from K=2 on first.  It cuts every search from then on, and K times its
+    root lowers ``bound``, as does K times the longest route where a
+    search that covers every request ends.  The searches share
+    ``deadline`` and ``node_limit``: each gets an even share of the time
+    and of the prefixes the earlier ones left to it and the workers after
+    it, and none starts once either is spent, so the searches enter at most
+    one prefix past ``node_limit`` together.  A search that its share cuts
+    short before any route leaves its worker idle, and the next gets all
+    that is left, since with an even share it would walk the same prefixes
+    and stop alike; a search without a route that ends, or that had all
+    that was left, ends the answer.
     """
     workers, shift_limit = instance.parameters.workers, instance.parameters.shift_limit_min
-    left = _time_left(deadline)
-    stop = None if left is None else time.perf_counter() + BOUND_SHARE * left
-    table = _completion_table(instance, graph, stop)
-    if table is not None and table[3] is not None:
-        bound = min(bound, workers * table[3])  # no route serves more than the table's root
+
+    @cache
+    def table():
+        nonlocal bound
+        left = _time_left(deadline)
+        stop = None if left is None else time.perf_counter() + BOUND_SHARE * left
+        made = _completion_table(instance, graph, stop)
+        if made is not None and made[3] is not None:
+            bound = min(bound, workers * made[3])  # no route serves more than the table's root
+        return made
+
+    # the workers share the time: made first, the table takes no worker's share and cuts at once
+    cut = table() if workers > 1 else table
     routes, taken, served, entered, stalled = [], 0, 0, 0, False
     for k in range(workers):
         parts = 1 if stalled else workers - k
@@ -689,7 +724,7 @@ def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
             if share <= 0:
                 break
             stop = time.perf_counter() + share
-        route, count, ended = _longest_route(nexts, shift_limit, stop, taken, limit, bound - served, table)
+        route, count, ended = _longest_route(nexts, shift_limit, stop, taken, limit, bound - served, cut)
         entered += count
         if ended and not taken:  # no route serves more, and no worker
             bound = min(bound, workers * len(route))
@@ -700,6 +735,8 @@ def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
         served += len(route)
         for node in route:
             taken |= 1 << node
+    if served < bound:
+        table()
     return _routes_to_solution(instance, graph, _named(graph.nodes, routes)), bound, entered
 
 

@@ -84,13 +84,14 @@ class TestSolveAndCheck:
         "mode, note",
         [
             ([], "optimal=True bound=4 nodes=1]"),
-            (["--node-limit", "1"], "optimal=False bound=4 nodes=2]"),
+            (["--node-limit", "1"], "optimal=False bound=4 nodes=1]"),
         ],
         ids=["baseline", "stopped"],
     )
     def test_solve_prints_the_bound(self, tmp_path, capsys, monkeypatch, instance_file, mode, note):
-        if mode:  # the node limit stops the single-worker searches past the route cap, and
-            # K times the completion table's root (2) still bounds the answer by the optimum
+        if mode:  # past the route cap the first worker's route meets the completion table's root
+            # (2) at its first prefix, the node limit leaves the second worker none, and K times
+            # that root still bounds the answer by the optimum
             monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
         code, out, _ = run(
             capsys, "solve", "--instance", str(instance_file), "--workers", "2", *mode,

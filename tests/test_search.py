@@ -368,16 +368,18 @@ class TestUpperBound:
                 assert heur <= exact <= bound, (seed, k, heur, exact, bound)
 
     def test_upper_bound_never_blocks_optimum(self, monkeypatch):
-        # past the route cap at K=1 the compact bound is the single-worker search's goal
+        # K=1 runs neither the route enumeration nor the compact bound: the single-worker walk's
+        # goal, the root count bound or the table's root, never stops it short of the pool's
+        # largest column
         cases = [(with_workers(inst, 1), graph) for inst, graph in map(random_case, range(8))]
-        pooled = [solve_branch_and_bound(inst, graph) for inst, graph in cases]
-        monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 0)
+        largest = [2 * max(map(len, pool_routes(route_columns(*case))), default=0) for case in cases]
         bounds = counted_calls(monkeypatch, "compute_upper_bound")
-        for (inst, graph), plain in zip(cases, pooled):
-            capped = solve_branch_and_bound(inst, graph)
-            assert capped.optimal and plain.optimal
-            assert capped.solution.served_count == plain.solution.served_count
-        assert bounds == [1] * 8
+        pools = counted_calls(monkeypatch, "_route_columns")
+        results = [solve_branch_and_bound(inst, graph) for inst, graph in cases]
+        assert bounds == pools == []
+        for (inst, graph), result, optimum in zip(cases, results, largest):
+            assert result.optimal and result.solution.served_count == result.best_bound == optimum
+            assert optimum == brute_force(inst, graph).served_count
 
     def test_bound_valid_and_optimum_completes_on_spread_instances(self):
         # wide footprints, co-located stations and non-metric matrices: the
@@ -424,6 +426,14 @@ class TestUpperBound:
         monkeypatch.setattr(evrelocate.search, "highs", lambda *a, **kw: failed)
         with pytest.raises(RuntimeError, match="numerical difficulties"):
             compute_upper_bound(inst, graph)
+
+
+#: Per generator seed of 24 requests, the prefixes that the K=1 walk enters: 100005's walk
+#: passes its first clock read, and 100007's reaches its second, where the completion table is
+#: made, and the table's root stops it.
+K1_PREFIXES = {
+    1: 303, 2: 125, 3: 414, 100007: 1024, 100000: 179, 100001: 435, 100002: 365, 100003: 295, 100005: 711
+}
 
 
 def spread_cells(sizes=(6, 8, 10)):
@@ -567,11 +577,14 @@ def highs_calls(monkeypatch):
 
 
 def counted_calls(monkeypatch, name):
-    """Replace ``evrelocate.search.<name>`` by a wrapper; returns the list of its calls' K."""
+    """Replace ``evrelocate.search.<name>`` by a wrapper; returns the list of its calls' K.
+
+    A function whose first argument is no instance records None per call.
+    """
     original, calls = getattr(evrelocate.search, name), []
 
     def spy(instance, *args, **kwargs):
-        calls.append(instance.parameters.workers)
+        calls.append(instance.parameters.workers if isinstance(instance, Instance) else None)
         return original(instance, *args, **kwargs)
 
     monkeypatch.setattr(evrelocate.search, name, spy)
@@ -650,22 +663,27 @@ class TestRouteBound:
 
     @pytest.mark.parametrize("seed, lp_solves", [(1, 0), (2, 0), (3, 0), (100007, 1)])
     def test_paper_configuration_proves_at_the_root(self, monkeypatch, seed, lp_solves):
+        # K=2-3 pack the route pool at the root; K=1 is one walk of K1_PREFIXES[seed] prefixes,
+        # which serves the pool's largest column
         inst = generate_instance(GeneratorConfig(request_total=24, seed=seed))
         graph = build_graph(inst, matrix_for_instance(inst))
+        largest = 2 * max(map(len, pool_routes(route_columns(inst, graph))))
         bounds = counted_calls(monkeypatch, "compute_upper_bound")
-        warm_starts = counted_calls(monkeypatch, "_sequential")
-        solves = highs_calls(monkeypatch)
+        walks = counted_calls(monkeypatch, "_sequential")
+        solves, pools = highs_calls(monkeypatch), counted_calls(monkeypatch, "_route_columns")
         for k in (1, 2, 3):
             inst_k = with_workers(inst, k)
             paper = solve_branch_and_bound(inst_k, graph, SolveOptions(**PAPER))
-            assert paper.optimal and paper.nodes_explored == 1, k
+            assert paper.optimal and paper.nodes_explored == (K1_PREFIXES[seed] if k == 1 else 1), k
             assert paper.best_bound == paper.solution.served_count
             assert check_solution(inst_k, graph, paper.solution).passed, k
+            assert len(pools) == k - 1, k  # no enumeration at K=1
+            assert k > 1 or paper.solution.served_count == largest
         assert bounds == []
-        # the packing search settles every cell but seed 100007's K=3, where one LP
-        # meets the search's best packing: the sequential heuristic never runs
+        # the packing search settles every K>1 cell but seed 100007's K=3, where one LP
+        # meets the search's best packing: the sequential heuristic runs at K=1 only
         assert len(solves) == lp_solves
-        assert warm_starts == []
+        assert walks == [1]
 
     def test_k4_cell_proves_at_the_root(self):
         # the search stops at its step cap here; its best packing meets the LP bound
@@ -786,7 +804,8 @@ class TestRouteBound:
 
     def test_lp_cells_closed_by_the_packing_search(self, monkeypatch):
         # with no capped search steps every K>1 cell takes one LP solve, and the packing
-        # search, going on with the LP's bound as its goal, proves the same optimum
+        # search, going on with the LP's bound as its goal, proves the same optimum; K=1
+        # packs nothing: its walk proves alone
         cells = [(seed, k) for seed in (1, 2, 3, 100007) for k in (1, 2, 3)]
         reference = {}
         for seed, k in cells:
@@ -799,7 +818,7 @@ class TestRouteBound:
         for (seed, k), (inst, graph, expected) in reference.items():
             solves.clear()
             result = solve_branch_and_bound(inst, graph, SolveOptions(**PAPER))
-            assert result.optimal and result.nodes_explored == 1, (seed, k)
+            assert result.optimal and result.nodes_explored == (K1_PREFIXES[seed] if k == 1 else 1), (seed, k)
             assert result.solution.served_count == result.best_bound == expected.best_bound
             assert check_solution(inst, graph, result.solution).passed, (seed, k)
             assert len(solves) == (k > 1), (seed, k)
@@ -828,13 +847,88 @@ def case_200():
     return inst, build_graph(inst, matrix_for_instance(inst))
 
 
-def completion_table(inst, graph, levels=None):
-    """The completion table; with ``levels``, cut after that many levels, as a passed deadline cuts it."""
+def completion_table(inst, graph, levels=None, make=None):
+    """The completion table; with ``levels``, cut after that many levels, as a passed deadline cuts it.
+
+    ``make`` builds it, :func:`evrelocate.search._completion_table` by default.
+    """
+    make = make or evrelocate.search._completion_table
     if levels is None:
-        return evrelocate.search._completion_table(inst, graph, None)
+        return make(inst, graph, None)
     reads = iter(range(10**6))  # the table reads the clock once before each level
     with patch.object(evrelocate.search, "_past", lambda deadline: next(reads) >= levels):
-        return evrelocate.search._completion_table(inst, graph, None)
+        return make(inst, graph, None)
+
+
+def reference_table(inst, graph, deadline):
+    """The completion table, node-major, with every level made over every cell and read as a list.
+
+    The layout the cell-major table replaced: per leg and cell, then per
+    ride and cell, both gathers and their reductions over whole rows.  The
+    reference for the table's values, level by level, and for its root.
+    """
+    search = evrelocate.search
+    pick, drop, low, up, op = search._legs(inst, graph)
+    if not len(pick):
+        return None
+    src, dst, minutes = graph.src, graph.dst, graph.op_time_min
+    nodes, start, step = len(graph.nodes), low.min(), search.TABLE_STEP
+    cells = int((up.max() + TIME_TOL + op.max() - start) // step) + 1
+    size = nodes * cells  # flat (node, cell) index; row `size` of `reach` stays inf, a missed window
+
+    def cell(t):
+        return np.minimum((t - start) / step, cells - 1).astype(np.intp)
+
+    grid = start + step * np.arange(cells)
+    service = np.maximum(low[:, None], grid)
+    arrive = drop[:, None] * cells + cell(service + op[:, None])
+    at_leg = np.where(service <= up[:, None] + TIME_TOL, arrive, size)
+    pickups, by_pickup = np.unique(pick, return_index=True)
+    row = np.full(nodes, -1)
+    row[pickups] = np.arange(len(pickups))
+    ride = ~graph.is_ev & (src > 0) & (row[dst] >= 0)
+    steps = minutes[ride, None] // step * step
+    at_ride = row[dst[ride], None] * cells + cell(grid + steps)
+    deliveries, by_delivery = np.unique(src[ride], return_index=True)
+    home = np.full(nodes, np.inf)
+    home[src[dst == 0]] = minutes[dst == 0]
+    reach = np.full((size + 1, 2), np.inf)
+    reach[:size, 0] = np.tile(grid, nodes)
+    reach[:size, 1] = reach[:size, 0] + np.repeat(home, cells)
+    levels = [reach[:size, 1]]
+    for _ in pickups:
+        if search._past(deadline) or np.isinf(reach[:size, 0]).all():
+            break
+        at_pickup = np.minimum.reduceat(reach.take(at_leg, axis=0), by_pickup).reshape(-1, 2)
+        reach = np.full((size + 1, 2), np.inf)
+        at_delivery = np.minimum.reduceat(at_pickup.take(at_ride, axis=0), by_delivery)
+        reach[:size].reshape(nodes, cells, 2)[deliveries] = at_delivery
+        levels.append(reach[:size, 1])
+    levels[-1] = np.minimum(levels[-1], reach[:size, 0] + home.min())
+    levels = np.minimum.accumulate(levels[::-1])[::-1]
+    from_depot = ~graph.is_ev & (src == 0)
+    depot = np.full(nodes, np.inf)
+    depot[dst[from_depot]] = minutes[from_depot]
+    first = np.maximum(low, depot[pick])
+    fits = first <= up + TIME_TOL
+    leave, first, up, drop, op = (column[fits] for column in (depot[pick], first, up, drop, op))
+    latest = first + inst.parameters.shift_limit_min - leave + np.maximum(up - first, 0.0) + 2 * TIME_TOL
+    most = int((levels[:, drop * cells + cell(first + op)] <= latest).sum(axis=0).max(initial=0))
+    return [level.tolist() for level in levels], start, cells, None if most == len(levels) else 2 * most
+
+
+def assert_table_equals_reference(inst, graph):
+    """The table equals :func:`reference_table` element for element: whole, and cut after 1 and 2 levels."""
+    for levels in (None, 1, 2):
+        got = completion_table(inst, graph, levels)
+        expected = completion_table(inst, graph, levels, make=reference_table)
+        if expected is None:
+            assert got is None
+            continue
+        assert got[1:] == expected[1:], levels
+        assert len(got[0]) == len(expected[0]), levels
+        for j, (row, reference) in enumerate(zip(got[0], expected[0])):
+            assert np.array_equal(row, reference), (levels, j)
 
 
 def assert_table_keeps_the_longest_route(inst, graph):
@@ -947,7 +1041,7 @@ class TestCompletionTable:
         assert table is not None and table[3] == 18
 
     def test_k1_at_200_requests_proves(self, case_200):
-        # with no limit the compact bound runs first (26), and the table's root (18) is the optimum
+        # with no limit, no compact bound (26 here): the table's root (18) is the optimum
         inst, graph = case_200
         inst = with_workers(inst, 1)
         result = solve_branch_and_bound(inst, graph)
@@ -964,6 +1058,45 @@ class TestCompletionTable:
         assert result.elapsed_s < 1.0
         assert check_solution(inst, graph, result.solution).passed
 
+    @pytest.mark.parametrize("family", ["spread", "generator-24", "generator-40", "no-way-home-and-200"])
+    def test_table_equals_the_node_major_reference(self, family):
+        if family == "spread":
+            cells = [case for _, case in spread_cells()]
+        elif family == "no-way-home-and-200":
+            cells = [no_way_home_case(), *(random_case(seed, size=200) for seed in (1, 2, 3))]
+        else:
+            size = int(family.split("-")[1])
+            cells = [random_case(seed, size=size) for seed in {24: range(100000, 100010), 40: range(5)}[size]]
+        for inst, graph in cells:
+            assert_table_equals_reference(inst, graph)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        footprint=st.sampled_from((10.0, 30.0, 60.0)),
+        stations=st.integers(1, 9),
+        size=st.sampled_from((2, 4, 6, 8, 12, 16)),
+        explicit=st.booleans(),
+    )
+    def test_table_equals_the_reference_on_the_property_family(self, seed, footprint, stations, size, explicit):
+        assert_table_equals_reference(*spread_case(seed, size, footprint, stations, 1, explicit))
+
+    def test_walk_makes_the_table_at_its_second_clock_read(self, monkeypatch):
+        # 100000's walk ends before its first clock read (512 prefixes) and 100005's between its
+        # first and second: both prove with no table; 100007's reaches the second read, makes
+        # the table there, and the table's root stops it
+        seeds = (100000, 100005, 100007)
+        instances = [generate_instance(GeneratorConfig(request_total=24, seed=seed)) for seed in seeds]
+        cells = [(with_workers(inst, 1), build_graph(inst, matrix_for_instance(inst))) for inst in instances]
+        largest = [2 * max(map(len, pool_routes(route_columns(*case)))) for case in cells]
+        made = counted_calls(monkeypatch, "_completion_table")
+        for (inst, graph), optimum, seed, tables in zip(cells, largest, seeds, (0, 0, 1)):
+            made.clear()
+            result = solve_branch_and_bound(inst, graph)
+            assert len(made) == tables and result.nodes_explored == K1_PREFIXES[seed], seed
+            assert result.optimal and result.solution.served_count == result.best_bound == optimum, seed
+            assert check_solution(inst, graph, result.solution).passed, seed
+
     def test_stopped_walk_reports_the_table_bound(self, case_200):
         # the node limit stops the walk before it finds a route of 18, and the bound is K times
         # the table's root, far below the root count bound
@@ -979,47 +1112,50 @@ class TestCompletionTable:
 class TestSearchUnchanged:
     """Pinned answers, cell by cell.
 
-    Every cell is proved at the root by the route packing and its bound, so
-    it pins one node, with the three switches or without them.
+    Every K>1 cell is proved at the root by the route packing and its bound,
+    so it pins one node, and every K=1 cell by its one walk, so it pins the
+    walk's prefixes (``K1_PREFIXES``), with the three switches or without
+    them.
     """
 
     @pytest.mark.parametrize(
         "seed, paper, k, expected",
         [
             # generator seed, configuration, K: (served, best_bound, optimal, nodes_explored)
-            (100000, True, 1, (6, 6, True, 1)),
+            (100000, True, 1, (6, 6, True, 179)),
             (100000, True, 2, (10, 10, True, 1)),
             (100000, True, 3, (14, 14, True, 1)),
-            (100000, False, 1, (6, 6, True, 1)),
+            (100000, False, 1, (6, 6, True, 179)),
             (100000, False, 2, (10, 10, True, 1)),
             (100000, False, 3, (14, 14, True, 1)),
-            (100001, True, 1, (6, 6, True, 1)),
+            (100001, True, 1, (6, 6, True, 435)),
             (100001, True, 2, (12, 12, True, 1)),
-            (100001, False, 1, (6, 6, True, 1)),
+            (100001, False, 1, (6, 6, True, 435)),
             (100001, False, 2, (12, 12, True, 1)),
             (100001, False, 3, (16, 16, True, 1)),
-            (100002, True, 1, (6, 6, True, 1)),
+            (100002, True, 1, (6, 6, True, 365)),
             (100002, True, 2, (10, 10, True, 1)),
-            (100002, False, 1, (6, 6, True, 1)),
+            (100002, False, 1, (6, 6, True, 365)),
             (100002, False, 2, (10, 10, True, 1)),
             (100002, False, 3, (12, 12, True, 1)),
-            (100003, True, 1, (6, 6, True, 1)),
+            (100003, True, 1, (6, 6, True, 295)),
             (100003, True, 2, (10, 10, True, 1)),
             (100003, True, 3, (14, 14, True, 1)),
-            (100003, False, 1, (6, 6, True, 1)),
+            (100003, False, 1, (6, 6, True, 295)),
             (100003, False, 2, (10, 10, True, 1)),
             (100003, False, 3, (14, 14, True, 1)),
         ],
     )
     def test_node_limited_cells_pinned(self, seed, paper, k, expected):
-        # SolveOptions() proves at the root too; paper: the switches and a 100 000-node
-        # limit, default: none and a 20 000-node limit, which the pool reads neither of
+        # SolveOptions() proves alike; paper: the switches and a 100 000-node limit, default:
+        # none and a 20 000-node limit, which the pool reads neither of and no K=1 walk reaches
         inst = with_workers(generate_instance(GeneratorConfig(request_total=24, seed=seed)), k)
         graph = build_graph(inst, matrix_for_instance(inst))
         options = SolveOptions(node_limit=100_000, **PAPER) if paper else SolveOptions(node_limit=20_000)
         result = solve_branch_and_bound(inst, graph, options)
         got = (result.solution.served_count, result.best_bound, result.optimal, result.nodes_explored)
         assert got == expected
+        assert k > 1 or result.nodes_explored == K1_PREFIXES[seed]
         assert check_solution(inst, graph, result.solution).passed
 
     def test_carried_verdicts_equal_schedule_route(self):
@@ -1174,11 +1310,13 @@ class TestStoppingRule:
             heuristic_sequential(inst, graph, **{name: value})
 
     def test_route_enumeration_keeps_the_time_limit(self, monkeypatch):
-        # at 60 requests the whole enumeration takes about 1 s
+        # at 60 requests the whole enumeration takes about 1 s; K=2, as K=1 enumerates nothing
         monkeypatch.setattr(evrelocate.search, "ROUTE_CAP", 10**9)
-        inst = with_workers(generate_instance(GeneratorConfig(request_total=60, seed=1)), 1)
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=60, seed=1)), 2)
         graph = build_graph(inst, matrix_for_instance(inst))
+        pools = counted_calls(monkeypatch, "_route_columns")
         result = solve_branch_and_bound(inst, graph, SolveOptions(time_limit_s=0.1, **PAPER))
+        assert len(pools) == 1
         assert result.elapsed_s < 0.25
         assert not result.optimal and result.solution.served_count <= result.best_bound
 
@@ -1249,14 +1387,20 @@ def highs_optimum(model):
 )
 def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size, k, explicit):
     inst, graph = spread_case(seed, size, footprint, stations, k, explicit)
-    assert pool_routes(route_columns(inst, graph)) == list(reference_columns(inst, graph).values())
+    pool = route_columns(inst, graph)
+    assert pool_routes(pool) == list(reference_columns(inst, graph).values())
     optimum = brute_force(inst, graph).served_count
     result = solve_branch_and_bound(inst, graph)
     with patch.object(evrelocate.search, "PACKING_STEPS", 0):  # the packing LP from K=2 on
         lp_result = solve_branch_and_bound(inst, graph)
+    nexts, root = evrelocate.search._next_pairs(inst, graph)
+    table = lambda: completion_table(inst, graph)  # noqa: E731  made at the walk's second clock read
+    walk = evrelocate.search._longest_route(nexts, inst.parameters.shift_limit_min, None, 0, None, root, table)
     for solved in (result, lp_result):
-        assert solved.optimal and solved.nodes_explored == 1  # read at the root
+        # read at the root from K=2 on; at K=1 the one walk's prefixes, and the pool's largest column
+        assert solved.optimal and solved.nodes_explored == (1 if k > 1 else walk[1])
         assert solved.solution.served_count == solved.best_bound == optimum
+        assert k > 1 or optimum == 2 * max(map(len, pool_routes(pool)), default=0)
         assert check_solution(inst, graph, solved.solution).passed
     model = build_milp(inst, graph)
     served, values = highs_optimum(model)
