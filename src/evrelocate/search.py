@@ -11,10 +11,10 @@ only decides whether a route closes, since one more pair can end a route
 nearer the depot.  Only the routes a solve returns become pairs, timed by
 ``schedule_route``.
 
-K=1 has one path: the walk kept to its first longest closed route
-(:func:`_longest_route`), cut by the completion table below, which stops
-once its route meets the root count bound or the table's root.  A walk
-that ends proves its route: no route pool is made and no LP runs.
+K=1 has one path: the walk kept to a longest closed route
+(:func:`_longest_route`), cut by the completion table below and aimed at
+its goal, the root count bound or the table's root.  A walk that ends
+proves its route: no route pool is made and no LP runs.
 
 From K=2 on the walk keeps the first route of each distinct request set:
 the pool (:func:`_route_columns`), one flat list of node indices with
@@ -41,10 +41,16 @@ the time-ordered pairs, in the style of resource-constrained labelling
 and count ``j`` a lower bound on the earliest return to the depot after
 ``j`` or more pairs.  A walk cuts a prefix once the pairs that would beat
 its best route cannot be served and home by the prefix's first service
-plus the shift left and its start-delay cap.  Three relaxations keep the
-cut valid.  The grid rounds every time down, and a later time never
-returns sooner: waiting is allowed, and each leg's window already holds
-both battery conditions.  The start-delay cap is frozen at the prefix's,
+plus the shift left and its start-delay cap.  At K=1, once the table's
+root is known, the cut aims at the goal: the pairs that would reach it.  A
+round that ends so refutes its goal, as no prefix of a route that meets
+it is cut, and the walk lowers the goal by 2 and walks on until its best
+route meets it (iterative deepening on the objective, Korf 1985); a limit
+that stops it leaves the last goal as a bound.  From K=2 on aimed walks
+were measured to serve less.  Three relaxations keep the cut valid.  The
+grid rounds every time down, and a later time never returns sooner:
+waiting is allowed, and each leg's window already holds both battery
+conditions.  The start-delay cap is frozen at the prefix's,
 which more pairs only shrink.  The served mask is left out, so one table
 serves every worker; that only adds chains, and within a route the arcs'
 time order keeps a chain from repeating a request.
@@ -60,12 +66,15 @@ is computed only over the rows that can gather a finite entry of the level
 before: a row's least gathered index is never below the row before's, so
 these rows are a prefix, and every later row holds no chain, as it would
 if computed.  So each value is the one a full computation gives, and a
-lower bound.  A table cut short still bounds every longer chain, by its
-last level's earliest last delivery plus the shortest ride home.  Its
-root, twice the most pairs that a first leg from the depot can add and
-still be home within the shift, times K, is a bound too, which a solve
-stopped early still reports: where no walk made the table and the answer
-is not proved, it is made at the end.
+lower bound.  It keeps only the earliest return: a level's are minima over
+the level before's, so the levels end at one with none finite, and at one
+per pickup, as no route has more pairs.  Cut short by the clock after
+``m`` pairs, its last level is lowered to the cell's time plus ``m``
+shortest EV legs and the shortest ride home, which ``m`` or more pairs
+take at least.  Its root, twice the most pairs that a first leg from the
+depot can add and still be home within the shift, times K, is a bound
+too, which a solve stopped early still reports: where no walk made the
+table and the answer is not proved, it is made at the end.
 
 Every HiGHS solve gets only the time left and none starts without it; an
 LP that runs out of time gives no bound.  ``best_bound`` is the smallest
@@ -177,14 +186,14 @@ def _legs(instance: Instance, graph: ActionGraph):
     return pick[fits], drop[fits], low[fits], up[fits], drive[fits]
 
 
-def _next_pairs(instance: Instance, graph: ActionGraph):
+def _next_pairs(graph: ActionGraph, legs):
     """``(nexts, root)``: per node index, the pairs a route may take next; the root count bound.
 
     ``nexts[n]`` holds ``(ride, legs)`` for each bike ride of ``ride``
     minutes from ``n`` to a pickup ``p``, in node order: ``legs`` holds
     ``(bits, p, d, low, up, op, ride_home)`` for each EV leg
-    ``(low, up, op)`` from ``p`` to a delivery ``d`` whose charge margin
-    holds, in node order (:func:`_legs`); ``bits`` marks ``p`` and ``d``, and
+    ``(low, up, op)`` from ``p`` to a delivery ``d`` of ``legs``
+    (:func:`_legs`'s), in node order; ``bits`` marks ``p`` and ``d``, and
     ``ride_home`` is None where ``d`` has no arc to the depot.  ``root`` is
     twice the smaller count of pickups and deliveries that an EV arc
     touches.
@@ -193,15 +202,15 @@ def _next_pairs(instance: Instance, graph: ActionGraph):
     src, dst, minutes, ev = graph.src, graph.dst, graph.op_time_min, graph.is_ev
     root = 2 * min(len(set(src[ev].tolist())), len(set(dst[ev].tolist())))
     home = dict(zip(src[dst == 0].tolist(), minutes[dst == 0].tolist()))  # no EV arc ends at the depot
-    legs = [[] for _ in graph.nodes]
-    for p, d, lo, hi, op in zip(*(c.tolist() for c in _legs(instance, graph))):
-        legs[p].append((1 << p | 1 << d, p, d, lo, hi, op, home.get(d)))
+    after = [[] for _ in graph.nodes]  # per pickup, its legs
+    for p, d, lo, hi, op in zip(*(c.tolist() for c in legs)):
+        after[p].append((1 << p | 1 << d, p, d, lo, hi, op, home.get(d)))
     # one tuple of legs per pickup, shared by its rides: tuples of numbers the garbage collector
     # stops tracking, while lists in every ride would bring its next full collection forward
-    legs = [tuple(pairs) for pairs in legs]
+    after = [tuple(pairs) for pairs in after]
     nexts = [[] for _ in graph.nodes]
     for n, p, ride in zip(*(c[~ev & (dst > 0)].tolist() for c in (src, dst, minutes))):  # rides to pickups
-        nexts[n].append((ride, legs[p]))
+        nexts[n].append((ride, after[p]))
     return nexts, root
 
 
@@ -239,31 +248,31 @@ def _time_left(deadline: float | None) -> float | None:
 TABLE_STEP = 5.0
 
 #: Seconds :func:`_completion_table` takes to make its first level, per leg or ride and grid
-#: cell: 1.4e-8 to 2.1e-8 over 100-400 requests (generator seeds 1-3, a 2-core x86-64 host).
-#: Where that does not fit before its deadline no table is made, and the walk keeps the time.
-TABLE_RATE = 2.5e-8
+#: cell: 5.1e-9 to 8.0e-9 over 100-400 requests (generator seeds 1-3, least of 7, a 2-core x86-64
+#: host).  Where that does not fit before its deadline no table is made, and the walk keeps the time.
+TABLE_RATE = 1e-8
 
 
-def _completion_table(instance: Instance, graph: ActionGraph, deadline):
+def _completion_table(instance: Instance, graph: ActionGraph, legs, deadline):
     """``(levels, start, cells, root)``: how soon a worker can be home after more pairs.
 
-    Cell ``i`` is the time ``start + i * TABLE_STEP``.  ``levels[j][d * cells + i]``
-    is at most the earliest return to the depot of a worker who has served
-    delivery ``d`` by cell ``i``'s time and then serves ``j`` or more pairs;
-    past the last level the last one bounds it.  Levels 1 to ``root / 2 - 1``
-    are lists, the rest arrays.  ``root`` is twice the most pairs that a
-    route can serve and be home within the shift, or None where the levels
-    stop too soon to tell.  A level is two gathers over (cell, node) rows
+    Over ``legs`` (:func:`_legs`).  Cell ``i`` is the time ``start + i *
+    TABLE_STEP``.  ``levels[j][d * cells + i]`` is at most the earliest
+    return to the depot of a worker who has served delivery ``d`` by cell
+    ``i``'s time and then serves ``j`` or more pairs; past the last level
+    the last one bounds it.  Levels 1 to ``root / 2 - 1`` are lists, the
+    rest arrays.  ``root`` is twice the most pairs that a route can serve
+    and be home within the shift, or None where the levels stop too soon to
+    tell.  A level is two gathers over (cell, node) rows
     of the last level's finite prefix: per cell and pickup, the least over
     its legs of the level before at the leg's arrival cell and delivery;
     per cell and delivery, the least of that over its rides.  Arrival cells
-    are rounded down, and each level carries the earliest last delivery and
-    the earliest return, so every value is a lower bound.  The levels stop
-    once no longer chain exists, or once ``deadline`` passes (see the
-    module docstring).  None where no leg exists, or where ``TABLE_RATE``
-    says that the first level does not fit before ``deadline``.
+    are rounded down, so every value is a lower bound.  The levels stop at
+    one with no finite value, at one per pickup, or once ``deadline`` passes
+    (see the module docstring).  None where no leg exists, or where
+    ``TABLE_RATE`` says that the first level does not fit before ``deadline``.
     """
-    pick, drop, low, up, op = _legs(instance, graph)
+    pick, drop, low, up, op = legs
     if not len(pick):
         return None
     src, dst, minutes = graph.src, graph.dst, graph.op_time_min
@@ -295,27 +304,27 @@ def _completion_table(instance: Instance, graph: ActionGraph, deadline):
     least_leg, least_ride = at_leg.min(axis=1), at_ride.min(axis=1, initial=cells * len(pickups))
     home = np.full(nodes, np.inf)
     home[src[dst == 0]] = minutes[dst == 0]
-    reach = np.full((2, cells + 1, nodes), np.inf)  # per cell and node: the earliest last delivery and return
-    reach[0, :cells] = grid[:, None]
-    reach[1, :cells] = grid[:, None] + home
+    reach = np.full((cells + 1, nodes), np.inf)  # per cell and node: the earliest return
+    reach[:cells] = grid[:, None] + home
     levels = np.empty((len(pickups) + 1, nodes, cells))  # node-major, as the walk reads them
-    levels[0] = reach[1, :cells].T
-    at_pickup = np.full((2, cells, len(pickups)), np.inf)
-    flat_reach, flat_pickup = reach.reshape(2, -1), at_pickup.reshape(2, -1)  # views, as both are reused
-    made, finite = 1, cells  # the levels made, and the rows of the last one with a finite entry
+    levels[0] = reach[:cells].T
+    at_pickup = np.full((cells, len(pickups)), np.inf)
+    flat_reach, flat_pickup = reach.reshape(-1), at_pickup.reshape(-1)  # views, as both are reused
+    made, finite = 1, cells if np.isfinite(home).any() else 0  # the levels made; the last one's finite rows
     while made <= len(pickups) and finite and not _past(deadline):  # no route has more pairs
         rows = np.searchsorted(least_leg, finite * nodes)
-        at_pickup[:, rows:] = np.inf
-        at_pickup[:, :rows] = np.minimum.reduceat(flat_reach.take(at_leg[:rows], axis=1), by_pickup, axis=2)
+        at_pickup[rows:] = np.inf
+        at_pickup[:rows] = np.minimum.reduceat(flat_reach.take(at_leg[:rows]), by_pickup, axis=1)
         rows = np.searchsorted(least_ride, rows * len(pickups))
-        at_delivery = np.minimum.reduceat(flat_pickup.take(at_ride[:rows], axis=1), by_delivery, axis=2)
+        at_delivery = np.minimum.reduceat(flat_pickup.take(at_ride[:rows]), by_delivery, axis=1)
         reach[:] = np.inf
-        reach[:, :rows, deliveries] = at_delivery
-        finite = int(np.flatnonzero(np.isfinite(at_delivery[0]).any(axis=1)).max(initial=-1)) + 1
-        levels[made] = reach[1, :cells].T
+        reach[:rows, deliveries] = at_delivery
+        finite = int(np.flatnonzero(np.isfinite(at_delivery).any(axis=1)).max(initial=-1)) + 1
+        levels[made] = reach[:cells].T
         made += 1
     levels = levels[:made]
-    np.minimum(levels[-1], reach[0, :cells].T + home.min(), out=levels[-1])
+    if finite and made <= len(pickups):  # cut short by the clock: m or more pairs take m legs at least
+        np.minimum(levels[-1], grid + (made - 1) * op.min() + home.min(), out=levels[-1])
     for j in range(made - 2, -1, -1):  # j or more pairs
         np.minimum(levels[j], levels[j + 1], out=levels[j])
 
@@ -334,8 +343,8 @@ def _completion_table(instance: Instance, graph: ActionGraph, deadline):
     return levels, start, cells, None if most == len(levels) else 2 * most
 
 
-def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, goal=None, table=None):
-    """``(nodes, starts, best, entered, stopped)``: depth first over every schedulable single-worker route.
+def _walk(nexts, shift_limit: float, deadline, taken=0, node_limit=None, goal=None, table=None, aim=False):
+    """``(nodes, starts, best, entered, stopped, goal)``: depth first over the schedulable single-worker routes.
 
     Over ``nexts`` (see :func:`_next_pairs`) without the nodes marked in
     ``taken``, with :func:`extend` and ``start_delay`` inlined on the
@@ -343,17 +352,18 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
     delivery, pickup, ...).  Without ``goal`` each closed route of a new
     request set joins the pool ``(nodes, starts)`` (see
     :func:`_route_columns`), and the walk stops past ``ROUTE_CAP`` sets.
-    With one only the first longest closed route is kept, as ``best``, and
-    the walk stops once it serves ``goal`` requests.  ``table`` is a
-    completion table (:func:`_completion_table`), or a function called at
-    the walk's second clock read that makes one (or None).  From then on the
-    walk cuts a prefix once the pairs more that would beat ``best`` cannot
-    be served and home by its first service plus the shift left and its
-    start-delay cap, which more pairs only shrink, and ``goal`` is lowered
-    to the table's root.  ``entered`` counts the prefixes entered; the walk
-    stops past ``node_limit`` of them, or once ``deadline`` has passed: the
-    clock is read every 512 prefixes.  ``stopped``: a limit or
-    ``ROUTE_CAP`` stopped the walk before its end.
+    With one only a longest closed route is kept, as ``best``, and the walk
+    stops once it serves ``goal`` requests.  ``table`` is a completion table
+    (:func:`_completion_table`), or a function called at the walk's second
+    clock read that makes one (or None).  From then on ``goal`` is lowered
+    to the table's root, and the walk cuts a prefix once the pairs more that
+    would beat ``best`` (with ``aim`` and a root: reach ``goal``) cannot be
+    served and home by its first service plus the shift left and its
+    start-delay cap, which more pairs only shrink.  An aimed round that ends
+    lowers ``goal`` by 2 and walks again.  ``entered`` counts the prefixes
+    entered; the walk stops past ``node_limit`` of them, or once ``deadline``
+    has passed: the clock is read every 512 prefixes.  ``stopped``: a limit
+    or ``ROUTE_CAP`` stopped the walk before its end; ``goal`` is the last.
     """
     nodes, starts, seen = [], [0], set()
     longest, best, entered = goal is not None, (), 0
@@ -362,11 +372,11 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
     make = (lambda: table) if given else table
     check = min(limit + 1, 1 if given else 512)  # the next count of prefixes at which the limits are read
     levels = start = cells = top = last = None  # the completion table's, once the walk has one
-    step, slack = TABLE_STEP, 2 * TIME_TOL
+    aimed, step, slack = False, TABLE_STEP, 2 * TIME_TOL  # aimed: the cut aims at goal, not past best
 
     def grow(used, route, home, first, latest, chain, cap, budget, drive) -> bool:
         # route has the Prefix (first, ..., drive) and rides `home` back; False stops the walk
-        nonlocal entered, best, check, make, levels, start, cells, top, last, goal
+        nonlocal entered, best, check, make, levels, start, cells, top, last, goal, aimed
         entered += 1
         if entered == check:
             if entered > limit or _past(deadline):
@@ -377,7 +387,8 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
                 if made is not None:  # it cuts the walk from now on
                     levels, start, cells, root = made
                     top, last = len(levels) - 1, cells - 1
-                    goal = goal if root is None else min(goal, root)  # so no level past root / 2 - 1 is read
+                    if root is not None:  # so no level past root / 2 - 1 is read
+                        goal, aimed = min(goal, root), aim
                     if len(best) >= goal:
                         return False
         span = budget - drive
@@ -400,7 +411,7 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
                     if len(seen) > ROUTE_CAP:
                         return False
         if levels is not None:
-            more = (len(best) - len(route)) // 2 + 1  # the pairs that would beat best
+            more = ((goal if aimed else len(best) + 2) - len(route)) // 2  # to reach goal, or to beat best
             if more > 0:
                 i = int((latest + drive - start) / step)  # the last delivery's cell
                 home_by = levels[more if more < top else top][route[-1] * cells + (i if i < cells else last)]
@@ -422,14 +433,19 @@ def _walk(nexts, shift_limit: float, deadline, taken: int = 0, node_limit=None, 
                     return False
         return True
 
-    for ride, legs in nexts[0]:
-        for bits, p, d, low, up, op, ride_home in legs:
-            if taken & bits:
-                continue
-            prefix = extend(None, low, up, op, ride, shift_limit)
-            if prefix is not None and not grow(taken | bits, (p, d), ride_home, *prefix):
-                return nodes, starts, best, entered, not longest or len(best) < goal
-    return nodes, starts, best, entered, False
+    while True:
+        for ride, legs in nexts[0]:
+            for bits, p, d, low, up, op, ride_home in legs:
+                if taken & bits:
+                    continue
+                prefix = extend(None, low, up, op, ride, shift_limit)
+                if prefix is not None and not grow(taken | bits, (p, d), ride_home, *prefix):
+                    return nodes, starts, best, entered, not longest or len(best) < goal, goal
+        if not aimed:
+            return nodes, starts, best, entered, False, goal
+        goal -= 2  # no route serves goal: the round found none, and it cut only routes that serve less
+        if len(best) >= goal:
+            return nodes, starts, best, entered, False, goal
 
 
 def _route_columns(nexts, shift_limit: float, deadline=None):
@@ -440,22 +456,23 @@ def _route_columns(nexts, shift_limit: float, deadline=None):
     (:func:`_walk`).  None past ``ROUTE_CAP`` sets, or once ``deadline`` has
     passed.
     """
-    nodes, starts, _, _, stopped = _walk(nexts, shift_limit, deadline)
+    nodes, starts, _, _, stopped, _ = _walk(nexts, shift_limit, deadline)
     return None if stopped else (nodes, starts)
 
 
-def _longest_route(nexts, shift_limit: float, deadline, taken: int, node_limit, goal: int, table=None):
-    """``(route, entered, ended)``: the first longest schedulable route without the nodes in ``taken``.
+def _longest_route(nexts, shift_limit: float, deadline, taken: int, node_limit, goal, table=None, aim=False):
+    """``(route, entered, most)``: a longest schedulable route without the nodes in ``taken``.
 
     :func:`_walk` keeping only its longest closed route, which serves
-    ``len(route)`` requests, cut by ``table`` where one is given or made.
-    ``goal`` must bound what any such route serves.  ``ended``: the walk
-    ran to its end, or its route meets ``goal`` or the table's root; either
-    way no route serves more.  Otherwise ``node_limit`` or ``deadline``
-    stopped it, and ``route`` is the longest found.
+    ``len(route)`` requests, cut by ``table`` where one is given or made and
+    aimed at ``goal`` with ``aim``.  ``goal`` must bound what any such route
+    serves.  None serves more than ``most``: ``len(route)`` where the walk
+    ended or its route met its goal, else the last goal, where
+    ``node_limit`` or ``deadline`` stopped it.
     """
-    _, _, route, entered, stopped = _walk(nexts, shift_limit, deadline, taken, node_limit, goal, table)
-    return route, entered, not stopped
+    walked = _walk(nexts, shift_limit, deadline, taken, node_limit, goal, table, aim)
+    _, _, route, entered, stopped, goal = walked
+    return route, entered, goal if stopped else len(route)
 
 
 #: The exact packing search gives up past this many branches, and the packing LP takes over.
@@ -601,8 +618,8 @@ def solve_branch_and_bound(
     options = options or SolveOptions()
     start = time.perf_counter()
     deadline = start + options.time_limit_s if options.time_limit_s else None
-    params = instance.parameters
-    nexts, bound = _next_pairs(instance, graph)
+    params, legs = instance.parameters, _legs(instance, graph)
+    nexts, bound = _next_pairs(graph, legs)
     pool = None if params.workers == 1 else _route_columns(nexts, params.shift_limit_min, deadline)
     if pool is not None:
         packed, routes = _route_packing(pool, params.workers, len(graph.nodes), deadline)
@@ -614,7 +631,7 @@ def solve_branch_and_bound(
         if params.workers > 1 and fits:
             compact = compute_upper_bound(instance, graph, None if left is None else BOUND_SHARE * left)
             bound = bound if compact is None else min(compact, bound)
-        solution, bound, nodes = _sequential(instance, graph, nexts, bound, options.node_limit, deadline)
+        solution, bound, nodes = _sequential(instance, graph, legs, nexts, bound, options.node_limit, deadline)
     return SolveResult(solution, solution.served_count == bound, bound, nodes, time.perf_counter() - start)
 
 
@@ -675,28 +692,30 @@ def heuristic_sequential(
     """
     SolveOptions(node_limit=node_limit, time_limit_s=time_limit_s)
     deadline = time.perf_counter() + time_limit_s if time_limit_s else None
-    nexts, root = _next_pairs(instance, graph)
-    return _sequential(instance, graph, nexts, root, node_limit, deadline)[0]
+    legs = _legs(instance, graph)
+    nexts, root = _next_pairs(graph, legs)
+    return _sequential(instance, graph, legs, nexts, root, node_limit, deadline)[0]
 
 
-def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
+def _sequential(instance, graph, legs, nexts, bound: int, node_limit, deadline):
     """``(solution, bound, entered)``: one :func:`_longest_route` per worker over ``nexts``.
 
-    ``bound`` bounds the answer, and each search's goal is what it leaves.
-    :func:`_completion_table` is made once, on at most ``BOUND_SHARE`` of
-    the time left: at K=1 at the search's second clock read, or at the end
-    where the search made none and the answer does not meet ``bound``;
-    from K=2 on first.  It cuts every search from then on, and K times its
-    root lowers ``bound``, as does K times the longest route where a
-    search that covers every request ends.  The searches share
-    ``deadline`` and ``node_limit``: each gets an even share of the time
-    and of the prefixes the earlier ones left to it and the workers after
-    it, and none starts once either is spent, so the searches enter at most
-    one prefix past ``node_limit`` together.  A search that its share cuts
-    short before any route leaves its worker idle, and the next gets all
-    that is left, since with an even share it would walk the same prefixes
-    and stop alike; a search without a route that ends, or that had all
-    that was left, ends the answer.
+    ``nexts`` is made of ``legs``.  ``bound`` bounds the answer, and each
+    search's goal is what it leaves.  :func:`_completion_table` is made
+    once, on at most ``BOUND_SHARE`` of the time left: at K=1 at the
+    search's second clock read, or at the end where the search made none
+    and the answer does not meet ``bound``; from K=2 on first.  It cuts
+    every search from then on, and K times its root lowers ``bound``, as
+    does K times the ``most`` of the search that covers every request,
+    which at K=1 is aimed at its goal and finds a longest route.  The
+    searches share ``deadline`` and ``node_limit``: each gets an even share
+    of the time and of the prefixes the earlier ones left to it and the
+    workers after it, and none starts once either is spent, so the searches
+    enter at most one prefix past ``node_limit`` together.  A search that
+    its share cuts short before any route leaves its worker idle, and the
+    next gets all that is left, since with an even share it would walk the
+    same prefixes and stop alike; a search without a route that ends, or
+    that had all that was left, ends the answer.
     """
     workers, shift_limit = instance.parameters.workers, instance.parameters.shift_limit_min
 
@@ -705,13 +724,14 @@ def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
         nonlocal bound
         left = _time_left(deadline)
         stop = None if left is None else time.perf_counter() + BOUND_SHARE * left
-        made = _completion_table(instance, graph, stop)
+        made = _completion_table(instance, graph, legs, stop)
         if made is not None and made[3] is not None:
             bound = min(bound, workers * made[3])  # no route serves more than the table's root
         return made
 
-    # the workers share the time: made first, the table takes no worker's share and cuts at once
-    cut = table() if workers > 1 else table
+    # the workers share the time: made first, the table takes no worker's share and cuts at once;
+    # only K=1 aims, as from K=2 on aimed walks were measured to serve less
+    cut, aim = (table(), False) if workers > 1 else (table, True)
     routes, taken, served, entered, stalled = [], 0, 0, 0, False
     for k in range(workers):
         parts = 1 if stalled else workers - k
@@ -724,11 +744,11 @@ def _sequential(instance, graph, nexts, bound: int, node_limit, deadline):
             if share <= 0:
                 break
             stop = time.perf_counter() + share
-        route, count, ended = _longest_route(nexts, shift_limit, stop, taken, limit, bound - served, cut)
+        route, count, most = _longest_route(nexts, shift_limit, stop, taken, limit, bound - served, cut, aim)
         entered += count
-        if ended and not taken:  # no route serves more, and no worker
-            bound = min(bound, workers * len(route))
-        if not route and (ended or stalled):
+        if not taken:  # no route serves more than most, and no worker
+            bound = min(bound, workers * most)
+        if not route and (not most or stalled):
             break  # none is left, or no share is larger
         stalled = not route
         routes.append(tuple(zip(route[::2], route[1::2])))

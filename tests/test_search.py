@@ -319,12 +319,12 @@ class TestHeuristic:
         for stalls, ended, limits in cases:
             calls = []
 
-            def first_stalls(nexts, shift_limit, deadline, taken, node_limit, goal, table):
+            def first_stalls(nexts, shift_limit, deadline, taken, node_limit, goal, table, aim):
                 left = None if deadline is None else deadline - time.perf_counter()
                 calls.append((taken, node_limit, left))
                 if len(calls) <= stalls:  # its share or its node budget spent, or none of it
-                    return (), (node_limit or 0) + 1, ended
-                return search(nexts, shift_limit, deadline, taken, node_limit, goal, table)
+                    return (), (node_limit or 0) + 1, 0 if ended else goal
+                return search(nexts, shift_limit, deadline, taken, node_limit, goal, table, aim)
 
             monkeypatch.setattr(evrelocate.search, "_longest_route", first_stalls)
             solution = heuristic_sequential(inst, graph, **limits)
@@ -445,9 +445,14 @@ def spread_cells(sizes=(6, 8, 10)):
             yield cell, spread_case(seed, size, float(footprint), stations, k, explicit)
 
 
+def next_pairs(inst, graph):
+    """The walk's next-pair lists and the root count bound, as a solve makes them."""
+    return evrelocate.search._next_pairs(graph, evrelocate.search._legs(inst, graph))
+
+
 def route_columns(inst, graph):
     """The paper configuration's route pool, ``(nodes, starts)``."""
-    nexts, _ = evrelocate.search._next_pairs(inst, graph)
+    nexts, _ = next_pairs(inst, graph)
     return evrelocate.search._route_columns(nexts, inst.parameters.shift_limit_min)
 
 
@@ -795,11 +800,11 @@ class TestRouteBound:
             size = int(family.split("-")[1])
             cells = [random_case(seed, size=size) for seed in {24: range(100000, 100010), 40: range(5)}[size]]
         for inst, graph in cells:
-            nexts, _ = evrelocate.search._next_pairs(inst, graph)
+            nexts, _ = next_pairs(inst, graph)
             shift_limit = inst.parameters.shift_limit_min
-            route, entered, ended = evrelocate.search._longest_route(nexts, shift_limit, None, 0, None, math.inf)
+            route, entered, most = evrelocate.search._longest_route(nexts, shift_limit, None, 0, None, math.inf)
             largest = max(reference_columns(inst, graph).values(), key=len, default=())
-            assert ended and route == tuple(n for pair in largest for n in pair)
+            assert most == len(route) and route == tuple(n for pair in largest for n in pair)
             assert entered >= len(route) // 2
 
     def test_lp_cells_closed_by_the_packing_search(self, monkeypatch):
@@ -852,15 +857,15 @@ def completion_table(inst, graph, levels=None, make=None):
 
     ``make`` builds it, :func:`evrelocate.search._completion_table` by default.
     """
-    make = make or evrelocate.search._completion_table
+    make, legs = make or evrelocate.search._completion_table, evrelocate.search._legs(inst, graph)
     if levels is None:
-        return make(inst, graph, None)
+        return make(inst, graph, legs, None)
     reads = iter(range(10**6))  # the table reads the clock once before each level
     with patch.object(evrelocate.search, "_past", lambda deadline: next(reads) >= levels):
-        return make(inst, graph, None)
+        return make(inst, graph, legs, None)
 
 
-def reference_table(inst, graph, deadline):
+def reference_table(inst, graph, legs, deadline):
     """The completion table, node-major, with every level made over every cell and read as a list.
 
     The layout the cell-major table replaced: per leg and cell, then per
@@ -868,7 +873,7 @@ def reference_table(inst, graph, deadline):
     reference for the table's values, level by level, and for its root.
     """
     search = evrelocate.search
-    pick, drop, low, up, op = search._legs(inst, graph)
+    pick, drop, low, up, op = legs
     if not len(pick):
         return None
     src, dst, minutes = graph.src, graph.dst, graph.op_time_min
@@ -892,19 +897,19 @@ def reference_table(inst, graph, deadline):
     deliveries, by_delivery = np.unique(src[ride], return_index=True)
     home = np.full(nodes, np.inf)
     home[src[dst == 0]] = minutes[dst == 0]
-    reach = np.full((size + 1, 2), np.inf)
-    reach[:size, 0] = np.tile(grid, nodes)
-    reach[:size, 1] = reach[:size, 0] + np.repeat(home, cells)
-    levels = [reach[:size, 1]]
+    reach = np.full(size + 1, np.inf)
+    reach[:size] = np.tile(grid, nodes) + np.repeat(home, cells)
+    levels = [reach[:size]]
     for _ in pickups:
-        if search._past(deadline) or np.isinf(reach[:size, 0]).all():
+        if search._past(deadline) or np.isinf(reach).all():  # no chain gets home: nor with more pairs
             break
-        at_pickup = np.minimum.reduceat(reach.take(at_leg, axis=0), by_pickup).reshape(-1, 2)
-        reach = np.full((size + 1, 2), np.inf)
-        at_delivery = np.minimum.reduceat(at_pickup.take(at_ride, axis=0), by_delivery)
-        reach[:size].reshape(nodes, cells, 2)[deliveries] = at_delivery
-        levels.append(reach[:size, 1])
-    levels[-1] = np.minimum(levels[-1], reach[:size, 0] + home.min())
+        at_pickup = np.minimum.reduceat(reach.take(at_leg), by_pickup).reshape(-1)
+        reach = np.full(size + 1, np.inf)
+        at_delivery = np.minimum.reduceat(at_pickup.take(at_ride), by_delivery)
+        reach[:size].reshape(nodes, cells)[deliveries] = at_delivery
+        levels.append(reach[:size])
+    if np.isfinite(levels[-1]).any() and len(levels) <= len(pickups):  # cut short: m pairs take m legs
+        levels[-1] = np.minimum(levels[-1], np.tile(grid, nodes) + (len(levels) - 1) * op.min() + home.min())
     levels = np.minimum.accumulate(levels[::-1])[::-1]
     from_depot = ~graph.is_ev & (src == 0)
     depot = np.full(nodes, np.inf)
@@ -932,13 +937,14 @@ def assert_table_equals_reference(inst, graph):
 
 
 def assert_table_keeps_the_longest_route(inst, graph):
-    """With no limit the walk cut by the completion table finds the plain walk's route and verdict.
+    """With no limit the walk cut by the completion table finds the plain walk's route and verdict,
+    and the walk aimed at the table's root a route as long, which the scheduler accepts.
 
     For the first worker and for a second one, which the first one's route
     leaves out, with the whole table and with one cut after one and two
     levels; the root of a table that ran to its end is at least that route.
     """
-    nexts, _ = evrelocate.search._next_pairs(inst, graph)
+    nexts, _ = next_pairs(inst, graph)
     shift, longest = inst.parameters.shift_limit_min, evrelocate.search._longest_route
     first = longest(nexts, shift, None, 0, None, math.inf)
     taken = sum(1 << n for n in first[0])
@@ -948,9 +954,13 @@ def assert_table_keeps_the_longest_route(inst, graph):
         if table is None:  # no EV leg
             assert first[0] == ()
             continue
-        for mask, (route, _, ended) in ((0, first), (taken, second)):
+        for mask, (route, _, most) in ((0, first), (taken, second)):
             cut = longest(nexts, shift, None, mask, None, math.inf, table)
-            assert (cut[0], cut[2]) == (route, ended), levels
+            assert (cut[0], cut[2]) == (route, most), levels
+            aimed, _, aimed_most = longest(nexts, shift, None, mask, None, math.inf, table, True)
+            assert (len(aimed), aimed_most) == (len(route), most), levels
+            pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in zip(aimed[::2], aimed[1::2])]
+            assert not pairs or schedule_route(inst, graph, pairs).feasible, (levels, pairs)
         root = table[3]
         assert root is not None or levels is not None
         assert root is None or root >= len(first[0]), levels
@@ -978,7 +988,7 @@ def earliest_returns(nexts, ride_home, node, at, pairs=0, best=None):
 def assert_table_below_earliest_returns(inst, graph):
     """Every value of the completion table, whole or cut after one or two levels, is at most the
     earliest return it bounds, at every delivery and every cell of the grid."""
-    nexts, _ = evrelocate.search._next_pairs(inst, graph)
+    nexts, _ = next_pairs(inst, graph)
     home = dict(zip(graph.src[graph.dst == 0].tolist(), graph.op_time_min[graph.dst == 0].tolist()))
     tables = [completion_table(inst, graph, levels) for levels in (None, 1, 2)]
     if tables[0] is None:
@@ -1034,10 +1044,11 @@ class TestCompletionTable:
             assert_table_below_earliest_returns(inst, graph)
 
     def test_no_table_where_its_first_level_does_not_fit(self, case_200):
-        # at 200 requests a first level takes about 13 ms, and the walk keeps a shorter time
+        # at 200 requests a first level takes about 4 ms, and the walk keeps a shorter time
         inst, graph = case_200
-        assert evrelocate.search._completion_table(inst, graph, time.perf_counter() + 0.001) is None
-        table = evrelocate.search._completion_table(inst, graph, time.perf_counter() + 1.0)
+        make, legs = evrelocate.search._completion_table, evrelocate.search._legs(inst, graph)
+        assert make(inst, graph, legs, time.perf_counter() + 0.001) is None
+        table = make(inst, graph, legs, time.perf_counter() + 1.0)
         assert table is not None and table[3] == 18
 
     def test_k1_at_200_requests_proves(self, case_200):
@@ -1108,6 +1119,37 @@ class TestCompletionTable:
             assert result.solution.served_count <= result.best_bound == 18 * k < recount(graph)
             assert check_solution(inst_k, graph, result.solution).passed
 
+    def test_k1_at_400_requests_proves_by_an_aimed_walk(self):
+        # the table's root (26) is the optimum: aimed at it, the walk enters about 17 000
+        # prefixes, where a walk that only cuts what cannot beat its best route enters 2.5 M
+        inst = with_workers(generate_instance(GeneratorConfig(request_total=400, seed=1)), 1)
+        graph = build_graph(inst, matrix_for_instance(inst))
+        result = solve_branch_and_bound(inst, graph)
+        assert (result.solution.served_count, result.best_bound, result.optimal) == (26, 26, True)
+        assert result.nodes_explored < 100_000
+        assert check_solution(inst, graph, result.solution).passed
+
+    def test_node_limit_after_a_refuted_goal_reports_that_goal_less_two(self, monkeypatch, case_200):
+        # the generator's roots are the optimum or 2 above it, and the walk's first round finds
+        # the optimum there, so the table's root (18) is raised to 22, still a bound: the
+        # walk refutes 22 within about 5 300 prefixes and 20 within about 8 700, and its route
+        # reaches 18 later; a node limit between the two refutations reports 20, not 22
+        inst, graph = case_200
+        inst = with_workers(inst, 1)
+        make = evrelocate.search._completion_table
+
+        def raised(*args):
+            levels, start, cells, root = make(*args)
+            return levels, start, cells, root + 4
+
+        monkeypatch.setattr(evrelocate.search, "_completion_table", raised)
+        result = solve_branch_and_bound(inst, graph, SolveOptions(node_limit=7000))
+        assert not result.optimal and result.nodes_explored <= 7001
+        assert result.solution.served_count < result.best_bound == 20
+        assert check_solution(inst, graph, result.solution).passed
+        whole = solve_branch_and_bound(inst, graph)
+        assert (whole.solution.served_count, whole.best_bound, whole.optimal) == (18, 18, True)
+
 
 class TestSearchUnchanged:
     """Pinned answers, cell by cell.
@@ -1177,7 +1219,7 @@ class TestSearchUnchanged:
                 assert carried == (fresh.extendable, fresh.feasible), (size, seed, pairs)
                 assert child_made is None or child_made[0] == route
                 verdicts.add(carried)
-            nexts, _ = evrelocate.search._next_pairs(inst, graph)
+            nexts, _ = next_pairs(inst, graph)
             longest, _, _ = evrelocate.search._longest_route(nexts, 300.0, None, 0, None, math.inf)
             for route in [*pool_routes(route_columns(inst, graph)), tuple(zip(longest[::2], longest[1::2]))]:
                 pairs = [(graph.nodes[p], graph.nodes[d]) for p, d in route]
@@ -1202,8 +1244,8 @@ class TestStoppingRule:
 
     @pytest.mark.parametrize("k, paper", [(1, False), (3, True)])
     def test_time_limit_stops_search(self, case_200, k, paper):
-        # at K=1 the completion table lets the walk prove within about 4 500 prefixes and
-        # 0.15 s (test_k1_at_200_requests_proves), so a node limit stops it first there
+        # at K=1 the completion table lets the walk prove within about 3 000 prefixes and
+        # 0.03 s (test_k1_at_200_requests_proves), so a node limit stops it first there
         inst, graph = case_200
         limits = {"node_limit": 1000} if k == 1 else {}
         options = SolveOptions(time_limit_s=0.3, **limits, **(PAPER if paper else {}))
@@ -1393,9 +1435,10 @@ def test_search_equals_enumeration_equals_highs(seed, footprint, stations, size,
     result = solve_branch_and_bound(inst, graph)
     with patch.object(evrelocate.search, "PACKING_STEPS", 0):  # the packing LP from K=2 on
         lp_result = solve_branch_and_bound(inst, graph)
-    nexts, root = evrelocate.search._next_pairs(inst, graph)
+    nexts, root = next_pairs(inst, graph)
     table = lambda: completion_table(inst, graph)  # noqa: E731  made at the walk's second clock read
-    walk = evrelocate.search._longest_route(nexts, inst.parameters.shift_limit_min, None, 0, None, root, table)
+    shift_limit = inst.parameters.shift_limit_min
+    walk = evrelocate.search._longest_route(nexts, shift_limit, None, 0, None, root, table, True)
     for solved in (result, lp_result):
         # read at the root from K=2 on; at K=1 the one walk's prefixes, and the pool's largest column
         assert solved.optimal and solved.nodes_explored == (1 if k > 1 else walk[1])
